@@ -1,11 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the simulator substrates:
 // event queue, disk service model, NV cache (mixed ops, index probes,
-// eviction churn), Fenwick-backed LRU stack, trace generation, and
-// trace loading (text parse vs binary walk).
+// eviction churn), Fenwick-backed LRU stack (reuse-only and the
+// generator's insertion-heavy traffic), trace generation, and trace
+// loading (text parse vs binary walk).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cache/nv_cache.hpp"
 #include "disk/disk.hpp"
@@ -199,6 +203,51 @@ void BM_LruStackTouchAtDepth(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LruStackTouchAtDepth);
+
+// The generator's real traffic, shaped like trace1 x0.25: 1.12M touches,
+// most of them inserting a block never seen before (~0.63 distinct blocks
+// per touch, ~700k in all), the rest re-touching the block at a depth
+// drawn from trace1's read stack-distance distribution (a depth past the
+// bottom falls back to a fresh block, as in the generator). Each
+// iteration grows the stack from empty, so every index doubling and
+// compaction is inside the timing; the op list is drawn up front.
+void BM_LruStackInsertHeavy(benchmark::State& state) {
+  struct Op {
+    bool reuse;
+    std::uint32_t depth;
+    std::uint32_t fresh;
+  };
+  constexpr int kTouches = 1'120'000;
+  static const std::vector<Op> ops = [] {
+    Rng rng(6);
+    const LognormalMixture depth = TraceProfile::trace1().read_depth;
+    const auto universe = static_cast<std::uint64_t>(
+        TraceProfile::trace1().geometry.total_blocks());
+    std::vector<Op> out(kTouches);
+    for (Op& op : out) {
+      op.reuse = rng.bernoulli(0.56);
+      op.depth = static_cast<std::uint32_t>(
+          std::min(depth.sample(rng), 4.0e9));
+      op.fresh = static_cast<std::uint32_t>(rng.uniform_u64(universe));
+    }
+    return out;
+  }();
+  std::size_t distinct = 0;
+  for (auto _ : state) {
+    LruStack stack;
+    for (const Op& op : ops) {
+      std::optional<std::int64_t> block;
+      if (op.reuse) block = stack.at_depth(op.depth);
+      stack.touch(block ? *block : op.fresh);
+    }
+    distinct = stack.size();
+    benchmark::DoNotOptimize(distinct);
+  }
+  state.SetItemsProcessed(state.iterations() * kTouches);
+  state.counters["distinct_per_touch"] =
+      static_cast<double>(distinct) / kTouches;
+}
+BENCHMARK(BM_LruStackInsertHeavy)->Unit(benchmark::kMillisecond);
 
 void BM_SyntheticTraceGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,10 +1,17 @@
 #include "trace/lru_stack.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 
 namespace raidsim {
 
 namespace {
+
+constexpr std::size_t kWordBits = 64;
+constexpr std::uint64_t kByteOnes = 0x0101010101010101ULL;
+constexpr std::uint64_t kByteHighs = 0x8080808080808080ULL;
 
 std::size_t index_size_for(std::size_t keys) {
   // Power of two holding `keys` at no more than 50% load.
@@ -13,106 +20,193 @@ std::size_t index_size_for(std::size_t keys) {
   return size;
 }
 
+// Word bit twiddling in portable SWAR form: the default build targets
+// baseline x86-64, where std::popcount is a library call.
+
+/// Per-byte set-bit counts of x (each byte of the result is 0..8).
+std::uint64_t byte_counts(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  return (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+}
+
+std::size_t popcount64(std::uint64_t x) {
+  return static_cast<std::size_t>((byte_counts(x) * kByteOnes) >> 56);
+}
+
+/// Bits of x strictly below bit `bit`.
+std::uint64_t bits_below(std::uint64_t x, std::size_t bit) {
+  return x & ((std::uint64_t{1} << bit) - 1);
+}
+
+/// Position of the set bit of rank k (0-based, from bit 0) in x, which
+/// has more than k set bits.
+std::size_t select_in_word(std::uint64_t x, std::size_t k) {
+  assert(k < popcount64(x));
+  // Byte i of `inclusive` = set bits in bytes 0..i (at most 64).
+  const std::uint64_t inclusive = byte_counts(x) * kByteOnes;
+  // A byte of (k + 128) - inclusive keeps its high bit iff that byte's
+  // count is <= k: the bytes wholly below the target bit. The counts are
+  // monotone, so those bytes are the lowest ones; count them.
+  const std::uint64_t below =
+      ((k * kByteOnes | kByteHighs) - inclusive) & kByteHighs;
+  const std::size_t byte =
+      static_cast<std::size_t>(((below >> 7) * kByteOnes) >> 56);
+  const std::size_t before = ((inclusive << 8) >> (8 * byte)) & 0xff;
+  auto bits = static_cast<unsigned>((x >> (8 * byte)) & 0xff);
+  for (std::size_t r = k - before; r > 0; --r) bits &= bits - 1;
+  return 8 * byte + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
 }  // namespace
 
 LruStack::LruStack(std::size_t initial_slots)
-    : capacity_(initial_slots < 16 ? 16 : initial_slots),
-      live_(capacity_),
-      block_at_slot_(capacity_, -1),
-      index_keys_(index_size_for(capacity_), kEmptyKey),
-      index_vals_(index_size_for(capacity_), 0),
-      index_mask_(index_size_for(capacity_) - 1) {}
+    : capacity_(std::bit_ceil(std::max(initial_slots, kWordBits))),
+      live_bits_(capacity_ / kWordBits, 0),
+      word_live_(capacity_ / kWordBits),
+      block_at_slot_(capacity_ + capacity_ / kWordBits),
+      index_(index_size_for(capacity_), Entry{kEmptyKey, 0}),
+      index_mask_(index_.size() - 1) {}
 
-const std::size_t* LruStack::find_slot(std::int64_t block) const {
-  std::size_t i = hash_block(block) & index_mask_;
-  while (index_keys_[i] != kEmptyKey) {
-    if (index_keys_[i] == block) return &index_vals_[i];
+const LruStack::Entry* LruStack::find_entry(std::int64_t block) const {
+  if (block < 0 || block >= kBlockLimit) return nullptr;
+  const auto key = static_cast<std::uint32_t>(block);
+  std::size_t i = hash_block(key) & index_mask_;
+  while (index_[i].key != kEmptyKey) {
+    if (index_[i].key == key) return &index_[i];
     i = (i + 1) & index_mask_;
   }
   return nullptr;
 }
 
-void LruStack::insert_slot(std::int64_t block, std::size_t slot) {
-  if (2 * (count_ + 1) > index_keys_.size()) grow_table();
+void LruStack::insert_slot(std::uint32_t block, std::uint32_t slot) {
+  if (2 * (count_ + 1) > index_.size()) grow_table();
   std::size_t i = hash_block(block) & index_mask_;
-  while (index_keys_[i] != kEmptyKey) i = (i + 1) & index_mask_;
-  index_keys_[i] = block;
-  index_vals_[i] = slot;
+  while (index_[i].key != kEmptyKey) i = (i + 1) & index_mask_;
+  index_[i] = Entry{block, slot};
   ++count_;
 }
 
 void LruStack::grow_table() {
-  std::vector<std::int64_t> old_keys = std::move(index_keys_);
-  std::vector<std::size_t> old_vals = std::move(index_vals_);
-  const std::size_t new_size = old_keys.size() * 2;
-  index_keys_.assign(new_size, kEmptyKey);
-  index_vals_.assign(new_size, 0);
-  index_mask_ = new_size - 1;
-  for (std::size_t j = 0; j < old_keys.size(); ++j) {
-    if (old_keys[j] == kEmptyKey) continue;
-    std::size_t i = hash_block(old_keys[j]) & index_mask_;
-    while (index_keys_[i] != kEmptyKey) i = (i + 1) & index_mask_;
-    index_keys_[i] = old_keys[j];
-    index_vals_[i] = old_vals[j];
+  std::vector<Entry> old = std::move(index_);
+  index_.assign(old.size() * 2, Entry{kEmptyKey, 0});
+  index_mask_ = index_.size() - 1;
+  for (const Entry& e : old) {
+    if (e.key == kEmptyKey) continue;
+    std::size_t i = hash_block(e.key) & index_mask_;
+    while (index_[i].key != kEmptyKey) i = (i + 1) & index_mask_;
+    index_[i] = e;
   }
 }
 
 void LruStack::touch(std::int64_t block) {
-  assert(block >= 0);
+  assert(block >= 0 && block < kBlockLimit);
   if (next_slot_ == capacity_) compact();
-  if (std::size_t* slot = find_slot(block)) {
-    live_.add(*slot, -1);
-    block_at_slot_[*slot] = -1;
-    *slot = next_slot_;
+  const auto slot = static_cast<std::uint32_t>(next_slot_);
+  if (Entry* e = find_entry(block)) {
+    // The block moves up: clear its old slot.
+    const std::size_t word = e->slot / kWordBits;
+    live_bits_[word] &= ~(std::uint64_t{1} << (e->slot % kWordBits));
+    if (word == next_slot_ / kWordBits) {
+      --open_live_;
+    } else {
+      word_live_.add(word, -1);
+    }
+    e->slot = slot;
   } else {
-    insert_slot(block, next_slot_);
+    insert_slot(static_cast<std::uint32_t>(block), slot);
   }
-  block_at_slot_[next_slot_] = block;
-  live_.add(next_slot_, +1);
-  ++next_slot_;
+  block_at_slot_[slot] = static_cast<std::uint32_t>(block);
+  live_bits_[slot / kWordBits] |= std::uint64_t{1} << (slot % kWordBits);
+  ++open_live_;
+  if (++next_slot_ % kWordBits == 0) {
+    // The cursor leaves its word: the word's count enters the tree.
+    word_live_.add(slot / kWordBits, static_cast<std::int64_t>(open_live_));
+    open_live_ = 0;
+  }
 }
 
 std::optional<std::int64_t> LruStack::at_depth(std::size_t d) const {
   const std::size_t n = count_;
   if (d >= n) return std::nullopt;
-  // Depth d from the top == rank (n - d) from the bottom.
-  const auto rank = static_cast<std::int64_t>(n - d);
-  const std::size_t slot = live_.select(rank);
-  assert(block_at_slot_[slot] >= 0);
+  // Depth d from the top == rank (n - d) from the bottom, 1-based.
+  const std::size_t rank = n - d;
+  const std::size_t in_tree = n - open_live_;
+  std::size_t word;
+  std::size_t k;  // 0-based rank inside the word
+  if (rank > in_tree) {
+    word = next_slot_ / kWordBits;
+    k = rank - in_tree - 1;
+  } else {
+    std::int64_t within = 0;
+    word = word_live_.select(static_cast<std::int64_t>(rank), &within);
+    k = static_cast<std::size_t>(within - 1);
+  }
+  const std::size_t slot =
+      word * kWordBits + select_in_word(live_bits_[word], k);
   return block_at_slot_[slot];
 }
 
 std::optional<std::size_t> LruStack::depth_of(std::int64_t block) const {
-  const std::size_t* slot = find_slot(block);
-  if (!slot) return std::nullopt;
-  // Number of live slots strictly above (newer than) this one.
-  const std::int64_t newer = live_.total() - live_.prefix_sum(*slot);
-  return static_cast<std::size_t>(newer);
+  const Entry* e = find_entry(block);
+  if (!e) return std::nullopt;
+  // Live slots strictly below (older than) this one; the rest are newer.
+  const std::size_t word = e->slot / kWordBits;
+  std::size_t older =
+      popcount64(bits_below(live_bits_[word], e->slot % kWordBits));
+  older += word == next_slot_ / kWordBits
+               ? count_ - open_live_
+               : static_cast<std::size_t>(
+                     word_live_.prefix_sum_exclusive(word));
+  return count_ - 1 - older;
 }
 
 void LruStack::compact() {
-  // Rebuild the slot array with live blocks packed in stack order.
+  // Pack the live slots to the bottom in stack order: slot s moves to its
+  // rank, which never exceeds s, so every array is rewritten in place.
   const std::size_t n = count_;
   std::size_t new_capacity = capacity_;
   while (new_capacity < 2 * n + 16) new_capacity *= 2;
+  if (new_capacity > (std::size_t{1} << 32))
+    throw std::length_error("LruStack: slot count exceeds 32 bits");
 
-  std::vector<std::int64_t> packed;
-  packed.reserve(n);
-  for (std::size_t slot = 0; slot < capacity_; ++slot) {
-    if (block_at_slot_[slot] >= 0) packed.push_back(block_at_slot_[slot]);
+  const std::size_t words = capacity_ / kWordBits;
+  std::uint32_t* word_rank = block_at_slot_.data() + capacity_;
+  std::uint32_t live = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    word_rank[w] = live;
+    live += static_cast<std::uint32_t>(popcount64(live_bits_[w]));
   }
-  assert(packed.size() == n);
+  assert(live == n);
+
+  for (Entry& e : index_) {
+    if (e.key == kEmptyKey) continue;
+    const std::size_t word = e.slot / kWordBits;
+    e.slot = word_rank[word] + static_cast<std::uint32_t>(popcount64(
+                                    bits_below(live_bits_[word],
+                                               e.slot % kWordBits)));
+  }
+  std::size_t rank = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = live_bits_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t slot =
+          w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+      block_at_slot_[rank++] = block_at_slot_[slot];
+    }
+  }
 
   capacity_ = new_capacity;
-  block_at_slot_.assign(capacity_, -1);
-  live_.reset(capacity_);
-  for (std::size_t i = 0; i < n; ++i) {
-    block_at_slot_[i] = packed[i];
-    std::size_t* slot = find_slot(packed[i]);
-    assert(slot != nullptr);
-    *slot = i;
-    live_.add(i, +1);
+  block_at_slot_.resize(capacity_ + capacity_ / kWordBits);
+  live_bits_.assign(capacity_ / kWordBits, 0);
+  word_live_.reset(capacity_ / kWordBits);
+  const std::size_t full_words = n / kWordBits;
+  for (std::size_t w = 0; w < full_words; ++w) {
+    live_bits_[w] = ~std::uint64_t{0};
+    word_live_.add(w, static_cast<std::int64_t>(kWordBits));
   }
+  open_live_ = n % kWordBits;
+  if (open_live_ != 0)
+    live_bits_[full_words] = (std::uint64_t{1} << open_live_) - 1;
   next_slot_ = n;
 }
 

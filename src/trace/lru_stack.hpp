@@ -13,20 +13,41 @@ namespace raidsim {
 /// standard model of temporal locality: an access at stack distance d
 /// hits in any LRU cache of size > d).
 ///
-/// Implementation: each block occupies a timestamp slot; a Fenwick tree
-/// counts live slots, so "the block at depth d" is an order-statistics
-/// query. The slot array is compacted geometrically, giving amortised
-/// O(log n) per operation.
+/// The layout follows the generator's traffic, where most touches insert
+/// a block never seen before:
 ///
-/// The block -> slot index is an open-addressed flat table (splitmix64
-/// finalizer hash, linear probing, grown at 50% load) rather than
-/// std::unordered_map: the stack sits on the trace generator's per-access
-/// path, and the node-per-key map made every cold block a heap
-/// allocation -- about a quarter of all allocations in a cached-replay
-/// run. Keys are never erased (touch only inserts or moves), so the
-/// table needs no tombstones.
+///  * Slots. Every touch takes the next timestamp slot, so slot order is
+///    recency order. Live slots are one bit each in a bitmap, and a
+///    FenwickTree over 64-slot words counts the live slots per word:
+///    "the block at depth d" is a Fenwick descent over words (64x
+///    smaller than one entry per slot) and a select inside one word. The
+///    word the slot cursor is filling is counted apart and enters the
+///    tree when the cursor leaves it, so an insert never updates the
+///    tree.
+///  * Index. block -> slot is an open-addressed table of interleaved
+///    8-byte {key, slot} entries (linear probing, grown at 50% load), so
+///    a lookup costs one cache miss. The hash mixes block / 8 (splitmix64
+///    finalizer) and keeps the low three bits, so each aligned run of 8
+///    consecutive blocks lands in one 64-byte stretch of the table: the
+///    generator touches sequential runs (multiblock requests, sequential
+///    fresh accesses), and a run then shares its cache lines. Keys are
+///    never erased (touch only inserts or moves), so the table needs no
+///    tombstones.
+///  * Compaction. When the cursor reaches the end of the slot array, the
+///    live slots are packed to the bottom in stack order: one sequential
+///    pass over the index maps each entry's slot to its rank (word prefix
+///    count + popcount), with no re-probe per block. The slot array
+///    doubles until it holds at least 2n + 16 slots, giving amortised
+///    O(log n) per operation.
+///
+/// Blocks and slots are 32-bit: block numbers must lie in
+/// [0, kBlockLimit).
 class LruStack {
  public:
+  /// Exclusive bound on block numbers (the all-ones key marks an empty
+  /// index entry).
+  static constexpr std::int64_t kBlockLimit = 0xffffffff;
+
   explicit LruStack(std::size_t initial_slots = 4096);
 
   /// Insert `block` at the top (most recently used), moving it if present.
@@ -39,43 +60,51 @@ class LruStack {
   std::optional<std::size_t> depth_of(std::int64_t block) const;
 
   bool contains(std::int64_t block) const {
-    return find_slot(block) != nullptr;
+    return find_entry(block) != nullptr;
   }
 
   std::size_t size() const { return count_; }
 
  private:
-  static constexpr std::int64_t kEmptyKey = -1;
+  struct Entry {
+    std::uint32_t key;
+    std::uint32_t slot;
+  };
+  static constexpr std::uint32_t kEmptyKey = 0xffffffff;
 
-  static std::uint64_t hash_block(std::int64_t block) {
-    // splitmix64 finalizer: full-avalanche mix of the block number.
-    auto x = static_cast<std::uint64_t>(block);
+  static std::uint64_t hash_block(std::uint32_t block) {
+    // splitmix64 finalizer (full avalanche) of the 8-block group, with
+    // the block's position in its group kept as the low bits.
+    std::uint64_t x = block >> 3;
     x += 0x9e3779b97f4a7c15ULL;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
+    return ((x ^ (x >> 31)) << 3) | (block & 7);
   }
 
-  /// Pointer to the slot value of `block`, or nullptr when absent.
-  const std::size_t* find_slot(std::int64_t block) const;
-  std::size_t* find_slot(std::int64_t block) {
-    return const_cast<std::size_t*>(
-        static_cast<const LruStack*>(this)->find_slot(block));
+  /// Index entry of `block`, or nullptr when absent.
+  const Entry* find_entry(std::int64_t block) const;
+  Entry* find_entry(std::int64_t block) {
+    return const_cast<Entry*>(
+        static_cast<const LruStack*>(this)->find_entry(block));
   }
   /// Insert an absent block (doubling the table at 50% load).
-  void insert_slot(std::int64_t block, std::size_t slot);
+  void insert_slot(std::uint32_t block, std::uint32_t slot);
   void grow_table();
 
   void compact();
 
-  std::size_t capacity_;
-  std::size_t next_slot_ = 0;
-  FenwickTree live_;
-  std::vector<std::int64_t> block_at_slot_;
+  std::size_t capacity_;        // slots; a power of two >= 64
+  std::size_t next_slot_ = 0;   // cursor: the slot the next touch takes
+  std::size_t open_live_ = 0;   // live slots in the cursor's word
+  std::vector<std::uint64_t> live_bits_;  // bit s % 64 of word s / 64
+  FenwickTree word_live_;  // live slots per word below the cursor's
+  // One block per slot, then capacity_ / 64 entries of compaction
+  // scratch (the rank of each word's first slot), so a compaction that
+  // does not grow the slot array allocates nothing.
+  std::vector<std::uint32_t> block_at_slot_;
 
-  // Open-addressed index: parallel key/value arrays, power-of-two size.
-  std::vector<std::int64_t> index_keys_;
-  std::vector<std::size_t> index_vals_;
+  std::vector<Entry> index_;  // power-of-two size
   std::size_t index_mask_;
   std::size_t count_ = 0;
 };

@@ -86,6 +86,9 @@ SyntheticTrace::SyntheticTrace(TraceProfile profile)
   const auto& geo = profile_.geometry;
   if (geo.data_disks < 1 || geo.blocks_per_disk < 1)
     throw std::invalid_argument("SyntheticTrace: bad geometry");
+  if (geo.total_blocks() >= LruStack::kBlockLimit)
+    throw std::invalid_argument(
+        "SyntheticTrace: geometry has 2^32 - 1 or more blocks");
   if (profile_.requests == 0)
     throw std::invalid_argument("SyntheticTrace: zero requests");
 

@@ -1,5 +1,6 @@
 #include "util/fenwick.hpp"
 
+#include <bit>
 #include <cassert>
 
 namespace raidsim {
@@ -9,6 +10,7 @@ FenwickTree::FenwickTree(std::size_t size) { reset(size); }
 void FenwickTree::reset(std::size_t size) {
   size_ = size;
   tree_.assign(size + 1, 0);
+  top_bit_ = std::bit_floor(size);
 }
 
 void FenwickTree::add(std::size_t i, std::int64_t delta) {
@@ -36,20 +38,19 @@ std::int64_t FenwickTree::total() const {
   return size_ == 0 ? 0 : prefix_sum(size_ - 1);
 }
 
-std::size_t FenwickTree::select(std::int64_t target) const {
+std::size_t FenwickTree::select(std::int64_t target,
+                                std::int64_t* within) const {
   assert(target >= 1 && target <= total());
   std::size_t pos = 0;
-  // Highest power of two <= size_.
-  std::size_t mask = 1;
-  while ((mask << 1) <= size_) mask <<= 1;
   std::int64_t remaining = target;
-  for (; mask > 0; mask >>= 1) {
+  for (std::size_t mask = top_bit_; mask > 0; mask >>= 1) {
     const std::size_t next = pos + mask;
     if (next <= size_ && tree_[next] < remaining) {
       pos = next;
       remaining -= tree_[next];
     }
   }
+  if (within) *within = remaining;
   return pos;  // 0-based slot index
 }
 

@@ -35,11 +35,15 @@ class FenwickTree {
 
   /// Smallest index i such that prefix_sum(i) >= target (target >= 1).
   /// Requires target <= total(); behaviour is undefined otherwise
-  /// (checked by assert in debug builds).
-  std::size_t select(std::int64_t target) const;
+  /// (checked by assert in debug builds). When `within` is non-null it
+  /// receives the target's rank inside slot i, target -
+  /// prefix_sum_exclusive(i), which lies in [1, value of slot i].
+  std::size_t select(std::int64_t target,
+                     std::int64_t* within = nullptr) const;
 
  private:
   std::size_t size_ = 0;
+  std::size_t top_bit_ = 0;  // highest power of two <= size_ (0 if empty)
   std::vector<std::int64_t> tree_;  // 1-based
 };
 

@@ -22,9 +22,11 @@ LognormalMixture::LognormalMixture(std::vector<Component> components)
   if (total <= 0.0) throw std::invalid_argument("LognormalMixture: zero weight");
   double cum = 0.0;
   cum_weight_.reserve(components_.size());
+  log_median_.reserve(components_.size());
   for (const auto& c : components_) {
     cum += c.weight / total;
     cum_weight_.push_back(cum);
+    log_median_.push_back(std::log(c.median));
   }
   cum_weight_.back() = 1.0;
 }
@@ -33,8 +35,7 @@ double LognormalMixture::sample(Rng& rng) const {
   const double u = rng.uniform();
   std::size_t i = 0;
   while (i + 1 < cum_weight_.size() && u >= cum_weight_[i]) ++i;
-  const auto& c = components_[i];
-  return rng.lognormal(std::log(c.median), c.sigma);
+  return rng.lognormal(log_median_[i], components_[i].sigma);
 }
 
 double LognormalMixture::cdf(double x) const {
@@ -44,8 +45,8 @@ double LognormalMixture::cdf(double x) const {
   for (std::size_t i = 0; i < components_.size(); ++i) {
     const double w = cum_weight_[i] - prev;
     prev = cum_weight_[i];
-    const auto& c = components_[i];
-    cdf += w * normal_cdf((std::log(x) - std::log(c.median)) / c.sigma);
+    cdf += w * normal_cdf((std::log(x) - log_median_[i]) /
+                          components_[i].sigma);
   }
   return cdf;
 }

@@ -30,6 +30,7 @@ class LognormalMixture {
  private:
   std::vector<Component> components_;
   std::vector<double> cum_weight_;  // normalised cumulative weights
+  std::vector<double> log_median_;  // log(median) per component (mu)
 };
 
 }  // namespace raidsim

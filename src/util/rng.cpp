@@ -115,6 +115,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta) : n_(n), theta_(theta) {
   zeta_n_ = zeta(n);
   zeta_theta_ = zeta(2);
   alpha_ = 1.0 / (1.0 - theta);
+  half_pow_theta_ = std::pow(0.5, theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
          (1.0 - zeta_theta_ / zeta_n_);
 }
@@ -124,7 +125,7 @@ std::uint64_t ZipfSampler::sample(Rng& rng) const {
   const double u = rng.uniform();
   const double uz = u * zeta_n_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < 1.0 + half_pow_theta_) return 1;
   const auto rank = static_cast<std::uint64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return rank >= n_ ? n_ - 1 : rank;

@@ -73,6 +73,7 @@ class ZipfSampler {
   double zeta_n_;
   double eta_;
   double zeta_theta_;  // zeta(2, theta) in the classic formulation
+  double half_pow_theta_;  // 0.5^theta: the rank-1 threshold of sample()
 };
 
 /// Sampler for an arbitrary discrete distribution given unnormalised

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -95,6 +96,95 @@ TEST(LruStack, CompactionPreservesOrder) {
   EXPECT_EQ(stack.size(), 8u);
   EXPECT_EQ(stack.at_depth(0), 999 % 8);
   EXPECT_EQ(stack.at_depth(7), (999 - 7) % 8);
+}
+
+/// Every depth and every stacked block's depth agree with the reference.
+void expect_full_agreement(const LruStack& stack, const NaiveStack& naive,
+                           int op) {
+  ASSERT_EQ(stack.size(), naive.size()) << "op " << op;
+  for (std::size_t d = 0; d < naive.size(); ++d) {
+    const std::int64_t block = *naive.at_depth(d);
+    ASSERT_EQ(stack.at_depth(d), block) << "op " << op << " depth " << d;
+    ASSERT_EQ(stack.depth_of(block), d) << "op " << op << " block " << block;
+  }
+  ASSERT_FALSE(stack.at_depth(naive.size()).has_value());
+}
+
+/// Depths on both sides of every 64-slot word boundary, where a query
+/// crosses from one live-slot word to the next.
+void expect_word_boundaries_agree(const LruStack& stack,
+                                  const NaiveStack& naive, int op) {
+  for (std::size_t w = 64; w <= naive.size() + 1; w += 64) {
+    for (std::size_t d = w - 1; d <= w; ++d) {
+      const auto expected = naive.at_depth(d);
+      ASSERT_EQ(stack.at_depth(d), expected) << "op " << op << " depth " << d;
+      if (expected) {
+        ASSERT_EQ(stack.depth_of(*expected), d) << "op " << op;
+      }
+    }
+  }
+}
+
+/// Drives both stacks with the generator's access pattern: with
+/// probability `reuse_prob` re-touch the block at a random depth (heavy
+/// toward the top, like the sampled stack distances), otherwise touch a
+/// block drawn uniformly from [0, universe). Full sweeps run every 128
+/// ops and whenever the size reaches a power of two, where the index
+/// doubles; boundary probes run on every op.
+void run_differential(std::uint64_t seed, double reuse_prob,
+                      std::int64_t universe, int ops) {
+  LruStack stack(16);  // small initial capacity to force compactions
+  NaiveStack naive;
+  Rng rng(seed);
+  for (int op = 0; op < ops; ++op) {
+    std::int64_t block;
+    if (naive.size() > 0 && rng.bernoulli(reuse_prob)) {
+      const double u = rng.uniform();
+      const auto d = static_cast<std::size_t>(
+          u * u * u * static_cast<double>(naive.size()));
+      block = *naive.at_depth(d);
+      ASSERT_EQ(stack.at_depth(d), block) << "op " << op;
+    } else {
+      block = rng.uniform_i64(0, universe - 1);
+    }
+    const std::size_t before = naive.size();
+    stack.touch(block);
+    naive.touch(block);
+    ASSERT_NO_FATAL_FAILURE(expect_word_boundaries_agree(stack, naive, op));
+    const bool grew_to_power_of_two =
+        naive.size() != before && std::has_single_bit(naive.size());
+    if (op % 128 == 0 || grew_to_power_of_two) {
+      ASSERT_NO_FATAL_FAILURE(expect_full_agreement(stack, naive, op));
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_full_agreement(stack, naive, ops));
+}
+
+TEST(LruStack, MatchesNaiveInsertionHeavy) {
+  // Like trace1: blocks drawn from a universe far larger than the run,
+  // about 0.6 distinct blocks per touch, so the stack and its index keep
+  // growing through many compactions and index doublings.
+  run_differential(11, 0.4, std::int64_t{1} << 30, 12000);
+}
+
+TEST(LruStack, MatchesNaiveReuseHeavy) {
+  // A small, hot working set: nearly every touch moves a live block, so
+  // compaction reclaims almost the whole slot array each time.
+  run_differential(12, 0.9, 500, 12000);
+}
+
+TEST(LruStack, ExtremeBlockNumbers) {
+  LruStack stack;
+  const std::int64_t top = LruStack::kBlockLimit - 1;
+  stack.touch(0);
+  stack.touch(top);
+  stack.touch(0);
+  EXPECT_EQ(stack.at_depth(0), 0);
+  EXPECT_EQ(stack.at_depth(1), top);
+  EXPECT_EQ(stack.depth_of(top), 1u);
+  EXPECT_FALSE(stack.contains(-1));
+  EXPECT_FALSE(stack.contains(LruStack::kBlockLimit));
+  EXPECT_FALSE(stack.depth_of(LruStack::kBlockLimit + 1).has_value());
 }
 
 TEST(LruStack, StackDistanceInclusionProperty) {

@@ -2,12 +2,67 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
+#include "core/workloads.hpp"
 #include "trace/trace_stats.hpp"
 
 namespace raidsim {
 namespace {
+
+/// FNV-1a over every record's (delta_ms bits, block, block_count,
+/// is_write), fed little-endian field by field so the hash does not
+/// depend on struct padding.
+std::uint64_t stream_hash(TraceStream& stream) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto feed = [&h](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (value >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  while (auto rec = stream.next()) {
+    feed(std::bit_cast<std::uint64_t>(rec->delta_ms), 8);
+    feed(static_cast<std::uint64_t>(rec->block), 8);
+    feed(static_cast<std::uint32_t>(rec->block_count), 4);
+    feed(rec->is_write ? 1 : 0, 1);
+  }
+  return h;
+}
+
+struct GoldenStream {
+  const char* trace;
+  double scale;
+  std::uint64_t seed;  // 0 = the profile's default seed
+  std::uint64_t hash;
+};
+
+// Pinned record streams of the two workload presets. Any change to the
+// generator or to the samplers and LRU stack under it that alters even
+// one record moves these; a pure performance change must leave them.
+constexpr GoldenStream kGoldenStreams[] = {
+    {"trace2", 1.0, 0, 0x05a97cfb5246c22aULL},
+    {"trace2", 1.0, 1, 0x9d59f7517a0dc825ULL},
+    {"trace2", 1.0, 7919, 0xc1078ed07f377269ULL},
+    {"trace1", 0.02, 0, 0x468acc0e8bdf7242ULL},
+    {"trace1", 0.02, 1, 0xc20607df80b65c09ULL},
+    {"trace1", 0.02, 7919, 0xd88b81129c146f00ULL},
+};
+
+TEST(Synthetic, GoldenStreamHashes) {
+  for (const auto& golden : kGoldenStreams) {
+    WorkloadOptions options;
+    options.scale = golden.scale;
+    options.seed = golden.seed;
+    auto stream = make_workload(golden.trace, options);
+    const std::uint64_t hash = stream_hash(*stream);
+    EXPECT_EQ(hash, golden.hash)
+        << golden.trace << " x" << golden.scale << " seed " << golden.seed
+        << ": got 0x" << std::hex << hash;
+  }
+}
 
 TraceProfile small_profile() {
   TraceProfile p = TraceProfile::trace2();
@@ -137,6 +192,25 @@ TEST(Synthetic, ValidatesProfile) {
   p = small_profile();
   p.geometry.data_disks = 0;
   EXPECT_THROW(SyntheticTrace{p}, std::invalid_argument);
+
+  // The generator's LRU stack keys blocks in 32 bits.
+  p = small_profile();
+  p.geometry.data_disks = 1;
+  p.geometry.blocks_per_disk = LruStack::kBlockLimit;
+  EXPECT_THROW(SyntheticTrace{p}, std::invalid_argument);
+  p.geometry.data_disks = 19006;  // 19006 x 226000 > 2^32
+  p.geometry.blocks_per_disk = 226000;
+  EXPECT_THROW(SyntheticTrace{p}, std::invalid_argument);
+
+  // One block under the limit is accepted and stays in bounds.
+  p.geometry.data_disks = 1;
+  p.geometry.blocks_per_disk = LruStack::kBlockLimit - 1;
+  p.requests = 500;
+  SyntheticTrace trace(p);
+  while (auto rec = trace.next()) {
+    ASSERT_GE(rec->block, 0);
+    ASSERT_LE(rec->block + rec->block_count, p.geometry.total_blocks());
+  }
 }
 
 TEST(SpeedAdapter, ScalesInterArrivalTimes) {

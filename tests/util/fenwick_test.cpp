@@ -74,6 +74,10 @@ TEST(Fenwick, SelectMatchesNaive) {
       }
     }
     ASSERT_EQ(tree.select(target), expected) << "target=" << target;
+    std::int64_t within = 0;
+    ASSERT_EQ(tree.select(target, &within), expected);
+    EXPECT_EQ(within, target - tree.prefix_sum_exclusive(expected))
+        << "target=" << target;
   }
 }
 
@@ -91,6 +95,10 @@ TEST(Fenwick, ResetClears) {
   tree.reset(6);
   EXPECT_EQ(tree.size(), 6u);
   EXPECT_EQ(tree.total(), 0);
+  // select's descent covers the new size, not the old one.
+  tree.reset(20);
+  tree.add(17, 1);
+  EXPECT_EQ(tree.select(1), 17u);
 }
 
 TEST(Fenwick, NegativeDeltasSupported) {
