@@ -1,19 +1,13 @@
 // Performance harness: times the event kernel (schedule/cancel/step
-// throughput -- calendar and heap kernels against an embedded copy of
-// the pre-fast-path kernel), a fixed end-to-end RAID5 + Mirror replay,
-// a queue-discipline A/B (calendar vs heap on churn and on both
-// replays, with a fatal bit-identity check between the kernels), the
-// op-state allocation A/B (arena vs pool-mode OpRef vs the retired
-// make_pooled scheme on an op-churn loop and on both replays, with a
-// fatal bit-identity check and a fatal zero-heap steady-state gate), the
-// sharded engine at several
-// shard/thread counts (with a bit-identity check against one shard), the
-// NV-cache storage (against an embedded copy of the pre-rewrite
-// list+map storage), the latency-histogram recorder (per-op add and
-// sharded merge + tail quantiles), trace loading (text vs binary), and
-// sweep throughput at 1/2/4/hw threads. Emits machine-readable BENCH_perf.json
-// so later PRs have a perf trajectory to regress against (see
-// docs/performance.md for the schema).
+// churn), a fixed end-to-end RAID5 + Mirror replay, the op-state arena
+// on an op-churn loop (with a fatal zero-heap steady-state gate), the
+// sharded engine at several shard/thread counts (with a bit-identity
+// check against one shard), the NV-cache storage, the latency-histogram
+// recorder (per-op add and sharded merge + tail quantiles), trace
+// loading (text vs binary), and sweep throughput at 1/2/4/hw threads.
+// Emits machine-readable BENCH_perf.json so later changes have a perf
+// trajectory to regress against (see docs/performance.md for the
+// schema).
 //
 // Usage: perf_harness [--quick] [--out=<path>] [--threads=<n>]
 #include <algorithm>
@@ -22,17 +16,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <list>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/nv_cache.hpp"
@@ -44,7 +33,6 @@
 #include "svc/supervisor.hpp"
 #include "trace/trace_io.hpp"
 #include "util/arena.hpp"
-#include "util/pool_alloc.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -75,65 +63,6 @@ namespace {
 using raidsim::EventId;
 using raidsim::SimTime;
 
-/// The event kernel as it stood before the indexed-heap fast path:
-/// std::function callbacks (heap allocation per capture-heavy schedule),
-/// a binary priority_queue, and an unordered_set lookup per pop. Kept
-/// here verbatim as the baseline the kernel numbers are measured against.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  SimTime now() const { return now_; }
-
-  EventId schedule_at(SimTime when, Callback cb) {
-    if (when < now_) when = now_;
-    const EventId id = next_id_++;
-    heap_.push(Entry{when, id, std::move(cb)});
-    live_.insert(id);
-    return id;
-  }
-
-  EventId schedule_in(SimTime delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
-  }
-
-  bool cancel(EventId id) { return live_.erase(id) > 0; }
-
-  bool step() {
-    while (!heap_.empty()) {
-      Entry e = heap_.top();
-      heap_.pop();
-      if (live_.erase(e.id) == 0) continue;
-      now_ = e.time;
-      ++executed_;
-      e.cb();
-      return true;
-    }
-    return false;
-  }
-
-  std::uint64_t executed() const { return executed_; }
-
- private:
-  struct Entry {
-    SimTime time;
-    EventId id;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
-    }
-  };
-
-  SimTime now_ = 0.0;
-  EventId next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<EventId> live_;
-};
-
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -145,10 +74,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// sibling every fourth execution -- the mix the simulator's disk/channel
 /// machinery produces. The captured payload mimics a completion
 /// continuation (a few scalars + a std::function).
-template <typename Queue, typename... Args>
-double churn_events_per_sec(std::uint64_t total_events, int width,
-                            Args&&... args) {
-  Queue queue(std::forward<Args>(args)...);
+double churn_events_per_sec(std::uint64_t total_events, int width) {
+  raidsim::EventQueue queue;
   std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
   auto next_delay = [&lcg] {
     lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -238,14 +165,14 @@ constexpr int kOpWindow = 256;
 struct OpChurnResult {
   double ops_per_sec = 0.0;
   /// OpArena::heap_allocations() delta over the measured (post-warmup)
-  /// segment -- the fatal zero-heap gate for arena mode.
+  /// segment -- the fatal zero-heap gate.
   std::uint64_t op_state_heap_allocs_steady = 0;
   /// operator new delta over the same segment (whole process, context).
   std::uint64_t global_heap_allocs_steady = 0;
 };
 
-OpChurnResult op_churn(std::uint64_t total_ops, raidsim::OpAlloc mode) {
-  raidsim::OpArena arena(mode);
+OpChurnResult op_churn(std::uint64_t total_ops) {
+  raidsim::OpArena arena;
   std::vector<raidsim::OpRef<ChurnOp>> window(kOpWindow);
   std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
   std::uint64_t sink = 0;
@@ -278,189 +205,13 @@ OpChurnResult op_churn(std::uint64_t total_ops, raidsim::OpAlloc mode) {
   return r;
 }
 
-/// The same loop against the retired make_pooled/shared_ptr scheme --
-/// the yardstick the arena numbers are measured against (atomic
-/// refcounts plus a thread_local free-list lookup per alloc).
-OpChurnResult op_churn_make_pooled(std::uint64_t total_ops) {
-  std::vector<std::shared_ptr<ChurnOp>> window(kOpWindow);
-  std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
-  std::uint64_t sink = 0;
-  auto step = [&](std::uint64_t i) {
-    auto op = raidsim::make_pooled<ChurnOp>();
-    op->payload[0] = static_cast<char>(i);
-    auto a = op;
-    auto b = a;
-    auto c = b;
-    auto d = c;
-    sink += static_cast<std::uint64_t>(d->payload[0]) & 1u;
-    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-    window[(lcg >> 33) % kOpWindow] = std::move(op);
-  };
-  for (std::uint64_t i = 0; i < total_ops / 10; ++i) step(i);
-  const std::uint64_t global_before =
-      g_heap_allocs.load(std::memory_order_relaxed);
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < total_ops; ++i) step(i);
-  const double elapsed = seconds_since(start);
-  if (sink == UINT64_MAX) std::abort();
-  OpChurnResult r;
-  r.ops_per_sec = static_cast<double>(total_ops) / elapsed;
-  r.global_heap_allocs_steady =
-      g_heap_allocs.load(std::memory_order_relaxed) - global_before;
-  return r;
-}
-
-/// The NV-cache storage as it stood before the slab + open-addressing
-/// rewrite: node-per-entry std::list LRU with an unordered_map from key
-/// to iterator. Same policy, old data structures -- the baseline the
-/// cache numbers are measured against. Only the operations the driver
-/// below uses are reproduced.
-class LegacyCacheStorage {
- public:
-  LegacyCacheStorage(std::size_t capacity, bool retain_old)
-      : capacity_(capacity), retain_old_(retain_old) {}
-
-  bool read(std::int64_t block) {
-    auto it = map_.find(block * 2);
-    if (it == map_.end()) return false;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return true;
-  }
-
-  bool insert_clean(std::int64_t block) {
-    if (map_.count(block * 2)) return true;
-    bool evicted_dirty = false;
-    std::int64_t victim = -1;
-    if (!make_room(true, evicted_dirty, victim)) return false;
-    create(block * 2, false);
-    return true;
-  }
-
-  bool write(std::int64_t block) {
-    auto it = map_.find(block * 2);
-    if (it != map_.end()) {
-      if (!it->second->dirty) {
-        if (retain_old_ && map_.count(block * 2 + 1) == 0) {
-          bool evicted_dirty = false;
-          std::int64_t victim = -1;
-          if (make_room(false, evicted_dirty, victim, block * 2))
-            create(block * 2 + 1, false);
-        }
-        it->second->dirty = true;
-        ++dirty_count_;
-      }
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return true;
-    }
-    bool evicted_dirty = false;
-    std::int64_t victim = -1;
-    if (!make_room(true, evicted_dirty, victim)) return false;
-    create(block * 2, true);
-    ++dirty_count_;
-    return true;
-  }
-
-  std::vector<std::int64_t> collect_dirty() const {
-    std::vector<std::int64_t> out;
-    out.reserve(dirty_count_);
-    for (const Entry& e : lru_)
-      if (e.key % 2 == 0 && e.dirty && !e.in_flight) out.push_back(e.key / 2);
-    return out;
-  }
-
-  void begin_destage(std::int64_t block) {
-    map_.find(block * 2)->second->in_flight = true;
-  }
-
-  void end_destage(std::int64_t block) {
-    auto it = map_.find(block * 2);
-    if (it == map_.end()) return;
-    it->second->in_flight = false;
-    it->second->dirty = false;
-    --dirty_count_;
-    auto old_it = map_.find(block * 2 + 1);
-    if (old_it != map_.end()) erase(old_it->second);
-  }
-
-  std::size_t dirty_count() const { return dirty_count_; }
-
- private:
-  struct Entry {
-    std::int64_t key = 0;
-    bool dirty = false;
-    bool in_flight = false;
-  };
-  using Iter = std::list<Entry>::iterator;
-
-  void create(std::int64_t key, bool dirty) {
-    lru_.push_front(Entry{key, dirty, false});
-    map_[key] = lru_.begin();
-  }
-
-  void erase(Iter it) {
-    if (it->key % 2 == 0 && it->dirty) --dirty_count_;
-    map_.erase(it->key);
-    lru_.erase(it);
-  }
-
-  bool make_room(bool allow_dirty, bool& evicted_dirty, std::int64_t& victim,
-                 std::int64_t protect_key = INT64_MIN) {
-    evicted_dirty = false;
-    victim = -1;
-    if (lru_.size() < capacity_) return true;
-    if (lru_.empty()) return false;
-    for (auto it = std::prev(lru_.end());; --it) {
-      if (it->key != protect_key && !it->in_flight &&
-          (allow_dirty || !it->dirty)) {
-        if (it->dirty) {
-          evicted_dirty = true;
-          victim = it->key / 2;
-          auto old_it = map_.find(victim * 2 + 1);
-          if (old_it != map_.end()) erase(old_it->second);
-        }
-        erase(it);
-        return true;
-      }
-      if (it == lru_.begin()) break;
-    }
-    return false;
-  }
-
-  std::size_t capacity_;
-  bool retain_old_;
-  std::list<Entry> lru_;
-  std::unordered_map<std::int64_t, Iter> map_;
-  std::size_t dirty_count_ = 0;
-};
-
-/// Adapter giving NvCache the same minimal surface as the legacy
-/// storage, so one driver times both.
-class CurrentCacheStorage {
- public:
-  CurrentCacheStorage(std::size_t capacity, bool retain_old)
-      : cache_(capacity, retain_old) {}
-  bool read(std::int64_t b) { return cache_.read(b); }
-  bool insert_clean(std::int64_t b) { return cache_.insert_clean(b).inserted; }
-  bool write(std::int64_t b) { return cache_.write(b).accepted; }
-  std::vector<std::int64_t> collect_dirty() const {
-    return cache_.collect_dirty();
-  }
-  void begin_destage(std::int64_t b) { cache_.begin_destage(b); }
-  void end_destage(std::int64_t b) { cache_.end_destage(b); }
-  std::size_t dirty_count() const { return cache_.dirty_count(); }
-
- private:
-  raidsim::NvCache cache_;
-};
-
 /// The per-request cache traffic a cached controller generates: probe,
 /// install on miss, dirty on write, periodic destage sweeps once half
 /// the cache is dirty. Deterministic LCG address stream over 3x the
 /// cache capacity (the controller sees array-local block numbers with
 /// exactly this kind of reuse).
-template <typename Storage>
 double cache_ops_per_sec(std::uint64_t total_ops, std::size_t capacity) {
-  Storage storage(capacity, true);
+  raidsim::NvCache cache(capacity, true);
   std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
   const std::uint64_t range = static_cast<std::uint64_t>(capacity) * 3;
   const auto start = std::chrono::steady_clock::now();
@@ -469,14 +220,14 @@ double cache_ops_per_sec(std::uint64_t total_ops, std::size_t capacity) {
     const auto block = static_cast<std::int64_t>((lcg >> 24) % range);
     const std::uint64_t roll = (lcg >> 16) & 15u;
     if (roll < 9) {
-      if (!storage.read(block)) storage.insert_clean(block);
+      if (!cache.read(block)) cache.insert_clean(block);
     } else {
-      storage.write(block);
+      cache.write(block);
     }
-    if (storage.dirty_count() * 2 > capacity) {
-      for (const std::int64_t dirty : storage.collect_dirty()) {
-        storage.begin_destage(dirty);
-        storage.end_destage(dirty);
+    if (cache.dirty_count() * 2 > capacity) {
+      for (const std::int64_t dirty : cache.collect_dirty()) {
+        cache.begin_destage(dirty);
+        cache.end_destage(dirty);
       }
     }
   }
@@ -710,12 +461,9 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------ kernel bench
   const std::uint64_t churn_events = quick ? 400'000 : 4'000'000;
   const int churn_width = 512;
-  // Warm all allocators once so first-touch page faults do not skew
-  // whichever queue runs first.
-  churn_events_per_sec<EventQueue>(50'000, churn_width,
-                                   EventKernel::kCalendar);
-  churn_events_per_sec<EventQueue>(50'000, churn_width, EventKernel::kHeap);
-  churn_events_per_sec<LegacyEventQueue>(50'000, churn_width);
+  // Warm the allocator once so first-touch page faults do not skew the
+  // measured runs.
+  churn_events_per_sec(50'000, churn_width);
   // Best of N samples in full mode: the CI guard keys on these rates,
   // and a single sample on a contended host measures scheduler luck.
   const int bench_reps = quick ? 1 : 3;
@@ -725,31 +473,12 @@ int main(int argc, char** argv) {
       best = std::max(best, measure());
     return best;
   };
-  const double kernel_new = best_of([&] {
-    return churn_events_per_sec<EventQueue>(churn_events, churn_width,
-                                            EventKernel::kCalendar);
-  });
-  const double kernel_heap = best_of([&] {
-    return churn_events_per_sec<EventQueue>(churn_events, churn_width,
-                                            EventKernel::kHeap);
-  });
-  const double kernel_legacy = best_of([&] {
-    return churn_events_per_sec<LegacyEventQueue>(churn_events, churn_width);
-  });
-  const double kernel_speedup = kernel_new / kernel_legacy;
-  const double kernel_vs_heap = kernel_new / kernel_heap;
+  const double kernel_eps =
+      best_of([&] { return churn_events_per_sec(churn_events, churn_width); });
 
   TablePrinter kernel_table({"kernel", "events/sec"});
-  kernel_table.add_row({"calendar queue (current)",
-                        TablePrinter::num(kernel_new / 1e6, 2) + " M"});
-  kernel_table.add_row({"indexed 4-ary heap (yardstick)",
-                        TablePrinter::num(kernel_heap / 1e6, 2) + " M"});
-  kernel_table.add_row({"legacy priority_queue+hash set",
-                        TablePrinter::num(kernel_legacy / 1e6, 2) + " M"});
   kernel_table.add_row(
-      {"speedup vs legacy", TablePrinter::num(kernel_speedup, 2) + "x"});
-  kernel_table.add_row(
-      {"calendar vs heap", TablePrinter::num(kernel_vs_heap, 2) + "x"});
+      {"calendar queue", TablePrinter::num(kernel_eps / 1e6, 2) + " M"});
   kernel_table.print(std::cout);
   std::cout << "\n";
 
@@ -760,17 +489,14 @@ int main(int argc, char** argv) {
   SimulationConfig raid5;
   raid5.organization = Organization::kRaid5;
   raid5.cached = true;
-  const int replay_reps = bench_reps;
-  Metrics raid5_metrics;
   const ReplayResult raid5_run =
-      timed_replay(raid5, "trace1", scale1, &raid5_metrics, replay_reps);
+      timed_replay(raid5, "trace1", scale1, nullptr, bench_reps);
 
   SimulationConfig mirror;
   mirror.organization = Organization::kMirror;
   mirror.cached = false;
-  Metrics mirror_metrics;
   const ReplayResult mirror_run =
-      timed_replay(mirror, "trace2", scale2, &mirror_metrics, replay_reps);
+      timed_replay(mirror, "trace2", scale2, nullptr, bench_reps);
 
 
   TablePrinter replay_table(
@@ -788,146 +514,30 @@ int main(int argc, char** argv) {
   replay_table.print(std::cout);
   std::cout << "\n";
 
-  // ------------------------------------- queue-discipline A/B (kernels)
-  // The same two replays driven by the heap kernel. Both kernels promise
-  // the identical (time, seq) event order, so any metric divergence here
-  // is a correctness bug in one of them, not a perf artifact -- the
-  // harness fails hard rather than publishing numbers from a broken
-  // kernel.
-  auto same_metrics = [](const Metrics& a, const Metrics& b) {
-    return a.requests == b.requests &&
-           a.response_all.count() == b.response_all.count() &&
-           a.response_all.mean() == b.response_all.mean() &&
-           a.response_all.p95() == b.response_all.p95() &&
-           a.events_executed == b.events_executed &&
-           a.disk_accesses == b.disk_accesses;
-  };
-  SimulationConfig raid5_heap = raid5;
-  raid5_heap.event_kernel = EventKernel::kHeap;
-  Metrics raid5_heap_metrics;
-  const ReplayResult raid5_heap_run = timed_replay(
-      raid5_heap, "trace1", scale1, &raid5_heap_metrics, replay_reps);
-  SimulationConfig mirror_heap = mirror;
-  mirror_heap.event_kernel = EventKernel::kHeap;
-  Metrics mirror_heap_metrics;
-  const ReplayResult mirror_heap_run = timed_replay(
-      mirror_heap, "trace2", scale2, &mirror_heap_metrics, replay_reps);
-  const bool raid5_kernels_identical =
-      same_metrics(raid5_metrics, raid5_heap_metrics);
-  const bool mirror_kernels_identical =
-      same_metrics(mirror_metrics, mirror_heap_metrics);
-
-  TablePrinter ab_table({"discipline", "churn ev/sec", "RAID5 ev/sec",
-                         "Mirror ev/sec"});
-  ab_table.add_row({"calendar", TablePrinter::num(kernel_new / 1e6, 2) + " M",
-                    TablePrinter::num(raid5_run.events_per_sec / 1e6, 2) +
-                        " M",
-                    TablePrinter::num(mirror_run.events_per_sec / 1e6, 2) +
-                        " M"});
-  ab_table.add_row(
-      {"4-ary heap", TablePrinter::num(kernel_heap / 1e6, 2) + " M",
-       TablePrinter::num(raid5_heap_run.events_per_sec / 1e6, 2) + " M",
-       TablePrinter::num(mirror_heap_run.events_per_sec / 1e6, 2) + " M"});
-  ab_table.add_row(
-      {"calendar/heap", TablePrinter::num(kernel_vs_heap, 2) + "x",
-       TablePrinter::num(
-           raid5_run.events_per_sec / raid5_heap_run.events_per_sec, 2) +
-           "x",
-       TablePrinter::num(
-           mirror_run.events_per_sec / mirror_heap_run.events_per_sec, 2) +
-           "x"});
-  ab_table.add_row({"identical", "-", raid5_kernels_identical ? "yes" : "NO",
-                    mirror_kernels_identical ? "yes" : "NO"});
-  ab_table.print(std::cout);
-  std::cout << "\n";
-  if (!raid5_kernels_identical || !mirror_kernels_identical) {
-    std::cerr << "FATAL: calendar and heap kernels produced different "
-                 "metrics on the same replay\n";
-    return 1;
-  }
-
-  // ------------------------------------------- op-state allocation A/B
-  // Arena-mode OpRef (current) against pool-mode OpRef (the retired cost
-  // profile kept in-tree) and the make_pooled/shared_ptr scheme itself,
-  // on a pure op-churn loop and on both end-to-end replays. Both
-  // allocators promise bit-identical simulations (nothing orders by
-  // pointer value), so metric divergence is fatal; so is any steady-state
-  // global-heap allocation on the arena's op-state path.
+  // ------------------------------------------------ op-state arena
+  // OpRef churn on the per-engine arena: allocate / copy / release the
+  // way the controllers do per request. Any steady-state global-heap
+  // allocation on the op-state path is fatal.
   const std::uint64_t op_churn_ops = quick ? 1'000'000 : 10'000'000;
-  op_churn(100'000, OpAlloc::kArena);  // warm slabs + page faults
-  op_churn(100'000, OpAlloc::kPool);
-  op_churn_make_pooled(100'000);
-  OpChurnResult arena_churn, pool_churn, pooled_churn;
+  op_churn(100'000);  // warm slabs + page faults
+  OpChurnResult arena_churn;
   for (int rep = 0; rep < bench_reps; ++rep) {
-    const OpChurnResult a = op_churn(op_churn_ops, OpAlloc::kArena);
+    const OpChurnResult a = op_churn(op_churn_ops);
     if (rep == 0 || a.ops_per_sec > arena_churn.ops_per_sec) arena_churn = a;
-    const OpChurnResult p = op_churn(op_churn_ops, OpAlloc::kPool);
-    if (rep == 0 || p.ops_per_sec > pool_churn.ops_per_sec) pool_churn = p;
-    const OpChurnResult m = op_churn_make_pooled(op_churn_ops);
-    if (rep == 0 || m.ops_per_sec > pooled_churn.ops_per_sec)
-      pooled_churn = m;
   }
-  const double arena_vs_pool =
-      arena_churn.ops_per_sec / pool_churn.ops_per_sec;
-  const double arena_vs_pooled =
-      arena_churn.ops_per_sec / pooled_churn.ops_per_sec;
 
-  SimulationConfig raid5_pool = raid5;
-  raid5_pool.op_alloc = OpAlloc::kPool;
-  Metrics raid5_pool_metrics;
-  const ReplayResult raid5_pool_run = timed_replay(
-      raid5_pool, "trace1", scale1, &raid5_pool_metrics, replay_reps);
-  SimulationConfig mirror_pool = mirror;
-  mirror_pool.op_alloc = OpAlloc::kPool;
-  Metrics mirror_pool_metrics;
-  const ReplayResult mirror_pool_run = timed_replay(
-      mirror_pool, "trace2", scale2, &mirror_pool_metrics, replay_reps);
-  const bool raid5_allocs_identical =
-      same_metrics(raid5_metrics, raid5_pool_metrics);
-  const bool mirror_allocs_identical =
-      same_metrics(mirror_metrics, mirror_pool_metrics);
-
-  TablePrinter alloc_table({"op allocator", "churn ops/sec", "RAID5 ev/sec",
-                            "Mirror ev/sec"});
+  TablePrinter alloc_table({"op allocator", "value"});
   alloc_table.add_row(
-      {"arena (current)",
-       TablePrinter::num(arena_churn.ops_per_sec / 1e6, 2) + " M",
-       TablePrinter::num(raid5_run.events_per_sec / 1e6, 2) + " M",
-       TablePrinter::num(mirror_run.events_per_sec / 1e6, 2) + " M"});
-  alloc_table.add_row(
-      {"pool (OpRef yardstick)",
-       TablePrinter::num(pool_churn.ops_per_sec / 1e6, 2) + " M",
-       TablePrinter::num(raid5_pool_run.events_per_sec / 1e6, 2) + " M",
-       TablePrinter::num(mirror_pool_run.events_per_sec / 1e6, 2) + " M"});
-  alloc_table.add_row(
-      {"make_pooled (retired)",
-       TablePrinter::num(pooled_churn.ops_per_sec / 1e6, 2) + " M", "-",
-       "-"});
-  alloc_table.add_row({"arena/pool", TablePrinter::num(arena_vs_pool, 2) + "x",
-                       TablePrinter::num(raid5_run.events_per_sec /
-                                             raid5_pool_run.events_per_sec,
-                                         2) +
-                           "x",
-                       TablePrinter::num(mirror_run.events_per_sec /
-                                             mirror_pool_run.events_per_sec,
-                                         2) +
-                           "x"});
+      {"arena churn", TablePrinter::num(arena_churn.ops_per_sec / 1e6, 2) +
+                          " M ops/sec"});
   alloc_table.add_row(
       {"steady-state heap allocs",
        std::to_string(arena_churn.op_state_heap_allocs_steady) +
            " (op-state), " +
-           std::to_string(arena_churn.global_heap_allocs_steady) + " (global)",
-       "-", "-"});
-  alloc_table.add_row({"identical", "-",
-                       raid5_allocs_identical ? "yes" : "NO",
-                       mirror_allocs_identical ? "yes" : "NO"});
+           std::to_string(arena_churn.global_heap_allocs_steady) +
+           " (global)"});
   alloc_table.print(std::cout);
   std::cout << "\n";
-  if (!raid5_allocs_identical || !mirror_allocs_identical) {
-    std::cerr << "FATAL: arena and pool op allocators produced different "
-                 "metrics on the same replay\n";
-    return 1;
-  }
   if (arena_churn.op_state_heap_allocs_steady != 0) {
     std::cerr << "FATAL: arena op-state path made "
               << arena_churn.op_state_heap_allocs_steady
@@ -1083,21 +693,13 @@ int main(int argc, char** argv) {
   // ------------------------------------------------- cache-index bench
   const std::uint64_t cache_ops = quick ? 2'000'000 : 10'000'000;
   const std::size_t cache_capacity = 16384;
-  // Warm both once (first-touch page faults), then measure.
-  cache_ops_per_sec<CurrentCacheStorage>(100'000, cache_capacity);
-  cache_ops_per_sec<LegacyCacheStorage>(100'000, cache_capacity);
-  const double cache_new =
-      cache_ops_per_sec<CurrentCacheStorage>(cache_ops, cache_capacity);
-  const double cache_legacy =
-      cache_ops_per_sec<LegacyCacheStorage>(cache_ops, cache_capacity);
-  const double cache_speedup = cache_new / cache_legacy;
+  // Warm once (first-touch page faults), then measure.
+  cache_ops_per_sec(100'000, cache_capacity);
+  const double cache_eps = cache_ops_per_sec(cache_ops, cache_capacity);
 
   TablePrinter cache_table({"cache storage", "ops/sec"});
-  cache_table.add_row({"slab + open addressing (current)",
-                       TablePrinter::num(cache_new / 1e6, 2) + " M"});
-  cache_table.add_row({"legacy list + unordered_map",
-                       TablePrinter::num(cache_legacy / 1e6, 2) + " M"});
-  cache_table.add_row({"speedup", TablePrinter::num(cache_speedup, 2) + "x"});
+  cache_table.add_row({"slab + open addressing",
+                       TablePrinter::num(cache_eps / 1e6, 2) + " M"});
   cache_table.print(std::cout);
   std::cout << "\n";
 
@@ -1204,16 +806,12 @@ int main(int argc, char** argv) {
   out.setf(std::ios::fixed);
   out.precision(3);
   out << "{\n"
-      << "  \"schema\": 6,\n"
+      << "  \"schema\": 7,\n"
       << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
       << "  \"hardware_threads\": " << hw_avail << ",\n"
       << "  \"kernel\": {\n"
       << "    \"churn_events\": " << churn_events << ",\n"
-      << "    \"events_per_sec\": " << kernel_new << ",\n"
-      << "    \"heap_events_per_sec\": " << kernel_heap << ",\n"
-      << "    \"speedup_vs_heap\": " << kernel_vs_heap << ",\n"
-      << "    \"legacy_events_per_sec\": " << kernel_legacy << ",\n"
-      << "    \"speedup_vs_legacy\": " << kernel_speedup << "\n"
+      << "    \"events_per_sec\": " << kernel_eps << "\n"
       << "  },\n"
       << "  \"end_to_end\": {\n"
       << "    \"raid5_cached_trace1\": {\"wall_ms\": " << raid5_run.wall_ms
@@ -1225,57 +823,15 @@ int main(int argc, char** argv) {
       << ", \"events_per_sec\": " << mirror_run.events_per_sec
       << ", \"mean_response_ms\": " << mirror_run.mean_response_ms << "}\n"
       << "  },\n"
-      << "  \"queue_disciplines\": {\n"
-      << "    \"churn\": {\"calendar_events_per_sec\": " << kernel_new
-      << ", \"heap_events_per_sec\": " << kernel_heap
-      << ", \"calendar_vs_heap\": " << kernel_vs_heap << "},\n"
-      << "    \"replays\": [\n"
-      << "      {\"name\": \"raid5_cached_trace1\", "
-      << "\"calendar_events_per_sec\": " << raid5_run.events_per_sec
-      << ", \"heap_events_per_sec\": " << raid5_heap_run.events_per_sec
-      << ", \"identical\": " << (raid5_kernels_identical ? "true" : "false")
-      << "},\n"
-      << "      {\"name\": \"mirror_uncached_trace2\", "
-      << "\"calendar_events_per_sec\": " << mirror_run.events_per_sec
-      << ", \"heap_events_per_sec\": " << mirror_heap_run.events_per_sec
-      << ", \"identical\": " << (mirror_kernels_identical ? "true" : "false")
-      << "}\n"
-      << "    ],\n"
-      << "    \"all_identical\": "
-      << (raid5_kernels_identical && mirror_kernels_identical ? "true"
-                                                              : "false")
-      << "\n"
-      << "  },\n"
       << "  \"allocation\": {\n"
       << "    \"churn\": {\n"
       << "      \"ops\": " << op_churn_ops << ",\n"
       << "      \"arena_ops_per_sec\": " << arena_churn.ops_per_sec << ",\n"
-      << "      \"pool_ops_per_sec\": " << pool_churn.ops_per_sec << ",\n"
-      << "      \"make_pooled_ops_per_sec\": " << pooled_churn.ops_per_sec
-      << ",\n"
-      << "      \"arena_vs_pool\": " << arena_vs_pool << ",\n"
-      << "      \"arena_vs_make_pooled\": " << arena_vs_pooled << ",\n"
       << "      \"op_state_heap_allocs_steady\": "
       << arena_churn.op_state_heap_allocs_steady << ",\n"
       << "      \"global_heap_allocs_steady\": "
       << arena_churn.global_heap_allocs_steady << "\n"
-      << "    },\n"
-      << "    \"replays\": [\n"
-      << "      {\"name\": \"raid5_cached_trace1\", "
-      << "\"arena_events_per_sec\": " << raid5_run.events_per_sec
-      << ", \"pool_events_per_sec\": " << raid5_pool_run.events_per_sec
-      << ", \"identical\": " << (raid5_allocs_identical ? "true" : "false")
-      << "},\n"
-      << "      {\"name\": \"mirror_uncached_trace2\", "
-      << "\"arena_events_per_sec\": " << mirror_run.events_per_sec
-      << ", \"pool_events_per_sec\": " << mirror_pool_run.events_per_sec
-      << ", \"identical\": " << (mirror_allocs_identical ? "true" : "false")
-      << "}\n"
-      << "    ],\n"
-      << "    \"all_identical\": "
-      << (raid5_allocs_identical && mirror_allocs_identical ? "true"
-                                                            : "false")
-      << "\n"
+      << "    }\n"
       << "  },\n"
       << "  \"sharded\": {\n"
       << "    \"trace\": \"trace1\",\n"
@@ -1296,9 +852,7 @@ int main(int argc, char** argv) {
       << "  \"cache_index\": {\n"
       << "    \"ops\": " << cache_ops << ",\n"
       << "    \"capacity_blocks\": " << cache_capacity << ",\n"
-      << "    \"ops_per_sec\": " << cache_new << ",\n"
-      << "    \"legacy_ops_per_sec\": " << cache_legacy << ",\n"
-      << "    \"speedup_vs_legacy\": " << cache_speedup << "\n"
+      << "    \"ops_per_sec\": " << cache_eps << "\n"
       << "  },\n"
       << "  \"histogram\": {\n"
       << "    \"adds\": " << hist.adds << ",\n"

@@ -28,14 +28,6 @@
 //                             with --fail-disk/--rebuild)
 //   --shard-threads=<n>       threads for the sharded engine
 //                             (default 0 = min(shards, hw))
-//   --event-kernel=calendar|heap
-//                             event-queue priority structure (default
-//                             calendar; results are bit-identical, heap
-//                             is the differential-testing yardstick)
-//   --op-alloc=arena|pool     op-state allocator (default arena: per-
-//                             engine slabs, non-atomic refcounts; pool
-//                             is the thread-local/atomic yardstick --
-//                             results are bit-identical)
 //   --tail-deadline=<ms>      read deadline; on expiry escalate to an
 //                             alternate read (tail-tolerance policy)
 //   --hedge-delay=<ms>        fixed hedged-read delay (0 = off)
@@ -102,18 +94,6 @@ DiskScheduling parse_sched(const std::string& v) {
   if (v == "sstf") return DiskScheduling::kSstf;
   if (v == "scan") return DiskScheduling::kScan;
   fail("unknown scheduling policy: " + v);
-}
-
-EventKernel parse_kernel(const std::string& v) {
-  if (v == "calendar") return EventKernel::kCalendar;
-  if (v == "heap") return EventKernel::kHeap;
-  fail("unknown event kernel: " + v);
-}
-
-OpAlloc parse_op_alloc(const std::string& v) {
-  if (v == "arena") return OpAlloc::kArena;
-  if (v == "pool") return OpAlloc::kPool;
-  fail("unknown op-state allocator: " + v);
 }
 
 /// --progress: wall-clock-throttled heartbeat to stderr. Shard threads
@@ -226,10 +206,6 @@ int main(int argc, char** argv) {
       config.shards = std::atoi(v);
     } else if (const char* v = value("--shard-threads=")) {
       config.shard_threads = std::atoi(v);
-    } else if (const char* v = value("--event-kernel=")) {
-      config.event_kernel = parse_kernel(v);
-    } else if (const char* v = value("--op-alloc=")) {
-      config.op_alloc = parse_op_alloc(v);
     } else if (const char* v = value("--tail-deadline=")) {
       config.tail.enabled = true;
       config.tail.read_deadline_ms = std::atof(v);

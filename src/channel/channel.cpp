@@ -49,7 +49,7 @@ BufferPool::BufferPool(int capacity) : capacity_(capacity), available_(capacity)
   if (capacity <= 0) throw std::invalid_argument("BufferPool: capacity <= 0");
 }
 
-void BufferPool::acquire(InlineCallback grant) {
+void BufferPool::acquire(EventQueue::Callback grant) {
   if (available_ > 0) {
     --available_;
     grant();

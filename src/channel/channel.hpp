@@ -58,7 +58,7 @@ class BufferPool {
 
   /// Acquire one buffer; `grant` runs immediately when a buffer is free,
   /// otherwise when one is released (same simulation time as release).
-  void acquire(InlineCallback grant);
+  void acquire(EventQueue::Callback grant);
 
   /// Return one buffer to the pool, waking the oldest waiter if any.
   void release();
@@ -72,7 +72,7 @@ class BufferPool {
  private:
   int capacity_;
   int available_;
-  std::deque<InlineCallback> waiters_;
+  std::deque<EventQueue::Callback> waiters_;
   std::uint64_t stalls_ = 0;
 };
 

@@ -121,9 +121,6 @@ std::string SimulationConfig::describe() const {
     os << " uncached";
   }
   if (tail.enabled) os << " tail-policy";
-  if (event_kernel != EventKernel::kCalendar)
-    os << " kernel=" << to_string(event_kernel);
-  if (op_alloc != OpAlloc::kArena) os << " op-alloc=" << to_string(op_alloc);
   return os.str();
 }
 

@@ -68,20 +68,10 @@ struct SimulationConfig {
   /// concurrency). Thread count never changes results, only wall time.
   int shard_threads = 0;
 
-  /// Priority structure backing the event kernel(s). Both kernels
-  /// execute bit-identical event sequences (ordering is always exact
-  /// (time, seq)); the calendar is faster on simulation workloads, the
-  /// heap is the differential-testing yardstick. Excluded from the job
-  /// cache key for the same reason shard_threads is: it cannot change
-  /// results.
+  /// Single-valued and ignored by both engines; kept only because
+  /// bench/e2e/layers.cpp still reads them (see EventKernel in
+  /// sim/event_queue.hpp). Excluded from the job cache key.
   EventKernel event_kernel = EventKernel::kCalendar;
-
-  /// Allocator backing per-request op state (util/arena.hpp). Arena is
-  /// the default: per-engine slabs with non-atomic OpRef refcounts. Pool
-  /// reproduces the retired thread-local/atomic cost profile and is the
-  /// differential yardstick. Like event_kernel, this cannot change
-  /// results -- runs are bit-identical under either -- so it is excluded
-  /// from the job cache key.
   OpAlloc op_alloc = OpAlloc::kArena;
 
   /// Observability (src/obs). Tracing records request-lifecycle spans by

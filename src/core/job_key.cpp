@@ -61,12 +61,9 @@ std::string job_canonical_key(const SimulationConfig& config,
   append_int(key, "pcache", config.parity_caching ? 1 : 0);
   append_int(key, "pdest", config.periodic_destage ? 1 : 0);
   append_int(key, "journal", config.intent_journal ? 1 : 0);
-  // Deliberately absent: shard_threads, event_kernel, and op_alloc.
-  // None can change results (threads only change wall time; both event
-  // kernels execute bit-identical (time, seq) sequences; both op-state
-  // allocators produce bit-identical runs -- nothing orders by pointer
-  // value), so including them would split the cache for runs with
-  // identical outputs. `shards`
+  // Deliberately absent: shard_threads (threads only change wall time,
+  // so including it would split the cache for runs with identical
+  // outputs) and the single-valued event_kernel/op_alloc. `shards`
   // stays in the key because the sharded engine's shutdown discipline
   // differs from the classic engine's (docs/performance.md).
   append_int(key, "shards", config.shards);

@@ -37,9 +37,7 @@ ClassicEngineMetrics& classic_metrics() {
 
 Simulator::Simulator(const SimulationConfig& config,
                      const TraceGeometry& geometry)
-    : config_(config),
-      geometry_(geometry),
-      eq_(config.event_kernel, config.op_alloc) {
+    : config_(config), geometry_(geometry) {
   config_.validate();
   blocks_per_array_ = static_cast<std::int64_t>(config_.array_data_disks) *
                       geometry_.blocks_per_disk;

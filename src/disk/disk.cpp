@@ -253,7 +253,7 @@ void Disk::begin_service(Pending p) {
       const SimTime done = plan.end_time + extra_ms;
       const std::uint64_t epoch = power_epoch_;
       // Capture scalars, not the whole TransferPlan: the lambda then fits
-      // InlineCallback's buffer and the schedule allocates nothing.
+      // EventQueue::Callback's buffer and the schedule allocates nothing.
       const int end_cyl = plan.end_cylinder;
       eq_.schedule_at(done, [this, shared, start, done, end_cyl, epoch] {
         if (epoch != power_epoch_) return;  // killed by a power failure

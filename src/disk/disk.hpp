@@ -101,7 +101,7 @@ struct DiskRequest {
   ObsPhase obs_phase = ObsPhase::kAuto;
 
   /// Completion callbacks are move-only inline-storage callables (the
-  /// same SmallFunction machinery as the event kernel's InlineCallback):
+  /// same SmallFunction machinery as EventQueue::Callback):
   /// typical controller continuations live inside the request itself, so
   /// the submit path performs no callback heap allocations. A copyable
   /// std::function still converts implicitly (it gets wrapped), so

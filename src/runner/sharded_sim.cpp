@@ -71,8 +71,6 @@ struct ShardedSimulator::ArrayState {
 };
 
 struct ShardedSimulator::Shard {
-  Shard(EventKernel kernel, OpAlloc op_alloc) : eq(kernel, op_alloc) {}
-
   EventQueue eq;
   std::unique_ptr<Tracer> tracer;
   std::unique_ptr<TimeSeriesSampler> sampler;
@@ -114,8 +112,7 @@ ShardedSimulator::ShardedSimulator(const SimulationConfig& config,
   Rng root(seed);
   shards_.reserve(static_cast<std::size_t>(shard_count_));
   for (int s = 0; s < shard_count_; ++s) {
-    auto shard =
-        std::make_unique<Shard>(config_.event_kernel, config_.op_alloc);
+    auto shard = std::make_unique<Shard>();
     shard->rng = root.split();
     if (kTracingCompiledIn && config_.obs.tracing)
       shard->tracer = std::make_unique<Tracer>(

@@ -31,33 +31,15 @@ constexpr double kMaxBucketIndex = 4503599627370496.0;  // 2^52
 
 }  // namespace
 
-const char* to_string(EventKernel kernel) {
-  switch (kernel) {
-    case EventKernel::kCalendar: return "calendar";
-    case EventKernel::kHeap: return "heap";
-  }
-  return "?";
-}
-
-EventQueue::EventQueue(EventKernel kernel, OpAlloc op_alloc)
-    : arena_(op_alloc), kernel_(kernel) {
-  if (kernel_ == EventKernel::kCalendar) {
-    nbuckets_ = kMinBuckets;
-    mask_ = nbuckets_ - 1;
-    buckets_.resize(nbuckets_);
-  }
-}
+EventQueue::EventQueue(EventKernel, OpAlloc)
+    : buckets_(kMinBuckets), nbuckets_(kMinBuckets), mask_(kMinBuckets - 1) {}
 
 void EventQueue::reserve(std::size_t expected_pending) {
   slots_.reserve(expected_pending);
   free_.reserve(expected_pending);
-  if (kernel_ == EventKernel::kHeap) {
-    heap_.reserve(expected_pending);
-  } else {
-    scratch_.reserve(expected_pending);
-    batch_.reserve(256);
-    for (std::vector<HeapEntry>& b : buckets_) b.reserve(16);
-  }
+  scratch_.reserve(expected_pending);
+  batch_.reserve(256);
+  for (std::vector<HeapEntry>& b : buckets_) b.reserve(16);
 }
 
 EventId EventQueue::schedule_at(SimTime when, Callback cb) {
@@ -76,13 +58,7 @@ EventId EventQueue::schedule_at(SimTime when, Callback cb) {
   s.cb = std::move(cb);
   ++live_;
 
-  const HeapEntry e{when, seq_++, slot, s.gen};
-  if (kernel_ == EventKernel::kHeap) {
-    heap_.push_back(e);
-    sift_up(heap_, heap_.size() - 1);
-  } else {
-    insert_entry(e);
-  }
+  insert_entry(HeapEntry{when, seq_++, slot, s.gen});
   return make_id(slot, s.gen);
 }
 
@@ -123,58 +99,6 @@ void EventQueue::execute(const HeapEntry& e) {
   cb();
 }
 
-bool EventQueue::step() {
-  if (kernel_ == EventKernel::kHeap) return step_heap();
-  return step_calendar();
-}
-
-std::uint64_t EventQueue::run(std::uint64_t limit) {
-  if (kernel_ == EventKernel::kHeap) return run_heap(limit);
-  return run_calendar(limit);
-}
-
-std::uint64_t EventQueue::run_until(SimTime until) {
-  if (kernel_ == EventKernel::kHeap) return run_until_heap(until);
-  return run_until_calendar(until);
-}
-
-// ---------------------------------------------------------------------------
-// Heap kernel.
-
-bool EventQueue::step_heap() {
-  while (!heap_.empty()) {
-    const HeapEntry e = heap_.front();
-    pop_root(heap_);
-    if (stale(e)) continue;  // cancelled
-    execute(e);
-    return true;
-  }
-  return false;
-}
-
-std::uint64_t EventQueue::run_heap(std::uint64_t limit) {
-  std::uint64_t count = 0;
-  while ((limit == 0 || count < limit) && step_heap()) ++count;
-  return count;
-}
-
-std::uint64_t EventQueue::run_until_heap(SimTime until) {
-  std::uint64_t count = 0;
-  while (!heap_.empty()) {
-    const HeapEntry e = heap_.front();
-    if (stale(e)) {  // cancelled, drop silently
-      pop_root(heap_);
-      continue;
-    }
-    if (e.time > until) break;
-    pop_root(heap_);
-    execute(e);
-    ++count;
-  }
-  if (now_ < until) now_ = until;
-  return count;
-}
-
 void EventQueue::sift_up(std::vector<HeapEntry>& h, std::size_t i) const {
   const HeapEntry e = h[i];
   while (i > 0) {
@@ -210,7 +134,7 @@ void EventQueue::pop_root(std::vector<HeapEntry>& h) const {
 }
 
 // ---------------------------------------------------------------------------
-// Calendar kernel (circular).
+// Calendar (circular).
 //
 // Ordering invariants the batched dispatch rests on:
 //
@@ -232,8 +156,8 @@ void EventQueue::pop_root(std::vector<HeapEntry>& h) const {
 // Together these mean the due slice of the first eligible cursor bucket
 // is exactly the global minimum run: everything else in buckets is at
 // or past the next bucket boundary, and everything in the ladder is
-// later still. Sorting that slice by (time, seq) yields dispatch order
-// identical to the heap kernel's.
+// later still. Sorting that slice by (time, seq) yields the exact global
+// (time, seq) dispatch order.
 
 void EventQueue::insert_entry(const HeapEntry& e) {
   // An insert that undercuts the pending tail of the batch belongs *in*
@@ -420,7 +344,7 @@ bool EventQueue::refill_batch() {
   }
 }
 
-bool EventQueue::step_calendar() {
+bool EventQueue::step() {
   for (;;) {
     if (batch_pos_ >= batch_.size() && !refill_batch()) return false;
     const HeapEntry e = batch_[batch_pos_++];
@@ -430,7 +354,7 @@ bool EventQueue::step_calendar() {
   }
 }
 
-std::uint64_t EventQueue::run_calendar(std::uint64_t limit) {
+std::uint64_t EventQueue::run(std::uint64_t limit) {
   std::uint64_t count = 0;
   while (limit == 0 || count < limit) {
     if (batch_pos_ >= batch_.size() && !refill_batch()) break;
@@ -442,7 +366,7 @@ std::uint64_t EventQueue::run_calendar(std::uint64_t limit) {
   return count;
 }
 
-std::uint64_t EventQueue::run_until_calendar(SimTime until) {
+std::uint64_t EventQueue::run_until(SimTime until) {
   std::uint64_t count = 0;
   for (;;) {
     if (batch_pos_ >= batch_.size() && !refill_batch()) break;

@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "sim/inline_callback.hpp"
+#include "sim/small_function.hpp"
 #include "util/arena.hpp"
 
 namespace raidsim {
@@ -29,25 +28,18 @@ using PowerFail = SmallFunction<void(SimTime, int), 48>;
 /// Never zero, so zero is a safe "no event" sentinel for callers.
 using EventId = std::uint64_t;
 
-/// Which priority structure backs an EventQueue. Both kernels produce
-/// bit-identical executions (ordering is decided solely by exact
-/// (time, seq) comparisons); they differ only in speed. The calendar is
-/// the default; the heap is retained as the differential-testing
-/// yardstick and as a fallback for adversarial time distributions.
-enum class EventKernel {
-  kCalendar,  ///< Circular bucketed calendar, O(1) amortized.
-  kHeap,      ///< Indexed 4-ary min-heap, O(log n), distribution-immune.
-};
-
-const char* to_string(EventKernel kernel);
+/// Single-valued and ignored. They exist only because bench/e2e/layers.cpp
+/// spells `EventQueue(config.event_kernel, config.op_alloc)`; delete them,
+/// the matching SimulationConfig fields and the EventQueue constructor
+/// parameters together when that file next changes.
+enum class EventKernel { kCalendar };
+enum class OpAlloc { kArena };
 
 /// Discrete-event simulation kernel. Events are (time, callback) pairs;
 /// ties are broken by schedule order so that runs are fully deterministic.
 ///
-/// Two interchangeable priority structures sit over a shared slot table
-/// holding the callbacks:
-///
-///  - **Circular calendar queue** (default): an event at time t has the
+/// The priority structure is a **circular calendar queue** over a slot
+/// table holding the callbacks. An event at time t has the
 ///    absolute bucket index B(t) = floor((t - epoch_) / width_) and is
 ///    stored at B(t) mod nbuckets_ — buckets wrap around like days of a
 ///    calendar year. An in-horizon schedule is therefore O(1): one
@@ -62,13 +54,11 @@ const char* to_string(EventKernel kernel);
 ///    "overflow ladder" heap holds only events beyond 2^52 bucket
 ///    widths, where absolute indices would lose integer precision —
 ///    unreachable in simulation workloads.
-///  - **4-ary indexed min-heap**: the PR-3 kernel, kept as the
-///    differential yardstick.
 ///
 /// Slots are reused through a free list and generation-tagged, so
 /// liveness/cancellation checks are a single integer compare (no
 /// hash-set lookups), and the callback storage is inline
-/// (InlineCallback), so the common schedule path allocates nothing.
+/// (SmallFunction), so the common schedule path allocates nothing.
 /// Cancellation is lazy in the priority structure (stale entries are
 /// dropped on pop or bucket scan) but eager in the slot table: the
 /// callback is destroyed and its slot recycled immediately, which keeps
@@ -84,22 +74,24 @@ const char* to_string(EventKernel kernel);
 /// exact (time, seq) order is always preserved.
 class EventQueue {
  public:
-  using Callback = InlineCallback;
+  /// Move-only `void()` callable with inline storage, sized to hold the
+  /// pump/dispatch lambdas (this + TraceRecord + stream pointer, or this
+  /// + time + continuation) without touching the heap.
+  using Callback = SmallFunction<void()>;
 
-  explicit EventQueue(EventKernel kernel = EventKernel::kCalendar,
-                      OpAlloc op_alloc = OpAlloc::kArena);
-
-  EventKernel kernel() const { return kernel_; }
+  // Both parameters are unused: bench/e2e/layers.cpp still passes them.
+  explicit EventQueue(EventKernel = EventKernel::kCalendar,
+                      OpAlloc = OpAlloc::kArena);
 
   /// Per-engine allocator for op state (util/arena.hpp). Owned here so
   /// every OpRef captured in a pending callback is freed before the
   /// arena dies: arena_ is the first member, hence destroyed last.
   OpArena& op_arena() { return arena_; }
 
-  /// Pre-size the slot table (and heap, for the heap kernel) for an
-  /// expected number of concurrently pending events. Purely an
-  /// allocation warm-up; per-shard engines call this so steady-state
-  /// scheduling never touches the global allocator.
+  /// Pre-size the slot table and calendar staging for an expected number
+  /// of concurrently pending events. Purely an allocation warm-up;
+  /// per-shard engines call this so steady-state scheduling never
+  /// touches the global allocator.
   void reserve(std::size_t expected_pending);
 
   /// Current simulation time. Monotonically non-decreasing.
@@ -142,7 +134,7 @@ class EventQueue {
   static constexpr double kInitialBucketWidthMs = 1.0;
 
   /// Current bucket width (ms). Test/introspection only; changes as the
-  /// calendar resizes. Meaningless for the heap kernel.
+  /// calendar resizes.
   double bucket_width() const { return width_; }
   std::size_t bucket_count() const { return nbuckets_; }
 
@@ -150,7 +142,7 @@ class EventQueue {
   static constexpr std::size_t kArity = 4;
 
   /// Priority entries carry everything the ordering needs by value, so
-  /// moving them between buckets/heap never touches the slot table.
+  /// moving them between buckets/ladder never touches the slot table.
   struct HeapEntry {
     SimTime time;
     std::uint64_t seq;   // schedule order; FIFO tie-break at equal times
@@ -172,8 +164,7 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  // Shared slot machinery.
-  HeapEntry new_entry(SimTime when, Callback cb);
+  // Slot machinery.
   /// Retire the live event behind `e` (slot freed, callback moved out).
   Callback take_slot(const HeapEntry& e);
   bool stale(const HeapEntry& e) const {
@@ -181,18 +172,12 @@ class EventQueue {
   }
   void execute(const HeapEntry& e);
 
-  // 4-ary min-heap primitives, shared by the heap kernel (over heap_)
-  // and the calendar's far-future ladder (over ladder_).
+  // 4-ary min-heap primitives for the far-future overflow ladder.
   void sift_up(std::vector<HeapEntry>& h, std::size_t i) const;
   void sift_down(std::vector<HeapEntry>& h, std::size_t i) const;
   void pop_root(std::vector<HeapEntry>& h) const;
 
-  // Heap kernel.
-  bool step_heap();
-  std::uint64_t run_heap(std::uint64_t limit);
-  std::uint64_t run_until_heap(SimTime until);
-
-  // Calendar kernel. Bucket indices are *absolute* (bucket j covers
+  // Calendar. Bucket indices are *absolute* (bucket j covers
   // [start(j), start(j+1)) for all time); storage wraps at j & mask_.
   double bucket_start(std::uint64_t j) const {
     return epoch_ + width_ * static_cast<double>(j);
@@ -215,12 +200,8 @@ class EventQueue {
   bool drain_overflow();
   void rebuild(std::size_t new_nbuckets);
   void maybe_shrink();
-  bool step_calendar();
-  std::uint64_t run_calendar(std::uint64_t limit);
-  std::uint64_t run_until_calendar(SimTime until);
 
   OpArena arena_;  // must precede everything that can hold OpRefs
-  EventKernel kernel_;
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;
@@ -228,10 +209,7 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
 
-  // Heap kernel state.
-  std::vector<HeapEntry> heap_;
-
-  // Calendar kernel state.
+  // Calendar state.
   std::vector<std::vector<HeapEntry>> buckets_;
   std::vector<HeapEntry> ladder_;   // overflow only: t beyond 2^52 buckets
   std::vector<HeapEntry> scratch_;  // rebuild staging, capacity reused

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -11,28 +10,6 @@
 #include <vector>
 
 namespace raidsim {
-
-/// Which allocator backs the per-request op state (barriers, RMW write
-/// gates, hedge records, stalled writes, in-flight disk/channel state).
-/// Both strategies execute bit-identical simulations -- nothing in the
-/// simulator orders by pointer value, so allocation can never reorder
-/// events -- which is why, like EventKernel, this knob is excluded from
-/// the svc job cache key.
-enum class OpAlloc {
-  /// Per-engine size-class slab arena with non-atomic OpRef refcounts.
-  /// No TLS lookup on the alloc path and no atomic RMW per handle copy;
-  /// requires the single-shard-thread ownership discipline enforced by
-  /// the debug owner check.
-  kArena,
-  /// Thread-local free lists with atomic refcounts: the cost profile of
-  /// the retired make_pooled/shared_ptr scheme, retained as the
-  /// differential yardstick (same role the heap event kernel plays).
-  kPool,
-};
-
-inline const char* to_string(OpAlloc a) {
-  return a == OpAlloc::kArena ? "arena" : "pool";
-}
 
 class OpArena;
 template <typename T>
@@ -48,9 +25,6 @@ inline constexpr std::array<std::size_t, kClasses> kClassBytes{
 /// Slab granularity: one global-heap acquisition buys this many bytes of
 /// bump space, so steady state never touches ::operator new.
 inline constexpr std::size_t kSlabBytes = std::size_t{1} << 16;
-/// Pool-mode thread-local free lists are capped at this many retained
-/// blocks per class; frees beyond the cap go back to the heap.
-inline constexpr std::size_t kMaxPoolFree = 1024;
 
 /// Smallest class whose block fits `total` bytes; kClasses == oversize
 /// (block served directly from the heap).
@@ -60,44 +34,18 @@ constexpr std::size_t class_for(std::size_t total) {
   return kClasses;
 }
 
-inline constexpr std::uint16_t kFlagAtomic = 0x1;  // pool mode: atomic refs
-inline constexpr std::uint16_t kFlagHeap = 0x2;    // oversize heap fallback
+inline constexpr std::uint16_t kFlagHeap = 0x1;  // oversize heap fallback
 
 /// 16-byte header preceding every op-state payload. The refcount is a
-/// union: arena mode uses the plain counter (no atomic RMW per OpRef
-/// copy), pool mode the atomic one; `flags` selects which member is
-/// active for the block's whole lifetime.
+/// plain counter: no atomic RMW per OpRef copy.
 struct OpHeader {
   OpArena* arena;
-  union Refs {
-    std::uint32_t plain;
-    std::atomic<std::uint32_t> atomic;
-    Refs() {}  // active member chosen by OpArena::allocate_op
-  } refs;
+  std::uint32_t refs;
   std::uint16_t cls;
   std::uint16_t flags;
 };
 static_assert(sizeof(OpHeader) == 16, "OpRef payload alignment depends on this");
 static_assert(alignof(OpHeader) <= alignof(std::max_align_t));
-
-/// Pool-mode recycling: one list per (thread, size class), mirroring the
-/// retired PoolAllocator. Runtime-indexed (the class is only known from
-/// the header), so pool mode pays the TLS lookup the arena avoids.
-struct PoolFreeLists {
-  std::array<std::vector<void*>, kClasses> lists;
-  PoolFreeLists() = default;
-  PoolFreeLists(const PoolFreeLists&) = delete;
-  PoolFreeLists& operator=(const PoolFreeLists&) = delete;
-  ~PoolFreeLists() {
-    for (auto& list : lists)
-      for (void* block : list) ::operator delete(block);
-  }
-};
-
-inline PoolFreeLists& pool_free_lists() {
-  thread_local PoolFreeLists lists;
-  return lists;
-}
 
 void retain(OpHeader* h) noexcept;
 bool release(OpHeader* h) noexcept;
@@ -113,20 +61,19 @@ void free_raw(OpHeader* h) noexcept;
 /// (a freed block's first 8 bytes become the next pointer). Slabs are
 /// retained across reset(), so a reused engine reaches steady state with
 /// zero further global-heap traffic -- heap_allocations() counts exactly
-/// the acquisitions that do happen (slabs + oversize fallbacks + pool
-/// misses) so the perf harness can assert the steady-state count stays
-/// flat.
+/// the acquisitions that do happen (slabs + oversize fallbacks) so the
+/// perf harness can assert the steady-state count stays flat.
 ///
-/// Thread ownership: arena mode is deliberately non-atomic, which is
+/// Thread ownership: the arena is deliberately non-atomic, which is
 /// only sound because an engine's ops live and die on one shard thread.
 /// Debug builds enforce that: bind_owner()/release_owner() scope the
 /// owning thread (ShardedSimulator binds around run_shard), and every
-/// arena-mode alloc/free/refcount op asserts the caller is the owner --
-/// permissively passing while unbound, which covers main-thread
-/// construction and post-join teardown.
+/// alloc/free/refcount op asserts the caller is the owner -- permissively
+/// passing while unbound, which covers main-thread construction and
+/// post-join teardown.
 class OpArena {
  public:
-  explicit OpArena(OpAlloc mode = OpAlloc::kArena) : mode_(mode) {}
+  OpArena() = default;
   OpArena(const OpArena&) = delete;
   OpArena& operator=(const OpArena&) = delete;
   ~OpArena() {
@@ -134,11 +81,9 @@ class OpArena {
       for (char* slab : c.slabs) ::operator delete(slab);
   }
 
-  OpAlloc mode() const { return mode_; }
-
-  /// Global-heap acquisitions made through this arena: slab grabs,
-  /// oversize fallbacks, and (pool mode) free-list misses. The perf
-  /// harness asserts the delta over a steady-state segment is zero.
+  /// Global-heap acquisitions made through this arena: slab grabs and
+  /// oversize fallbacks. The perf harness asserts the delta over a
+  /// steady-state segment is zero.
   std::uint64_t heap_allocations() const { return heap_allocations_; }
 
   /// Number of retained slabs across all classes (introspection/tests).
@@ -167,7 +112,7 @@ class OpArena {
   void release_owner() { bound_ = false; }
   void debug_check_owner() const {
     assert((!bound_ || owner_ == std::this_thread::get_id()) &&
-           "arena-mode op state touched off its owning shard thread");
+           "op state touched off its owning shard thread");
   }
 #else
   void bind_owner() {}
@@ -187,33 +132,18 @@ class OpArena {
       h = static_cast<op_detail::OpHeader*>(::operator new(total));
       ++heap_allocations_;
       flags = op_detail::kFlagHeap;
-      if (mode_ == OpAlloc::kPool) flags |= op_detail::kFlagAtomic;
-    } else if (mode_ == OpAlloc::kArena) {
+    } else {
       debug_check_owner();
       h = static_cast<op_detail::OpHeader*>(arena_block(cls));
-    } else {
-      flags = op_detail::kFlagAtomic;
-      auto& list = op_detail::pool_free_lists().lists[cls];
-      if (!list.empty()) {
-        h = static_cast<op_detail::OpHeader*>(list.back());
-        list.pop_back();
-      } else {
-        h = static_cast<op_detail::OpHeader*>(
-            ::operator new(op_detail::kClassBytes[cls]));
-        ++heap_allocations_;
-      }
     }
     h->arena = this;
+    h->refs = 1;
     h->cls = static_cast<std::uint16_t>(cls);
     h->flags = flags;
-    if (flags & op_detail::kFlagAtomic)
-      new (&h->refs.atomic) std::atomic<std::uint32_t>(1);
-    else
-      h->refs.plain = 1;
     return h + 1;
   }
 
-  /// Return an arena-mode block to its class free list. Internal.
+  /// Return a slab block to its class free list. Internal.
   void free_arena_block(op_detail::OpHeader* h) noexcept {
     debug_check_owner();
     SizeClass& c = classes_[h->cls];
@@ -254,7 +184,6 @@ class OpArena {
     return b;
   }
 
-  OpAlloc mode_;
   std::array<SizeClass, op_detail::kClasses> classes_;
   std::uint64_t heap_allocations_ = 0;
 #ifndef NDEBUG
@@ -266,44 +195,32 @@ class OpArena {
 namespace op_detail {
 
 inline void retain(OpHeader* h) noexcept {
-  if (h->flags & kFlagAtomic) {
-    h->refs.atomic.fetch_add(1, std::memory_order_relaxed);
-  } else {
 #ifndef NDEBUG
-    h->arena->debug_check_owner();
+  h->arena->debug_check_owner();
 #endif
-    ++h->refs.plain;
-  }
+  ++h->refs;
 }
 
 /// Drop one reference; true when the count hit zero and the payload must
 /// be destroyed.
 inline bool release(OpHeader* h) noexcept {
-  if (h->flags & kFlagAtomic)
-    return h->refs.atomic.fetch_sub(1, std::memory_order_acq_rel) == 1;
 #ifndef NDEBUG
   h->arena->debug_check_owner();
 #endif
-  return --h->refs.plain == 0;
+  return --h->refs == 0;
+}
+
+/// Oversize blocks are rare, so their delete stays out of line. That also
+/// keeps GCC from pairing it with a later OpRef's refcount access and
+/// reporting a false -Wuse-after-free where OpRef copies are inlined.
+[[gnu::cold, gnu::noinline]] inline void free_heap_block(OpHeader* h) noexcept {
+  ::operator delete(h);
 }
 
 /// Return a block (payload already destroyed) to wherever it came from.
 inline void free_raw(OpHeader* h) noexcept {
   if (h->flags & kFlagHeap) {
-    ::operator delete(h);
-    return;
-  }
-  if (h->flags & kFlagAtomic) {
-    auto& list = pool_free_lists().lists[h->cls];
-    if (list.size() >= kMaxPoolFree) {
-      ::operator delete(h);
-      return;
-    }
-    try {
-      list.push_back(h);
-    } catch (...) {
-      ::operator delete(h);  // push_back OOM: just release the block
-    }
+    free_heap_block(h);
     return;
   }
   h->arena->free_arena_block(h);
@@ -315,8 +232,8 @@ template <typename T, typename... Args>
 OpRef<T> make_op(OpArena& arena, Args&&... args);
 
 /// Intrusive-refcount handle for op state, 8 bytes (one raw pointer).
-/// Replaces std::shared_ptr on the request hot path: in arena mode a
-/// copy is a plain increment -- no atomic RMW, no control block, no TLS.
+/// Replaces std::shared_ptr on the request hot path: a copy is a plain
+/// increment -- no atomic RMW, no control block, no TLS.
 /// Copyable and movable; freely capturable in event callbacks (the
 /// owning arena lives inside the EventQueue and outlives every pending
 /// callback).
@@ -374,11 +291,7 @@ class OpRef {
 
   /// Current reference count (tests/introspection only).
   std::uint32_t use_count() const noexcept {
-    if (!ptr_) return 0;
-    const op_detail::OpHeader* h = header(ptr_);
-    return (h->flags & op_detail::kFlagAtomic)
-               ? h->refs.atomic.load(std::memory_order_relaxed)
-               : h->refs.plain;
+    return ptr_ ? header(ptr_)->refs : 0;
   }
 
  private:
@@ -398,8 +311,7 @@ class OpRef {
 };
 
 /// make_shared equivalent against an engine's arena: one block holding
-/// header + object, recycled through the arena's (or, in pool mode, the
-/// thread's) free lists.
+/// header + object, recycled through the arena's free lists.
 template <typename T, typename... Args>
 OpRef<T> make_op(OpArena& arena, Args&&... args) {
   static_assert(alignof(T) <= alignof(std::max_align_t),

@@ -8,7 +8,7 @@ namespace raidsim {
 namespace {
 
 TEST(Barrier, FiresAfterAllArrivals) {
-  OpArena arena(OpAlloc::kArena);
+  OpArena arena;
   double fired_at = -1.0;
   auto barrier = Barrier::create(arena, 3, [&](SimTime t) { fired_at = t; });
   barrier->arrive(1.0);
@@ -19,7 +19,7 @@ TEST(Barrier, FiresAfterAllArrivals) {
 }
 
 TEST(Barrier, ExpectAddsArrivals) {
-  OpArena arena(OpAlloc::kArena);
+  OpArena arena;
   int fired = 0;
   auto barrier = Barrier::create(arena, 1, [&](SimTime) { ++fired; });
   barrier->expect(1);

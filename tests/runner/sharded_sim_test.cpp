@@ -251,77 +251,6 @@ TEST(ShardedSim, PrevalidatedBinaryTraceMatchesSyntheticStream) {
   expect_identical(from_binary, from_synthetic);
 }
 
-// The event kernel is a priority structure, not a policy: swapping the
-// calendar queue for the 4-ary heap must not perturb a single bit of
-// either engine's output. This is the contract that lets the heap stay
-// around as a differential-testing yardstick (and lets the job cache
-// ignore config.event_kernel).
-TEST(ShardedSim, EventKernelInvariantOnBothEngines) {
-  SimulationConfig config;
-  config.organization = Organization::kRaid5;
-  config.array_data_disks = 10;
-  config.cached = true;
-  config.cache_bytes = 4 << 20;
-  WorkloadOptions wo;
-  wo.scale = 0.01;
-
-  auto classic_run = [&](EventKernel kernel) {
-    SimulationConfig c = config;
-    c.event_kernel = kernel;
-    auto stream = make_workload("trace1", wo);
-    return run_simulation(c, *stream);
-  };
-  {
-    SCOPED_TRACE("classic engine");
-    expect_identical(classic_run(EventKernel::kCalendar),
-                     classic_run(EventKernel::kHeap));
-  }
-
-  SimulationConfig heap_config = config;
-  heap_config.event_kernel = EventKernel::kHeap;
-  for (int shards : {1, 4}) {
-    SCOPED_TRACE("sharded engine, shards=" + std::to_string(shards));
-    expect_identical(run_sharded(config, "trace1", 0.01, shards, 1),
-                     run_sharded(heap_config, "trace1", 0.01, shards, 1));
-  }
-}
-
-// The op-state allocator is a pure performance knob: arena and pool runs
-// must be bit-identical on both engines at every shard/thread count
-// (nothing in the simulator orders by pointer value). This is the
-// contract that lets op_alloc stay out of the svc job cache key.
-TEST(ShardedSim, OpAllocInvariantOnBothEngines) {
-  SimulationConfig config;
-  config.organization = Organization::kRaid5;
-  config.array_data_disks = 10;
-  config.cached = true;
-  config.cache_bytes = 4 << 20;
-  WorkloadOptions wo;
-  wo.scale = 0.01;
-
-  auto classic_run = [&](EventKernel kernel, OpAlloc op_alloc) {
-    SimulationConfig c = config;
-    c.event_kernel = kernel;
-    c.op_alloc = op_alloc;
-    auto stream = make_workload("trace1", wo);
-    return run_simulation(c, *stream);
-  };
-  for (EventKernel kernel : {EventKernel::kCalendar, EventKernel::kHeap}) {
-    SCOPED_TRACE(std::string("classic engine, kernel=") + to_string(kernel));
-    expect_identical(classic_run(kernel, OpAlloc::kArena),
-                     classic_run(kernel, OpAlloc::kPool));
-  }
-
-  SimulationConfig pool_config = config;
-  pool_config.op_alloc = OpAlloc::kPool;
-  for (const auto& [shards, threads] : {std::pair{1, 1}, {4, 1}, {4, 2}}) {
-    SCOPED_TRACE("sharded engine, shards=" + std::to_string(shards) +
-                 " threads=" + std::to_string(threads));
-    expect_identical(run_sharded(config, "trace1", 0.01, shards, threads),
-                     run_sharded(pool_config, "trace1", 0.01, shards, threads));
-  }
-}
-
 // run_sweep_job dispatches on config.shards: 0 keeps the classic engine,
 // >= 1 selects the sharded engine.
 TEST(ShardedSim, SweepJobDispatchesOnShardConfig) {

@@ -1,14 +1,14 @@
-// Regression suite for the indexed-heap event kernel internals: FIFO
-// tie-break determinism under slot reuse, cancel-then-reschedule id
-// semantics, run_until boundary behaviour, and a randomized differential
-// test against a naive reference queue.
+// Regression suite for the event kernel's slot machinery: FIFO tie-break
+// determinism under slot reuse, cancel-then-reschedule id semantics,
+// run_until boundary behaviour, and a randomized differential test
+// against the plain reference queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
+#include "reference_event_queue.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 
@@ -105,70 +105,22 @@ TEST(EventQueueFastPath, HeavyCancelKeepsPendingExact) {
 }
 
 // ---------------------------------------------------------------------
-// Randomized differential test: the kernel against a naive reference
-// queue (linear scan for the earliest (time, schedule-ordinal) pair).
-
-class ReferenceQueue {
- public:
-  double now() const { return now_; }
-
-  int schedule_at(double when, int ordinal) {
-    if (when < now_) when = now_;
-    events_.push_back(Event{when, seq_++, ordinal, true});
-    return ordinal;
-  }
-
-  bool cancel(int ordinal) {
-    for (auto& e : events_) {
-      if (e.live && e.ordinal == ordinal) {
-        e.live = false;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Pop the next live event's ordinal, advancing the clock.
-  std::optional<int> step() {
-    Event* best = nullptr;
-    for (auto& e : events_) {
-      if (!e.live) continue;
-      if (!best || e.time < best->time ||
-          (e.time == best->time && e.seq < best->seq))
-        best = &e;
-    }
-    if (!best) return std::nullopt;
-    now_ = best->time;
-    best->live = false;
-    return best->ordinal;
-  }
-
-  std::size_t pending() const {
-    std::size_t n = 0;
-    for (const auto& e : events_) n += e.live ? 1 : 0;
-    return n;
-  }
-
- private:
-  struct Event {
-    double time;
-    std::uint64_t seq;
-    int ordinal;
-    bool live;
-  };
-  double now_ = 0.0;
-  std::uint64_t seq_ = 0;
-  std::vector<Event> events_;
-};
+// Randomized differential test: the kernel against the plain reference
+// queue (reference_event_queue.hpp).
 
 TEST(EventQueueFastPath, DifferentialAgainstNaiveReference) {
   Rng rng(20260805);
   EventQueue eq;
-  ReferenceQueue ref;
+  ReferenceEventQueue ref;
 
   std::vector<int> eq_fired;   // schedule ordinals, in execution order
   std::vector<int> ref_fired;
-  std::vector<std::pair<int, EventId>> live;  // (ordinal, kernel id)
+  struct Live {
+    int ordinal;
+    EventId eq_id;
+    EventId ref_id;
+  };
+  std::vector<Live> live;
   int next_ordinal = 0;
 
   for (int op = 0; op < 20000; ++op) {
@@ -177,28 +129,24 @@ TEST(EventQueueFastPath, DifferentialAgainstNaiveReference) {
       // Coarse times force plenty of exact ties.
       const double when = eq.now() + rng.uniform_i64(0, 8);
       const int ordinal = next_ordinal++;
-      const EventId id =
-          eq.schedule_at(when, [&eq_fired, ordinal] {
-            eq_fired.push_back(ordinal);
-          });
-      ref.schedule_at(when, ordinal);
-      live.push_back({ordinal, id});
+      const EventId eq_id = eq.schedule_at(
+          when, [&eq_fired, ordinal] { eq_fired.push_back(ordinal); });
+      const EventId ref_id = ref.schedule_at(
+          when, [&ref_fired, ordinal] { ref_fired.push_back(ordinal); });
+      live.push_back({ordinal, eq_id, ref_id});
     } else if (p < 0.65) {
       const std::size_t pick =
           static_cast<std::size_t>(rng.uniform_u64(live.size()));
-      const auto [ordinal, id] = live[pick];
-      EXPECT_EQ(eq.cancel(id), ref.cancel(ordinal));
+      EXPECT_EQ(eq.cancel(live[pick].eq_id), ref.cancel(live[pick].ref_id));
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
       const bool stepped = eq.step();
-      const auto popped = ref.step();
-      ASSERT_EQ(stepped, popped.has_value());
-      if (popped) {
-        ASSERT_FALSE(eq_fired.empty());
-        EXPECT_EQ(eq_fired.back(), *popped);
-        ref_fired.push_back(*popped);
-        std::erase_if(live, [o = *popped](const auto& entry) {
-          return entry.first == o;
+      ASSERT_EQ(stepped, ref.step());
+      if (stepped) {
+        ASSERT_EQ(eq_fired.size(), ref_fired.size());
+        EXPECT_EQ(eq_fired.back(), ref_fired.back());
+        std::erase_if(live, [o = ref_fired.back()](const Live& entry) {
+          return entry.ordinal == o;
         });
         EXPECT_EQ(eq.now(), ref.now());
       }
@@ -209,10 +157,8 @@ TEST(EventQueueFastPath, DifferentialAgainstNaiveReference) {
   // Drain both completely and compare the full execution order.
   while (true) {
     const bool stepped = eq.step();
-    const auto popped = ref.step();
-    ASSERT_EQ(stepped, popped.has_value());
-    if (!popped) break;
-    ref_fired.push_back(*popped);
+    ASSERT_EQ(stepped, ref.step());
+    if (!stepped) break;
     EXPECT_EQ(eq.now(), ref.now());
   }
   EXPECT_EQ(eq_fired, ref_fired);

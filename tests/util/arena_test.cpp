@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <random>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -36,7 +35,7 @@ struct Counted {
 };
 
 TEST(OpRef, RefcountCopyMoveResetSelfAssign) {
-  OpArena arena(OpAlloc::kArena);
+  OpArena arena;
   int live = 0;
   auto a = make_op<Counted>(arena, &live);
   EXPECT_EQ(live, 1);
@@ -72,7 +71,7 @@ TEST(OpRef, RefcountCopyMoveResetSelfAssign) {
 }
 
 TEST(OpRef, FreedBlockIsRecycledLifo) {
-  OpArena arena(OpAlloc::kArena);
+  OpArena arena;
   int live = 0;
   void* first;
   {
@@ -85,7 +84,7 @@ TEST(OpRef, FreedBlockIsRecycledLifo) {
 }
 
 TEST(OpArena, ResetReuseKeepsHeapFlat) {
-  OpArena arena(OpAlloc::kArena);
+  OpArena arena;
   std::uint64_t after_warmup = 0;
   for (int round = 0; round < 5; ++round) {
     std::vector<OpRef<std::array<char, 200>>> held;
@@ -104,7 +103,7 @@ TEST(OpArena, ResetReuseKeepsHeapFlat) {
 }
 
 TEST(OpArena, OversizeFallsBackToHeap) {
-  OpArena arena(OpAlloc::kArena);
+  OpArena arena;
   using Big = std::array<unsigned char, 2048>;  // > largest class
   const auto before = arena.heap_allocations();
   auto big = make_op<Big>(arena);
@@ -177,10 +176,8 @@ class FuzzHarness {
   std::vector<std::function<bool()>> live_;
 };
 
-class OpArenaFuzz : public ::testing::TestWithParam<OpAlloc> {};
-
-TEST_P(OpArenaFuzz, DifferentialAllocFreeFuzz) {
-  OpArena arena(GetParam());
+TEST(OpArenaFuzz, DifferentialAllocFreeFuzz) {
+  OpArena arena;
   std::mt19937 rng(20260809);
   FuzzHarness fuzz(arena);
   for (int step = 0; step < 20000; ++step) {
@@ -191,39 +188,6 @@ TEST_P(OpArenaFuzz, DifferentialAllocFreeFuzz) {
     }
   }
   EXPECT_TRUE(fuzz.drain());
-}
-
-INSTANTIATE_TEST_SUITE_P(BothModes, OpArenaFuzz,
-                         ::testing::Values(OpAlloc::kArena, OpAlloc::kPool),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
-TEST(OpArenaPool, CrossThreadFreeMigratesAndRefcountIsAtomic) {
-  OpArena arena(OpAlloc::kPool);
-  int live = 0;
-  auto op = make_op<Counted>(arena, &live);
-  OpRef<Counted> other = op;  // two refs, dropped on different threads
-  std::thread t([moved = std::move(other)]() mutable { moved.reset(); });
-  t.join();
-  EXPECT_EQ(live, 1);
-  EXPECT_EQ(op.use_count(), 1u);
-  op.reset();
-  EXPECT_EQ(live, 0);
-}
-
-TEST(OpArenaPool, ThreadFreeListIsCapped) {
-  OpArena arena(OpAlloc::kPool);
-  using Small = std::array<char, 8>;
-  const std::size_t cls = op_detail::class_for(sizeof(Small) +
-                                               sizeof(op_detail::OpHeader));
-  ASSERT_LT(cls, op_detail::kClasses);
-  std::vector<OpRef<Small>> held;
-  for (std::size_t i = 0; i < op_detail::kMaxPoolFree + 200; ++i)
-    held.push_back(make_op<Small>(arena));
-  held.clear();  // frees beyond the cap must go back to the heap
-  EXPECT_LE(op_detail::pool_free_lists().lists[cls].size(),
-            op_detail::kMaxPoolFree);
 }
 
 }  // namespace
