@@ -393,14 +393,24 @@ void ArrayController::submit_op(const PhysicalExtent& extent, bool is_write,
   }
   Disk& disk = *disks_[static_cast<std::size_t>(extent.disk)];
   // The completion and power-fail continuations are needed by both the
-  // success callback and the fault path (retry resubmission reuses them),
-  // so they live once in the engine's op arena; the disk's callbacks
-  // carry only an 8-byte handle each.
+  // success callback and the fault path, and a retry resubmits the same
+  // access, so continuations and retry state live once in the engine's
+  // op arena; the disk's callbacks carry only this handle.
   struct FaultCtx {
+    PhysicalExtent extent;
+    bool is_write = false;
+    DiskPriority priority = DiskPriority::kNormal;
+    int attempt = 0;
+    ObsPhase phase = ObsPhase::kAuto;
     Completion done;
     PowerFail on_power_fail;
   };
   auto ctx = make_op<FaultCtx>(eq_.op_arena());
+  ctx->extent = extent;
+  ctx->is_write = is_write;
+  ctx->priority = priority;
+  ctx->attempt = attempt;
+  ctx->phase = phase;
   ctx->done = std::move(done);
   ctx->on_power_fail = std::move(on_power_fail);
   DiskRequest req;
@@ -417,28 +427,28 @@ void ArrayController::submit_op(const PhysicalExtent& extent, bool is_write,
       ctx->on_power_fail(t, durable);
     };
   }
-  req.on_error = [this, ctx, extent, is_write, priority, attempt,
-                  phase](SimTime t, DiskError error) mutable {
-    if (error == DiskError::kMedia && !is_write) {
+  req.on_error = [this, ctx](SimTime t, DiskError error) {
+    FaultCtx& c = *ctx;
+    if (error == DiskError::kMedia && !c.is_write) {
       ++stats_.media_errors;
       // The data are reconstructed from the group and rewritten in
       // place (sector remap); the reconstruction also serves the read.
-      repair_media_error(extent, priority, std::move(ctx->done));
+      repair_media_error(c.extent, c.priority, std::move(c.done));
       return;
     }
-    if (error == DiskError::kTransient && attempt < fault_.retry_budget) {
+    if (error == DiskError::kTransient && c.attempt < fault_.retry_budget) {
       ++stats_.transient_retries;
       const double backoff =
-          fault_.retry_backoff_ms * static_cast<double>(1 << attempt);
-      eq_.schedule_in(backoff, [this, ctx, extent, is_write, priority,
-                                attempt, phase]() mutable {
-        submit_op(extent, is_write, priority, std::move(ctx->done),
-                  attempt + 1, std::move(ctx->on_power_fail), phase);
+          fault_.retry_backoff_ms * static_cast<double>(1 << c.attempt);
+      eq_.schedule_in(backoff, [this, ctx] {
+        FaultCtx& c = *ctx;
+        submit_op(c.extent, c.is_write, c.priority, std::move(c.done),
+                  c.attempt + 1, std::move(c.on_power_fail), c.phase);
       });
       return;
     }
-    handle_retry_exhaustion(extent, is_write, priority, std::move(ctx->done),
-                            t);
+    handle_retry_exhaustion(c.extent, c.is_write, c.priority,
+                            std::move(c.done), t);
   };
   disk.submit(std::move(req));
 }

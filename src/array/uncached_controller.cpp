@@ -42,21 +42,30 @@ void UncachedController::submit_read(const ArrayRequest& request,
 void UncachedController::submit_write(const ArrayRequest& request,
                                       Completion on_complete) {
   ++stats_.write_requests;
-  const std::int64_t bytes = block_bytes(request.block_count);
-  const ArrayRequest req = request;
-  auto done = std::move(on_complete);
+  // The request, its byte count and the host continuation outlive the
+  // buffer grant, the channel transfer and the plan barrier, so they live
+  // once in the engine's op arena and each stage captures the handle.
+  struct WriteCtx {
+    ArrayRequest req;
+    std::int64_t bytes = 0;
+    Completion done;
+  };
+  auto ctx = make_op<WriteCtx>(eq_.op_arena());
+  ctx->req = request;
+  ctx->bytes = block_bytes(request.block_count);
+  ctx->done = std::move(on_complete);
   // The write data first cross the channel into controller buffers; the
   // disk (and parity) accesses follow. The response is complete when all
   // of them are on disk. In the uncached organizations old data are never
   // buffered ahead of time, so every small parity write takes the
   // read-modify-write path.
-  buffers_->acquire([this, req, bytes, done = std::move(done)]() mutable {
-    channel_->transfer(bytes, [this, req, done = std::move(done)](
-                                  SimTime) mutable {
+  buffers_->acquire([this, ctx] {
+    channel_->transfer(ctx->bytes, [this, ctx](SimTime) {
       if (crashed()) {  // crash raced the channel transfer
         buffers_->release();
         return;
       }
+      const ArrayRequest& req = ctx->req;
       // Audit bookkeeping: the host content exists only in volatile
       // controller buffers until the disk writes land, and the host is
       // acknowledged only after they all have -- so the uncached
@@ -70,14 +79,14 @@ void UncachedController::submit_write(const ArrayRequest& request,
       auto plans = layout_->map_write(req.logical_block, req.block_count);
       auto barrier = Barrier::create(eq_.op_arena(),
           static_cast<int>(plans.size()),
-          [this, req, gens = std::move(gens),
-           done = std::move(done)](SimTime t) {
+          [this, ctx, gens = std::move(gens)](SimTime t) {
+            const ArrayRequest& req = ctx->req;
             if (auditor_)
               for (int i = 0; i < req.block_count; ++i)
                 auditor_->acknowledge(req.logical_block + i,
                                       gens[static_cast<std::size_t>(i)]);
             buffers_->release();
-            done(t);
+            ctx->done(t);
           });
       auto never_cached = [](const PhysicalExtent&) { return false; };
       for (const auto& plan : plans) {

@@ -1,7 +1,6 @@
 #include "channel/channel.hpp"
 
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -21,26 +20,31 @@ double Channel::transfer_ms(std::int64_t bytes) const {
   return static_cast<double>(bytes) * ms_per_byte_;
 }
 
-void Channel::transfer(std::int64_t bytes,
-                       Completion on_complete) {
-  queue_.push_back(Pending{bytes, std::move(on_complete)});
+void Channel::transfer(std::int64_t bytes, Completion on_complete) {
+  queue_.push_back(
+      make_op<Pending>(eq_.op_arena(), bytes, std::move(on_complete)));
   if (!busy_) start_next();
 }
 
 void Channel::start_next() {
-  if (queue_.empty()) {
+  if (head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
     busy_ = false;
     return;
   }
+  if (head_ >= 64 && 2 * head_ >= queue_.size()) {
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   busy_ = true;
-  Pending p = std::move(queue_.front());
-  queue_.pop_front();
-  const double dur = transfer_ms(p.bytes);
+  OpRef<Pending> p = std::move(queue_[head_++]);
+  const double dur = transfer_ms(p->bytes);
   busy_ms_ += dur;
   ++transfers_;
-  auto cb = make_op<Pending>(eq_.op_arena(), std::move(p));
-  eq_.schedule_in(dur, [this, cb] {
-    if (cb->on_complete) cb->on_complete(eq_.now());
+  eq_.schedule_in(dur, [this, p = std::move(p)] {
+    if (p->on_complete) p->on_complete(eq_.now());
     start_next();
   });
 }

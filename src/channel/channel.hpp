@@ -2,9 +2,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <vector>
 
 #include "sim/event_queue.hpp"
+#include "util/arena.hpp"
 
 namespace raidsim {
 
@@ -31,10 +32,14 @@ class Channel {
   double utilization(SimTime elapsed) const {
     return elapsed > 0.0 ? busy_ms_ / elapsed : 0.0;
   }
-  std::size_t queue_length() const { return queue_.size(); }
+  std::size_t queue_length() const { return queue_.size() - head_; }
 
  private:
+  /// A queued or in-flight transfer, built once in the engine's op arena
+  /// by transfer() and passed by handle from then on.
   struct Pending {
+    Pending(std::int64_t b, Completion&& done)
+        : bytes(b), on_complete(std::move(done)) {}
     std::int64_t bytes;
     Completion on_complete;
   };
@@ -44,7 +49,11 @@ class Channel {
   EventQueue& eq_;
   double ms_per_byte_;
   bool busy_ = false;
-  std::deque<Pending> queue_;
+  /// FIFO of handles: entries before head_ have been started. The vector
+  /// is rewound when it drains and compacted when the started prefix
+  /// dominates, so a steady transfer stream reuses its capacity.
+  std::vector<OpRef<Pending>> queue_;
+  std::size_t head_ = 0;
   std::uint64_t transfers_ = 0;
   double busy_ms_ = 0.0;
 };

@@ -1,7 +1,6 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "array/cached_controller.hpp"
@@ -217,7 +216,7 @@ Metrics Simulator::run(TraceStream& trace) {
     }
     if (progress_) emit_progress(true);
   }
-  assert(outstanding_ == 0);
+  if (outstanding_ != 0) throw StrandedRequestsError(outstanding_);
   return finalize();
 }
 

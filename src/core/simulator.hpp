@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -13,6 +16,25 @@
 #include "trace/record.hpp"
 
 namespace raidsim {
+
+/// Thrown when a run drains its event queue while host requests are still
+/// outstanding: some request lost its completion (a dropped op handle, a
+/// gate that never opens, a crash nobody restarted). Checked in release
+/// builds too, so a stranded run never returns plausible-looking metrics.
+class StrandedRequestsError : public std::logic_error {
+ public:
+  explicit StrandedRequestsError(std::uint64_t stranded)
+      : std::logic_error("simulation drained with " +
+                         std::to_string(stranded) +
+                         " host request(s) never completed"),
+        stranded_(stranded) {}
+
+  /// Host requests submitted but never completed.
+  std::uint64_t stranded() const { return stranded_; }
+
+ private:
+  std::uint64_t stranded_;
+};
 
 /// Top-level trace-driven simulator. Partitions the traced database's
 /// original data disks into arrays of N (Section 3.2's equal-capacity
@@ -27,7 +49,8 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   /// Replay the whole trace and return aggregate metrics. May be called
-  /// once per Simulator instance.
+  /// once per Simulator instance. Throws StrandedRequestsError when the
+  /// queue drains with host requests still outstanding.
   Metrics run(TraceStream& trace);
 
   /// External driving (closed-loop workloads, failure drills): submit one

@@ -51,7 +51,7 @@ Disk::Disk(EventQueue& eq, const DiskGeometry& geometry, const SeekModel* seek,
   if (seek_ == nullptr) throw std::invalid_argument("Disk: null seek model");
 }
 
-void Disk::submit(DiskRequest req) {
+void Disk::submit(DiskRequest&& req) {
   assert(req.start_block >= 0 && req.block_count > 0);
   assert(req.start_block + req.block_count <= geometry_.total_blocks());
   if (powered_off_) {
@@ -61,26 +61,27 @@ void Disk::submit(DiskRequest req) {
     if (req.on_power_fail) req.on_power_fail(eq_.now(), 0);
     return;
   }
-  Pending p{std::move(req), eq_.now(), next_seq_++};
+  OpRef<Pending> p =
+      make_op<Pending>(eq_.op_arena(), std::move(req), eq_.now(), next_seq_++);
   if constexpr (kTracingCompiledIn) {
     if (tracer_) {
-      p.obs_phase = p.req.obs_phase != ObsPhase::kAuto ? p.req.obs_phase
-                    : p.req.kind == DiskOpKind::kRead  ? ObsPhase::kReadData
-                    : p.req.kind == DiskOpKind::kWrite ? ObsPhase::kWriteData
-                                                       : ObsPhase::kReadOldData;
-      p.obs_id =
-          tracer_->begin(ObsPhase::kDiskQueue, obs_array_, id_, p.enqueue_time);
+      p->obs_phase = p->req.obs_phase != ObsPhase::kAuto ? p->req.obs_phase
+                     : p->req.kind == DiskOpKind::kRead  ? ObsPhase::kReadData
+                     : p->req.kind == DiskOpKind::kWrite ? ObsPhase::kWriteData
+                                                         : ObsPhase::kReadOldData;
+      p->obs_id = tracer_->begin(ObsPhase::kDiskQueue, obs_array_, id_,
+                                 p->enqueue_time);
     }
   }
-  QueueKey key{p.seq, 0, p.req.priority};
+  QueueKey key{p->seq, 0, p->req.priority};
   if (scheduling_ != DiskScheduling::kFifo)
-    key.cylinder = geometry_.locate_block(p.req.start_block).cylinder;
+    key.cylinder = geometry_.locate_block(p->req.start_block).cylinder;
   queue_.push_back(std::move(p));
   qkeys_.push_back(key);
   if (!busy_) start_next();
 }
 
-Disk::Pending Disk::pop_next() {
+OpRef<Disk::Pending> Disk::pop_next() {
   assert(!qkeys_.empty() && qkeys_.size() == queue_.size());
   const std::size_t n = qkeys_.size();
   // Highest priority class present wins regardless of scheduling policy.
@@ -143,7 +144,7 @@ Disk::Pending Disk::pop_next() {
     }
   }
   assert(chosen < n);
-  Pending p = std::move(queue_[chosen]);
+  OpRef<Pending> p = std::move(queue_[chosen]);
   queue_[chosen] = std::move(queue_.back());
   queue_.pop_back();
   qkeys_[chosen] = qkeys_.back();
@@ -209,16 +210,16 @@ void Disk::start_next() {
   begin_service(pop_next());
 }
 
-void Disk::begin_service(Pending p) {
+void Disk::begin_service(OpRef<Pending> p) {
   const SimTime start = eq_.now();
-  stats_.queue_ms += start - p.enqueue_time;
-  obs_end(tracer_, p.obs_id, ObsPhase::kDiskQueue, obs_array_, id_, start);
-  obs_begin_with(tracer_, p.obs_id, p.obs_phase, obs_array_, id_, start);
-  if (p.req.on_start) p.req.on_start(start);
+  stats_.queue_ms += start - p->enqueue_time;
+  obs_end(tracer_, p->obs_id, ObsPhase::kDiskQueue, obs_array_, id_, start);
+  obs_begin_with(tracer_, p->obs_id, p->obs_phase, obs_array_, id_, start);
+  if (p->req.on_start) p->req.on_start(start);
 
   const std::int64_t start_sector =
-      p.req.start_block * geometry_.block_sectors;
-  const int sector_count = p.req.block_count * geometry_.block_sectors;
+      p->req.start_block * geometry_.block_sectors;
+  const int sector_count = p->req.block_count * geometry_.block_sectors;
   const TransferPlan plan =
       plan_transfer(start, head_cylinder_, start_sector, sector_count);
   stats_.seek_ms += plan.seek_ms;
@@ -230,7 +231,7 @@ void Disk::begin_service(Pending p) {
   // so injection-off runs are bit-identical to a build without the hook.
   double extra_ms = 0.0;
   if (slowdown_hook_) {
-    extra_ms = slowdown_hook_(p.req, start, plan.end_time - start);
+    extra_ms = slowdown_hook_(p->req, start, plan.end_time - start);
     if (extra_ms > 0.0) {
       ++stats_.slow_ops;
       stats_.slowdown_ms += extra_ms;
@@ -239,14 +240,13 @@ void Disk::begin_service(Pending p) {
     }
   }
 
-  switch (p.req.kind) {
+  switch (p->req.kind) {
     case DiskOpKind::kRead:
     case DiskOpKind::kWrite: {
       stats_.transfer_ms += plan.transfer_ms;
-      (p.req.kind == DiskOpKind::kRead ? stats_.reads : stats_.writes)++;
-      auto shared = make_op<Pending>(eq_.op_arena(), std::move(p));
-      active_ = shared;
-      if (shared->req.kind == DiskOpKind::kWrite) {
+      (p->req.kind == DiskOpKind::kRead ? stats_.reads : stats_.writes)++;
+      active_ = p;
+      if (p->req.kind == DiskOpKind::kWrite) {
         active_write_start_ = plan.transfer_start;
         active_write_end_ = plan.end_time;
       }
@@ -255,9 +255,10 @@ void Disk::begin_service(Pending p) {
       // Capture scalars, not the whole TransferPlan: the lambda then fits
       // EventQueue::Callback's buffer and the schedule allocates nothing.
       const int end_cyl = plan.end_cylinder;
-      eq_.schedule_at(done, [this, shared, start, done, end_cyl, epoch] {
+      eq_.schedule_at(done, [this, p = std::move(p), start, done, end_cyl,
+                             epoch] {
         if (epoch != power_epoch_) return;  // killed by a power failure
-        complete(*shared, start, done, end_cyl);
+        complete(*p, start, done, end_cyl);
       });
       break;
     }
@@ -273,8 +274,7 @@ void Disk::begin_service(Pending p) {
       const double rot = geometry_.rotation_ms();
       const int min_revs = std::max(
           1, static_cast<int>(std::ceil(plan.transfer_ms / rot - 1e-9)));
-      auto shared = make_op<Pending>(eq_.op_arena(), std::move(p));
-      active_ = shared;
+      active_ = p;
       const std::uint64_t epoch = power_epoch_;
       // A slow read pass delays read_done; schedule_rmw_write then pushes
       // the in-place rewrite onto a later whole revolution, exactly as a
@@ -282,10 +282,9 @@ void Disk::begin_service(Pending p) {
       // gate waiter inside their inline-storage buffers.
       const SimTime xfer_start = plan.transfer_start;
       const int end_cyl = plan.end_cylinder;
-      eq_.schedule_at(plan.end_time + extra_ms, [this, shared, start,
-                                                 xfer_start, end_cyl,
-                                                 sector_count, min_revs,
-                                                 epoch] {
+      eq_.schedule_at(plan.end_time + extra_ms,
+                      [this, shared = std::move(p), start, xfer_start, end_cyl,
+                       sector_count, min_revs, epoch] {
         if (epoch != power_epoch_) return;  // killed by a power failure
         const SimTime read_done = eq_.now();
         if (shared->obs_id) {
@@ -360,20 +359,23 @@ Disk::PowerFailReport Disk::power_fail() {
   // Swap-remove leaves the queue vectors unordered; deliver the kill
   // callbacks in arrival (seq) order so crash handling stays
   // deterministic and matches what a FIFO walk of the queue produced.
-  std::vector<std::size_t> order(queue_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return queue_[a].seq < queue_[b].seq;
-  });
-  for (std::size_t i : order) {
-    Pending& p = queue_[i];
-    ++report.queued_ops;
-    if (p.req.kind != DiskOpKind::kRead)
-      report.write_blocks_lost += static_cast<std::uint64_t>(p.req.block_count);
-    if (p.req.on_power_fail) p.req.on_power_fail(eq_.now(), 0);
-  }
-  queue_.clear();
+  // The queue is detached first: a kill callback that resubmits finds
+  // the disk powered off and an empty queue.
+  std::vector<OpRef<Pending>> killed;
+  killed.swap(queue_);
   qkeys_.clear();
+  std::sort(killed.begin(), killed.end(),
+            [](const OpRef<Pending>& a, const OpRef<Pending>& b) {
+              return a->seq < b->seq;
+            });
+  for (const OpRef<Pending>& p : killed) {
+    ++report.queued_ops;
+    if (p->req.kind != DiskOpKind::kRead)
+      report.write_blocks_lost += static_cast<std::uint64_t>(p->req.block_count);
+    if (p->req.on_power_fail) p->req.on_power_fail(eq_.now(), 0);
+  }
+  // Dropping the handles destroys every killed request and its callbacks.
+  killed.clear();
 
   if (busy_ && active_) {
     ++report.inflight_ops;
@@ -414,12 +416,14 @@ void Disk::plant_media_error(std::int64_t block) {
 }
 
 bool Disk::has_media_error(std::int64_t start_block, int block_count) const {
+  if (bad_blocks_.empty()) return false;
   for (int i = 0; i < block_count; ++i)
     if (bad_blocks_.count(start_block + i)) return true;
   return false;
 }
 
 int Disk::media_errors_in(std::int64_t start_block, int block_count) const {
+  if (bad_blocks_.empty()) return 0;
   int n = 0;
   for (int i = 0; i < block_count; ++i)
     if (bad_blocks_.count(start_block + i)) ++n;
@@ -427,6 +431,7 @@ int Disk::media_errors_in(std::int64_t start_block, int block_count) const {
 }
 
 void Disk::clear_media_errors(std::int64_t start_block, int block_count) {
+  if (bad_blocks_.empty()) return;
   for (int i = 0; i < block_count; ++i) bad_blocks_.erase(start_block + i);
 }
 

@@ -100,13 +100,13 @@ struct DiskRequest {
   /// better override it (parity RMW, full-stripe parity write, rebuild).
   ObsPhase obs_phase = ObsPhase::kAuto;
 
-  /// Completion callbacks are move-only inline-storage callables (the
-  /// same SmallFunction machinery as EventQueue::Callback):
-  /// typical controller continuations live inside the request itself, so
-  /// the submit path performs no callback heap allocations. A copyable
-  /// std::function still converts implicitly (it gets wrapped), so
-  /// legacy submitters keep working; DiskRequest itself becomes
-  /// move-only, which every submit site already respects.
+  /// Callbacks are move-only inline-storage callables. `on_complete` and
+  /// `on_power_fail` are the controller's own `Completion`/`PowerFail`
+  /// types, so a continuation the controller already holds moves in
+  /// without being wrapped. The other three hold small captures (a
+  /// barrier or op-state handle plus `this`) inline. Disk::submit moves
+  /// the request once, into the arena-resident queue entry; the callbacks
+  /// are never relocated again.
 
   /// Invoked when the access acquires the disk (seek begins). Used by the
   /// Disk First synchronization policies.
@@ -114,19 +114,19 @@ struct DiskRequest {
   /// RMW only: invoked when the old data/parity have been read.
   SmallFunction<void(SimTime)> on_read_done;
   /// Invoked when the access fully completes.
-  SmallFunction<void(SimTime)> on_complete;
+  Completion on_complete;
   /// Invoked INSTEAD of on_complete when the access faults (transient
   /// timeout or media error). Requests without a handler opt out of
-  /// fault injection entirely and always complete. Wider inline storage:
-  /// the controller's retry continuation carries the extent, both outer
-  /// callbacks, and the backoff state.
-  SmallFunction<void(SimTime, DiskError), 128> on_error;
+  /// fault injection entirely and always complete. The controller's
+  /// retry state (extent, continuations, attempt) lives in an arena
+  /// context, so the handler captures only `this` and that handle.
+  SmallFunction<void(SimTime, DiskError)> on_error;
   /// Invoked (instead of any other callback) when the disk loses power
   /// while the request is queued or in service. `durable_blocks` is the
   /// length of the leading prefix of a write extent that reached the
   /// medium before the power failed -- always 0 for reads, for queued
   /// requests, and for RMW accesses still in their read phase.
-  SmallFunction<void(SimTime, int durable_blocks)> on_power_fail;
+  PowerFail on_power_fail;
 };
 
 struct DiskStats {
@@ -164,7 +164,10 @@ class Disk {
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
 
-  void submit(DiskRequest req);
+  /// Queue an access. The request is moved once, into an entry in the
+  /// engine's op arena; queueing, scheduling and service pass that
+  /// entry's handle, never the request.
+  void submit(DiskRequest&& req);
 
   /// Attach the request-lifecycle tracer (null = tracing off). Every op
   /// then emits a queue span (enqueue -> service start) and one or two
@@ -247,18 +250,26 @@ class Disk {
   double ewma_latency_ms() const { return ewma_latency_ms_; }
 
  private:
+  /// A queued or in-service access, built once in the engine's op arena
+  /// by submit() and referenced by handle until its last callback ran.
   struct Pending {
+    Pending(DiskRequest&& r, SimTime enqueued, std::uint64_t s)
+        : req(std::move(r)), enqueue_time(enqueued), seq(s) {}
     DiskRequest req;
     SimTime enqueue_time;
     std::uint64_t seq;
     std::uint64_t obs_id = 0;               // span id, 0 when untraced
     ObsPhase obs_phase = ObsPhase::kAuto;   // resolved service phase
   };
+  // One 512-byte arena block per access: growing the request past this
+  // moves every disk op into the next size class.
+  static_assert(sizeof(Pending) + sizeof(op_detail::OpHeader) <= 512,
+                "Disk::Pending outgrew the 512-byte op-arena class");
 
   /// Hot half of the queue: everything the scheduling scan needs, 16
-  /// bytes per entry, parallel to the cold Pending vector. The cylinder
-  /// is precomputed at submit (only under SSTF/SCAN — FIFO never reads
-  /// it), so pop_next touches neither the requests nor the geometry.
+  /// bytes per entry, parallel to the vector of Pending handles. The
+  /// cylinder is precomputed at submit (only under SSTF/SCAN — FIFO never
+  /// reads it), so pop_next touches neither the requests nor the geometry.
   struct QueueKey {
     std::uint64_t seq;
     int cylinder;
@@ -268,7 +279,7 @@ class Disk {
   /// Select (and remove, by swap-with-back) the next request to service:
   /// the highest priority class present, ordered within the class by the
   /// scheduling policy with (time-of-arrival) seq breaking ties.
-  Pending pop_next();
+  OpRef<Pending> pop_next();
 
   /// Timing of one contiguous transfer starting with the head at
   /// `head_cyl` at time `t`.
@@ -288,7 +299,7 @@ class Disk {
   double rotational_latency(SimTime t, int sector) const;
 
   void start_next();
-  void begin_service(Pending p);
+  void begin_service(OpRef<Pending> p);
   void schedule_rmw_write(OpRef<Pending> p, SimTime service_start,
                           SimTime transfer_start, int sector_count,
                           int end_cylinder, int min_revolutions,
@@ -307,7 +318,7 @@ class Disk {
   std::uint64_t next_seq_ = 0;
   DiskScheduling scheduling_;
   bool scan_upward_ = true;  // SCAN sweep direction
-  std::vector<Pending> queue_;    // cold: requests + bookkeeping
+  std::vector<OpRef<Pending>> queue_;  // cold: arena-resident requests
   std::vector<QueueKey> qkeys_;   // hot: parallel scheduling keys
   DiskStats stats_;
   FaultEvaluator fault_evaluator_;

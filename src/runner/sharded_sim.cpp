@@ -324,7 +324,7 @@ void ShardedSimulator::run_shard(Shard& shard) {
       if (ran < Simulator::kCancelCheckBatch) break;
     }
   }
-  assert(shard.outstanding == 0);
+  if (shard.outstanding != 0) throw StrandedRequestsError(shard.outstanding);
 }
 
 void ShardedSimulator::maybe_emit_progress(bool final_frame) {

@@ -117,6 +117,30 @@ TEST(Simulator, RunIsSingleShot) {
   EXPECT_THROW(sim.run(b), std::logic_error);
 }
 
+TEST(Simulator, StrandedRequestsFailLoudly) {
+  // A controller crash nobody restarts eats every request in flight and
+  // every later one: the queue drains with all three never completed.
+  // That must throw in release builds too, not return metrics.
+  SimulationConfig config;
+  config.organization = Organization::kBase;
+  config.array_data_disks = 2;
+  TraceGeometry geo{2, 1000};
+  FixedStream trace(geo, {
+                             {0.0, 0, 1, false},
+                             {5.0, 1500, 1, true},
+                             {5.0, 10, 2, false},
+                         });
+  Simulator sim(config, geo);
+  sim.event_queue().schedule_at(
+      1.0, [&sim] { sim.mutable_controller(0).crash_halt(false); });
+  try {
+    sim.run(trace);
+    FAIL() << "expected StrandedRequestsError";
+  } catch (const StrandedRequestsError& e) {
+    EXPECT_EQ(e.stranded(), 3u);
+  }
+}
+
 TEST(Simulator, DeterministicAcrossRuns) {
   auto run_once = [] {
     SimulationConfig config;
