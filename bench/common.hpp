@@ -20,8 +20,8 @@ namespace raidsim::bench {
 ///   --seed=<n>     override the workload RNG seed
 ///   --quick        quarter the default scales (CI smoke)
 ///   --threads=<n>  sweep worker threads (default: hardware concurrency)
-///   --shards=<n>   run every simulation on the sharded engine with n
-///                  shards (0 = classic single-queue engine)
+///   --shards=<n>   run every simulation on n per-array-group event
+///                  kernels (0 = one kernel streaming the trace)
 ///   --shard-threads=<n>  threads per sharded run (0 = min(shards, hw))
 ///   --trace-out=<prefix>      trace every run; job i of a sweep writes
 ///                             `<prefix>_<i>.trace.json`
@@ -33,7 +33,7 @@ struct BenchOptions {
   double scale2 = 1.0;
   std::uint64_t seed = 0;
   int threads = 0;  // 0 = hardware_concurrency
-  int shards = 0;         // >= 1: sharded engine for each simulation
+  int shards = 0;         // SimulationConfig::shards of each simulation
   int shard_threads = 0;  // 0 = min(shards, hardware concurrency)
   std::string trace_out;
   double sample_interval_ms = 0.0;

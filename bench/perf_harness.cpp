@@ -1,7 +1,7 @@
 // Performance harness: times the event kernel (schedule/cancel/step
 // churn), a fixed end-to-end RAID5 + Mirror replay, the op-state arena
-// on an op-churn loop (with a fatal zero-heap steady-state gate), the
-// sharded engine at several shard/thread counts (with a bit-identity
+// on an op-churn loop (with a fatal zero-heap steady-state gate),
+// sharded runs at several shard/thread counts (with a bit-identity
 // check against one shard), the NV-cache storage, the latency-histogram
 // recorder (per-op add and sharded merge + tail quantiles), trace
 // loading (text vs binary), and sweep throughput at 1/2/4/hw threads.
@@ -546,10 +546,9 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------- sharded replay bench
-  // The same RAID5/trace1 replay on the sharded engine at several
-  // shard/thread counts. Every point's merged metrics must be
-  // bit-identical to the one-shard run (the engine's determinism
-  // contract); single-threaded multi-shard points isolate the
+  // The same RAID5/trace1 replay at several shard/thread counts. Every
+  // point's merged metrics must be bit-identical to the one-shard run
+  // (the simulator's determinism contract); single-threaded multi-shard points isolate the
   // algorithmic win (smaller per-shard event heaps) from thread
   // parallelism, which needs actual cores to show up.
   struct ShardPoint {

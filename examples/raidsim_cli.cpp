@@ -22,11 +22,12 @@
 //   --parity-caching          RAID4 parity caching
 //   --fail-disk=<d>           run array 0 degraded with disk d failed
 //   --rebuild                 rebuild the failed disk online
-//   --shards=<n>              sharded engine: n per-array-group event
-//                             kernels on a thread pool (default 0 = the
-//                             classic single-queue engine; incompatible
-//                             with --fail-disk/--rebuild)
-//   --shard-threads=<n>       threads for the sharded engine
+//   --shards=<n>              n per-array-group event kernels on a
+//                             thread pool, each array's destage timer
+//                             stopping at its own last response
+//                             (default 0 = one kernel streaming the
+//                             trace, timers stopping at run quiescence)
+//   --shard-threads=<n>       threads for --shards >= 1
 //                             (default 0 = min(shards, hw))
 //   --tail-deadline=<ms>      read deadline; on expiry escalate to an
 //                             alternate read (tail-tolerance policy)
@@ -57,7 +58,6 @@
 #include "core/reliability.hpp"
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
-#include "runner/sharded_sim.hpp"
 #include "trace/trace_io.hpp"
 #include "util/table.hpp"
 
@@ -247,31 +247,19 @@ int main(int argc, char** argv) {
       trace = make_workload(trace_name, workload);
     }
 
-    Metrics m;
-    if (config.shards >= 1) {
-      if (fail_disk >= 0)
-        fail("--shards is incompatible with --fail-disk/--rebuild");
-      if (progress) {
-        ShardedSimulator sim(config, trace->geometry(), workload.seed);
-        sim.set_progress_hook(make_heartbeat());
-        m = sim.run(*trace);
-      } else {
-        m = run_sharded_simulation(config, *trace, workload.seed);
+    Simulator sim(config, trace->geometry());
+    if (progress) sim.set_progress_hook(make_heartbeat());
+    std::unique_ptr<RebuildProcess> rebuilder;
+    if (fail_disk >= 0) {
+      sim.mutable_controller(0).fail_disk(fail_disk);
+      if (rebuild) {
+        // Array 0's shard queue: the rebuild runs beside its replay.
+        rebuilder = std::make_unique<RebuildProcess>(
+            sim.event_queue(0), sim.mutable_controller(0));
+        rebuilder->start(nullptr);
       }
-    } else {
-      Simulator sim(config, trace->geometry());
-      if (progress) sim.set_progress_hook(make_heartbeat());
-      std::unique_ptr<RebuildProcess> rebuilder;
-      if (fail_disk >= 0) {
-        sim.mutable_controller(0).fail_disk(fail_disk);
-        if (rebuild) {
-          rebuilder = std::make_unique<RebuildProcess>(
-              sim.event_queue(), sim.mutable_controller(0));
-          rebuilder->start(nullptr);
-        }
-      }
-      m = sim.run(*trace);
     }
+    const Metrics m = sim.run(*trace);
 
     if (json) {
       m.to_json(std::cout);

@@ -75,6 +75,11 @@ void CachedController::shutdown() {
   }
 }
 
+bool CachedController::holds_work() const {
+  return cache_.dirty_count() > 0 || !stalled_.empty() || spooling_ ||
+         !spool_.empty() || ArrayController::holds_work();
+}
+
 void CachedController::submit(const ArrayRequest& request,
                               Completion on_complete) {
   if (crashed()) return;  // controller down: the request dies unanswered

@@ -55,6 +55,8 @@ class CachedController : public ArrayController {
   /// drained; in-flight work still completes).
   void shutdown() override;
 
+  bool holds_work() const override;
+
   const NvCache::Stats* cache_stats() const override {
     return &cache_.stats();
   }

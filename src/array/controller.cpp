@@ -440,7 +440,9 @@ void ArrayController::submit_op(const PhysicalExtent& extent, bool is_write,
       ++stats_.transient_retries;
       const double backoff =
           fault_.retry_backoff_ms * static_cast<double>(1 << c.attempt);
+      ++retries_pending_;
       eq_.schedule_in(backoff, [this, ctx] {
+        --retries_pending_;
         FaultCtx& c = *ctx;
         submit_op(c.extent, c.is_write, c.priority, std::move(c.done),
                   c.attempt + 1, std::move(c.on_power_fail), c.phase);
@@ -516,6 +518,13 @@ void ArrayController::repair_media_error(const PhysicalExtent& extent,
       disk_read(group.parity, priority,
                 [barrier](SimTime t) { barrier->arrive(t); });
   }
+}
+
+bool ArrayController::holds_work() const {
+  if (retries_pending_ > 0 || channel_->busy()) return true;
+  for (const auto& disk : disks_)
+    if (disk->busy() || disk->queue_length() > 0) return true;
+  return false;
 }
 
 void ArrayController::crash_halt(bool preserve_nvram) {

@@ -210,6 +210,13 @@ class ArrayController {
   /// still completes. No-op for controllers without background timers.
   virtual void shutdown() {}
 
+  /// True while the array holds work that can still complete a host
+  /// request: a queued or in-service disk op, a busy channel, or a
+  /// transient-error retry waiting out its backoff (the cached
+  /// controller adds its dirty, destaging, spooled and stalled state).
+  /// An array without any of it can only tick its periodic timers.
+  virtual bool holds_work() const;
+
   /// NV-cache statistics, or nullptr for controllers without a cache.
   virtual const NvCache::Stats* cache_stats() const { return nullptr; }
 
@@ -467,6 +474,7 @@ class ArrayController {
   std::function<void(int, SimTime)> disk_dead_handler_;
   int failed_disk_ = -1;
   std::int64_t rebuild_watermark_ = 0;
+  int retries_pending_ = 0;  // transient retries waiting out a backoff
   WriteAuditHooks* auditor_ = nullptr;
   IntentJournal* journal_ = nullptr;
   bool crashed_ = false;

@@ -28,6 +28,8 @@ class Channel {
   double transfer_ms(std::int64_t bytes) const;
 
   std::uint64_t transfers() const { return transfers_; }
+  /// A transfer is in flight (queued ones start as soon as it ends).
+  bool busy() const { return busy_; }
   double busy_ms() const { return busy_ms_; }
   double utilization(SimTime elapsed) const {
     return elapsed > 0.0 ? busy_ms_ / elapsed : 0.0;

@@ -55,20 +55,21 @@ struct SimulationConfig {
   /// instead of the whole array (see docs/fault_model.md).
   bool intent_journal = false;
 
-  /// Intra-run sharding (src/runner/sharded_sim.hpp). 0 = the classic
-  /// single-event-queue engine. >= 1 partitions the arrays of THIS run
-  /// into that many independent event kernels executed on a thread pool
-  /// (clamped to the array count); arrays share no simulation state, so
-  /// per-array trajectories are exact, and merged metrics are
-  /// bit-identical at any shard/thread count (see docs/performance.md for
-  /// how the sharded engine's shutdown discipline differs from the
-  /// classic engine's).
+  /// Intra-run sharding (core/simulator.hpp). 0 = one event kernel that
+  /// streams the trace and stops every array's destage timer when the
+  /// run's last request completes. >= 1 partitions the arrays of THIS
+  /// run into that many independent event kernels executed on a thread
+  /// pool (clamped to the array count), reads the trace up front, and
+  /// stops each array's destage timer at that array's last response;
+  /// merged metrics are bit-identical at any shard/thread count >= 1, and
+  /// differ from shards = 0 only in the destage tail (see
+  /// docs/performance.md).
   int shards = 0;
-  /// Worker threads for the sharded engine; 0 = min(shards, hardware
+  /// Worker threads for shards >= 1; 0 = min(shards, hardware
   /// concurrency). Thread count never changes results, only wall time.
   int shard_threads = 0;
 
-  /// Single-valued and ignored by both engines; kept only because
+  /// Single-valued and ignored by the simulator; kept only because
   /// bench/e2e/layers.cpp still reads them (see EventKernel in
   /// sim/event_queue.hpp). Excluded from the job cache key.
   EventKernel event_kernel = EventKernel::kCalendar;

@@ -64,8 +64,9 @@ std::string job_canonical_key(const SimulationConfig& config,
   // Deliberately absent: shard_threads (threads only change wall time,
   // so including it would split the cache for runs with identical
   // outputs) and the single-valued event_kernel/op_alloc. `shards`
-  // stays in the key because the sharded engine's shutdown discipline
-  // differs from the classic engine's (docs/performance.md).
+  // stays in the key because shards = 0 stops destage timers at run
+  // quiescence and shards >= 1 at each array's last response, which
+  // changes the destage tail (docs/performance.md).
   append_int(key, "shards", config.shards);
   append_double(key, "sample", config.obs.sample_interval_ms);
   append_int(key, "samplecap",

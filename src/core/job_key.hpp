@@ -19,7 +19,7 @@ namespace raidsim {
 ///   * shard_threads (thread count never changes sharded results),
 ///   * obs.tracing / obs.max_trace_events (tracing is passive).
 /// Deliberately included although it looks like plumbing:
-///   * shards (classic vs sharded differ in low FP bits),
+///   * shards (0 and >= 1 stop destage timers at different times),
 ///   * obs.sample_interval_ms (the sampler ticks the event queue).
 std::string job_canonical_key(const SimulationConfig& config,
                               const std::string& trace,

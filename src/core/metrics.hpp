@@ -24,7 +24,7 @@ struct Metrics {
   std::vector<LatencyRecorder> response_per_array;
   /// Physical op latency (enqueue to completion) per disk, array-major.
   /// The raw signal behind the slow-disk detector; merged across shards
-  /// in global array order so both engines agree bit-for-bit.
+  /// in global array order so every shard count agrees bit-for-bit.
   std::vector<LatencyRecorder> disk_op_latency;
 
   double elapsed_ms = 0.0;
@@ -63,8 +63,8 @@ struct Metrics {
 };
 
 /// Sum `src` into `total` field by field (parity_queue_peak takes the
-/// max). Shared by the single-queue finalize path and the sharded merge,
-/// so both engines aggregate array statistics in exactly the same order.
+/// max). Simulator's finalize applies it in global array order, so array
+/// statistics aggregate the same way at every shard count.
 void accumulate(DiskStats& total, const DiskStats& src);
 void accumulate(ControllerStats& total, const ControllerStats& src);
 void accumulate(NvCache::Stats& total, const NvCache::Stats& src);

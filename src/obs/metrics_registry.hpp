@@ -17,8 +17,8 @@ namespace raidsim {
 ///
 /// Discipline (same as tracing): telemetry is passive. A metric update
 /// never touches simulation state, so registry-on runs are bit-identical
-/// to registry-off runs -- tests/runner/progress_test.cpp asserts it on
-/// both engines. Hot-path updates are lock-free: counters and histograms
+/// to registry-off runs -- tests/runner/progress_test.cpp asserts it at
+/// shards 0 and 2. Hot-path updates are lock-free: counters and histograms
 /// are sharded across cache-line-padded slots indexed by a per-thread
 /// slot id and written with relaxed atomics; scrape() merges the shards.
 /// A disabled registry (set_enabled(false)) reduces every update to one

@@ -1,147 +1,19 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
-#include "core/config.hpp"
-#include "core/metrics.hpp"
-#include "sim/cancellation.hpp"
-#include "sim/progress.hpp"
-#include "trace/record.hpp"
-#include "util/rng.hpp"
+#include "core/simulator.hpp"
 
 namespace raidsim {
 
-/// Intra-run sharded execution engine: ONE simulation, partitioned by
-/// array into independent event kernels run on a thread pool.
-///
-/// Arrays in this simulator share no state -- each owns its disks,
-/// channel, buffer pool, and NV cache, and the host merely routes each
-/// request to one array -- so the run can be split by array without
-/// approximation. Shard s owns arrays {a : a % shards == s} (round-robin,
-/// which balances load when the trace skews toward low-numbered arrays),
-/// and each shard gets its own EventQueue, Tracer, TimeSeriesSampler, and
-/// Rng stream.
-///
-/// Determinism contract: merged metrics are bit-identical at ANY shard
-/// count >= 1 and ANY thread count (asserted by
-/// tests/runner/sharded_sim_test.cpp, the same discipline SweepRunner
-/// holds across sweeps). The ingredients:
-///
-///  * The coordinator materializes the whole trace up front on one
-///    thread, accumulating arrival times in global record order, so
-///    floating-point arrival sums never depend on the partition.
-///  * Per-array response recorders: each array's latencies are
-///    accumulated in that array's completion order and merged into the
-///    run totals in global array order, so summation order is fixed.
-///  * Per-array shutdown: an array's background machinery (destage timer)
-///    stops when ITS OWN last response completes, never when some other
-///    array finishes -- so an array's full event trajectory is a function
-///    of its own request stream only. (The classic engine stops every
-///    array at global quiescence, which couples arrays through the
-///    shutdown time; sharded results are therefore self-consistent but
-///    not bit-identical to the classic engine. docs/performance.md
-///    discusses the difference.)
-///  * elapsed_ms is the max over shard clocks, and utilizations are
-///    computed against that global elapsed time during the merge.
-///
-/// events_executed is the sum over shards, invariant to the partition
-/// when the telemetry sampler is off (per-shard sampler timers tick
-/// independently, so sampled runs trade that one invariance for
-/// per-shard timeseries).
-class ShardedSimulator {
+/// Compatibility name for bench/e2e, which still spells the retired
+/// sharded engine's constructor. Simulator runs every shard count itself
+/// (config.shards); the seed is ignored.
+class ShardedSimulator : public Simulator {
  public:
-  /// `seed` derives the per-shard Rng streams (split deterministically in
-  /// shard order). The replay path itself consumes no randomness; the
-  /// streams give stochastic co-processes (fault injection, background
-  /// scrubs) a shard-stable generator to draw from.
   ShardedSimulator(const SimulationConfig& config,
-                   const TraceGeometry& geometry, std::uint64_t seed = 0);
-  ~ShardedSimulator();
-
-  ShardedSimulator(const ShardedSimulator&) = delete;
-  ShardedSimulator& operator=(const ShardedSimulator&) = delete;
-
-  /// Replay the whole trace across the shard pool and return merged
-  /// metrics. May be called once per instance.
-  Metrics run(TraceStream& trace);
-
-  /// Attach a cooperative cancellation token shared by every shard
-  /// kernel. Each shard polls it at event-batch boundaries
-  /// (Simulator::kCancelCheckBatch events); when it fires the whole run
-  /// unwinds with CancelledError after all shard workers have stopped.
-  void set_cancel_token(const CancelToken* token) { cancel_ = token; }
-
-  /// Non-empty: after run(), export each shard's artifacts under
-  /// `<prefix>_shard<k>` (requires config.obs.tracing for trace JSON;
-  /// sample_interval_ms > 0 adds per-shard timeseries). At a fixed shard
-  /// count the files are byte-identical at any thread count.
-  void set_artifact_prefix(std::string prefix);
-
-  /// Attach a progress observer. Each shard publishes its event count,
-  /// clock, and completed-record tally at its cancel-poll boundary; the
-  /// shard that crosses a boundary aggregates them (sum of events/done,
-  /// max of clocks) and fires the hook -- serialized by a try-lock so a
-  /// congested hook is skipped, never queued. Snapshots are monotone.
-  /// Passive: hooked runs stay bit-identical to unhooked ones.
-  void set_progress_hook(ProgressFn hook) { progress_ = std::move(hook); }
-
-  /// Flight-recorder dump: write each shard's tracing ring to
-  /// `<prefix>_shard<k>.trace.json` right now (best effort, I/O errors
-  /// swallowed). Used by run_sweep_job when a recorded job unwinds, so
-  /// the artifact exists even though run() threw.
-  void dump_flight(const std::string& prefix) const;
-
-  int shards() const { return shard_count_; }
-  /// Worker threads the pool will use (resolved from config).
-  int threads() const { return thread_count_; }
-  int arrays() const { return array_count_; }
-
-  /// The shard's deterministic random stream (derived from the seed).
-  Rng& shard_rng(int shard);
-
-  /// Map a database block to (array index, array-local logical block).
-  std::pair<int, std::int64_t> route(std::int64_t db_block) const;
-
- private:
-  struct Shard;
-  struct ArrayState;
-  struct ShardRecord;
-
-  void load_records(TraceStream& trace);
-  void pump(Shard& shard);
-  void dispatch(Shard& shard, const ShardRecord& record);
-  void schedule_sample_tick(Shard& shard);
-  void take_sample(Shard& shard);
-  void run_shard(Shard& shard);
-  void maybe_emit_progress(bool final_frame);
-  Metrics merge();
-
-  SimulationConfig config_;
-  TraceGeometry geometry_;
-  std::int64_t blocks_per_array_ = 1;
-  std::int64_t total_blocks_ = 0;
-  int array_count_ = 0;
-  int shard_count_ = 1;
-  int thread_count_ = 1;
-  const CancelToken* cancel_ = nullptr;
-  ProgressFn progress_;
-  std::mutex progress_mu_;
-  std::uint64_t total_records_ = 0;
-  std::string artifact_prefix_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  bool ran_ = false;
+                   const TraceGeometry& geometry, std::uint64_t /*seed*/ = 0)
+      : Simulator(config, geometry) {}
 };
-
-/// Convenience: build a sharded simulator for `config` (config.shards
-/// clamped to at least 1) and replay `trace`. A non-null `cancel` makes
-/// the run cooperatively cancellable (CancelledError).
-Metrics run_sharded_simulation(const SimulationConfig& config,
-                               TraceStream& trace, std::uint64_t seed = 0,
-                               const std::string& artifact_prefix = "",
-                               const CancelToken* cancel = nullptr);
 
 }  // namespace raidsim

@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "core/simulator.hpp"
-#include "obs/export.hpp"
-#include "runner/sharded_sim.hpp"
 
 namespace raidsim {
 
@@ -29,40 +27,14 @@ Metrics run_sweep_job(const SweepJob& job) {
     config.obs.max_trace_events = std::max<std::size_t>(64, job.flight_events);
   }
 
-  // config.shards >= 1 selects the sharded engine for this single run
-  // (0 = classic single-queue engine).
-  if (job.config.shards >= 1) {
-    ShardedSimulator simulator(config, stream->geometry(), job.workload.seed);
-    if (want_trace) simulator.set_artifact_prefix(job.trace_out);
-    if (job.cancel) simulator.set_cancel_token(job.cancel);
-    if (job.progress) simulator.set_progress_hook(job.progress);
-    try {
-      return simulator.run(*stream);
-    } catch (...) {
-      if (want_flight) simulator.dump_flight(job.flight_out);
-      throw;
-    }
-  }
-  if (!want_trace && !want_flight && job.cancel == nullptr && !job.progress)
-    return run_simulation(job.config, *stream);
-
   Simulator simulator(config, stream->geometry());
+  if (want_trace) simulator.set_artifact_prefix(job.trace_out);
   if (job.cancel) simulator.set_cancel_token(job.cancel);
   if (job.progress) simulator.set_progress_hook(job.progress);
   try {
-    Metrics metrics = simulator.run(*stream);
-    if (want_trace && simulator.tracer())
-      export_run_artifacts(job.trace_out, *simulator.tracer(),
-                           simulator.sampler());
-    return metrics;
+    return simulator.run(*stream);
   } catch (...) {
-    if (want_flight && simulator.tracer()) {
-      try {
-        export_run_artifacts(job.flight_out, *simulator.tracer(), nullptr);
-      } catch (...) {
-        // Best effort: a failed dump must not mask the original error.
-      }
-    }
+    if (want_flight) simulator.dump_flight(job.flight_out);
     throw;
   }
 }

@@ -49,7 +49,7 @@ class CancelToken {
   std::atomic<std::uint8_t> reason_{0};
 };
 
-/// Thrown out of Simulator/ShardedSimulator::run when the attached token
+/// Thrown out of Simulator::run when the attached token
 /// fires. Partially-simulated state is discarded by normal destruction;
 /// no metrics are produced.
 class CancelledError : public std::runtime_error {

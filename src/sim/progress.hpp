@@ -21,7 +21,7 @@ struct ProgressSnapshot {
   bool final_frame = false;
 };
 
-/// Progress observer. The sharded engine invokes it from shard worker
+/// Progress observer. Simulator invokes it from shard worker
 /// threads (one call at a time, but the calling thread varies), so
 /// implementations must be thread-safe. Successive snapshots are
 /// monotone in `events` and `sim_ms`.

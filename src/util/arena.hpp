@@ -54,7 +54,7 @@ void free_raw(OpHeader* h) noexcept;
 }  // namespace op_detail
 
 /// Per-engine allocator for op state. Owned by the EventQueue (one per
-/// classic engine, one per shard), so every op allocated against an
+/// shard of a Simulator), so every op allocated against an
 /// engine is freed before that engine's arena dies, and no thread_local
 /// lookup sits on the alloc path. Blocks are bump-allocated from
 /// size-class slabs and recycled through intrusive per-class free lists
@@ -67,7 +67,7 @@ void free_raw(OpHeader* h) noexcept;
 /// Thread ownership: the arena is deliberately non-atomic, which is
 /// only sound because an engine's ops live and die on one shard thread.
 /// Debug builds enforce that: bind_owner()/release_owner() scope the
-/// owning thread (ShardedSimulator binds around run_shard), and every
+/// owning thread (Simulator binds around run_shard), and every
 /// alloc/free/refcount op asserts the caller is the owner -- permissively
 /// passing while unbound, which covers main-thread construction and
 /// post-join teardown.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
 
 #include "core/workloads.hpp"
 
@@ -121,23 +122,91 @@ TEST(Simulator, StrandedRequestsFailLoudly) {
   // A controller crash nobody restarts eats every request in flight and
   // every later one: the queue drains with all three never completed.
   // That must throw in release builds too, not return metrics.
-  SimulationConfig config;
-  config.organization = Organization::kBase;
-  config.array_data_disks = 2;
-  TraceGeometry geo{2, 1000};
-  FixedStream trace(geo, {
-                             {0.0, 0, 1, false},
-                             {5.0, 1500, 1, true},
-                             {5.0, 10, 2, false},
-                         });
-  Simulator sim(config, geo);
-  sim.event_queue().schedule_at(
-      1.0, [&sim] { sim.mutable_controller(0).crash_halt(false); });
-  try {
-    sim.run(trace);
-    FAIL() << "expected StrandedRequestsError";
-  } catch (const StrandedRequestsError& e) {
-    EXPECT_EQ(e.stranded(), 3u);
+  for (int shards : {0, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SimulationConfig config;
+    config.organization = Organization::kBase;
+    config.array_data_disks = 2;
+    config.shards = shards;
+    TraceGeometry geo{2, 1000};
+    FixedStream trace(geo, {
+                               {0.0, 0, 1, false},
+                               {5.0, 1500, 1, true},
+                               {5.0, 10, 2, false},
+                           });
+    Simulator sim(config, geo);
+    sim.event_queue().schedule_at(
+        1.0, [&sim] { sim.mutable_controller(0).crash_halt(false); });
+    try {
+      sim.run(trace);
+      ADD_FAILURE() << "expected StrandedRequestsError";
+    } catch (const StrandedRequestsError& e) {
+      EXPECT_EQ(e.stranded(), 3u);
+    }
+  }
+}
+
+TEST(Simulator, StrandedCachedRunEnds) {
+  // The crash eats the first read; the controller restarts and serves the
+  // rest. Once the trace is done and the write is destaged, nothing can
+  // complete the lost read, but the restarted destage timer would tick
+  // forever: the run must stop it and throw instead of hanging (ctest's
+  // TIMEOUT turns a regression into a fast failure).
+  for (int shards : {0, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SimulationConfig config;
+    config.organization = Organization::kRaid5;
+    config.cached = true;
+    config.array_data_disks = 4;
+    config.shards = shards;
+    TraceGeometry geo{4, 1000};
+    FixedStream trace(geo, {
+                               {0.0, 0, 1, false},
+                               {5.0, 1500, 1, true},
+                               {5.0, 10, 2, false},
+                           });
+    Simulator sim(config, geo);
+    sim.event_queue().schedule_at(
+        1.0, [&sim] { sim.mutable_controller(0).crash_halt(true); });
+    sim.event_queue().schedule_at(
+        2.0, [&sim] { sim.mutable_controller(0).crash_restart(); });
+    try {
+      sim.run(trace);
+      ADD_FAILURE() << "expected StrandedRequestsError";
+    } catch (const StrandedRequestsError& e) {
+      EXPECT_EQ(e.stranded(), 1u);
+    }
+  }
+}
+
+TEST(Simulator, RetryBackoffIsNotStranded) {
+  // The only request waits out a transient-error backoff long enough for
+  // thousands of destage ticks, so batch boundaries pass while no disk
+  // op is queued. That request can still complete: the run must not
+  // count it stranded and stop the timers early.
+  for (int shards : {0, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SimulationConfig config;
+    config.organization = Organization::kRaid5;
+    config.cached = true;
+    config.array_data_disks = 4;
+    config.disk_retry_backoff_ms = 2.0e6;
+    config.shards = shards;
+    TraceGeometry geo{4, 1000};
+    FixedStream trace(geo, {{0.0, 0, 1, false}});
+    Simulator sim(config, geo);
+    bool failed_once = false;
+    for (const auto& disk : sim.controller(0).disks())
+      disk->set_fault_evaluator([&failed_once](const DiskRequest&) {
+        if (failed_once) return DiskError::kNone;
+        failed_once = true;
+        return DiskError::kTransient;
+      });
+    const Metrics m = sim.run(trace);
+    EXPECT_EQ(m.requests, 1u);
+    EXPECT_EQ(m.controller.transient_retries, 1u);
+    // Every 300 ms destage tick of the backoff ran.
+    EXPECT_GT(m.events_executed, 6000u);
   }
 }
 

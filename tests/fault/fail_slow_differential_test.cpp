@@ -1,7 +1,7 @@
 // Differential guard for the fail-slow machinery: with injection off and
 // tail policies disabled, a run must be BIT-IDENTICAL to one that never
 // heard of fail-slow -- same events executed, same response-time moments,
-// same per-disk counters -- on both the classic and the sharded engine.
+// same per-disk counters -- at shards 0 and 2.
 // This is the contract that lets the feature ship enabled-by-compile,
 // disabled-by-default.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
 #include "fault/slowdown_injector.hpp"
-#include "runner/sharded_sim.hpp"
 
 namespace raidsim {
 namespace {
@@ -26,8 +25,10 @@ SimulationConfig base_config(Organization org) {
   return config;
 }
 
-Metrics run_classic(const SimulationConfig& config, const std::string& trace,
-                    double scale, bool attach_disabled_injector) {
+Metrics run(SimulationConfig config, const std::string& trace, double scale,
+            int shards, bool attach_disabled_injector = false) {
+  config.shards = shards;
+  config.shard_threads = 2;
   WorkloadOptions wo;
   wo.scale = scale;
   auto stream = make_workload(trace, wo);
@@ -44,16 +45,6 @@ Metrics run_classic(const SimulationConfig& config, const std::string& trace,
     EXPECT_FALSE(injector->armed());
   }
   return sim.run(*stream);
-}
-
-Metrics run_sharded(SimulationConfig config, const std::string& trace,
-                    double scale, int shards) {
-  config.shards = shards;
-  config.shard_threads = 2;
-  WorkloadOptions wo;
-  wo.scale = scale;
-  auto stream = make_workload(trace, wo);
-  return run_sharded_simulation(config, *stream, wo.seed);
 }
 
 // Exact equality, not near-equality: EXPECT_EQ on doubles on purpose.
@@ -101,16 +92,18 @@ void expect_identical(const Metrics& a, const Metrics& b) {
 }
 
 TEST(FailSlowDifferential, DisabledInjectorIsBitIdenticalClassic) {
-  for (auto org : {Organization::kRaid5, Organization::kMirror}) {
-    SCOPED_TRACE(to_string(org));
-    const SimulationConfig config = base_config(org);
-    const Metrics plain = run_classic(config, "trace2", 0.05, false);
-    const Metrics with_injector = run_classic(config, "trace2", 0.05, true);
-    ASSERT_GT(plain.requests, 0u);
-    expect_identical(plain, with_injector);
-    EXPECT_EQ(plain.disk_totals.slow_ops, 0u);
-    EXPECT_EQ(plain.controller.hedged_reads, 0u);
-    EXPECT_EQ(plain.controller.timeouts_fired, 0u);
+  for (int shards : {0, 2}) {
+    for (auto org : {Organization::kRaid5, Organization::kMirror}) {
+      SCOPED_TRACE(to_string(org) + " shards=" + std::to_string(shards));
+      const SimulationConfig config = base_config(org);
+      const Metrics plain = run(config, "trace2", 0.05, shards);
+      const Metrics with_injector = run(config, "trace2", 0.05, shards, true);
+      ASSERT_GT(plain.requests, 0u);
+      expect_identical(plain, with_injector);
+      EXPECT_EQ(plain.disk_totals.slow_ops, 0u);
+      EXPECT_EQ(plain.controller.hedged_reads, 0u);
+      EXPECT_EQ(plain.controller.timeouts_fired, 0u);
+    }
   }
 }
 
@@ -125,28 +118,32 @@ TEST(FailSlowDifferential, DisabledTailPolicyIsBitIdenticalClassic) {
   armed_config.tail.redirect_on_slow = true;
   armed_config.tail.reconstruct_on_slow = true;
 
-  const Metrics plain = run_classic(plain_config, "trace2", 0.05, false);
-  const Metrics armed = run_classic(armed_config, "trace2", 0.05, false);
-  ASSERT_GT(plain.requests, 0u);
-  expect_identical(plain, armed);
+  for (int shards : {0, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const Metrics plain = run(plain_config, "trace2", 0.05, shards);
+    const Metrics armed = run(armed_config, "trace2", 0.05, shards);
+    ASSERT_GT(plain.requests, 0u);
+    expect_identical(plain, armed);
+  }
 }
 
 TEST(FailSlowDifferential, ShardedMergeMatchesClassicTailFields) {
-  // The new per-array / per-disk recorders must merge to the 1-shard
-  // values bit-for-bit at any shard count. trace2 at N=10 is a single
-  // array, so partition it into 5 small mirrored arrays instead.
+  // The per-array / per-disk recorders must merge to the streamed
+  // (shards = 0) values bit-for-bit at any shard count; uncached, the
+  // shard count changes nothing. trace2 at N=10 is a single array, so
+  // partition it into 5 small mirrored arrays instead.
   SimulationConfig config = base_config(Organization::kMirror);
   config.array_data_disks = 2;
-  const Metrics classic = run_sharded(config, "trace2", 0.05, 1);
-  ASSERT_GT(classic.requests, 0u);
-  ASSERT_GT(classic.arrays, 1);
-  ASSERT_EQ(classic.response_per_array.size(),
-            static_cast<std::size_t>(classic.arrays));
-  ASSERT_EQ(classic.disk_op_latency.size(),
-            static_cast<std::size_t>(classic.total_disks));
-  for (int shards : {2, classic.arrays}) {
+  const Metrics streamed = run(config, "trace2", 0.05, 0);
+  ASSERT_GT(streamed.requests, 0u);
+  ASSERT_GT(streamed.arrays, 1);
+  ASSERT_EQ(streamed.response_per_array.size(),
+            static_cast<std::size_t>(streamed.arrays));
+  ASSERT_EQ(streamed.disk_op_latency.size(),
+            static_cast<std::size_t>(streamed.total_disks));
+  for (int shards : {1, 2, streamed.arrays}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    expect_identical(classic, run_sharded(config, "trace2", 0.05, shards));
+    expect_identical(streamed, run(config, "trace2", 0.05, shards));
   }
 }
 

@@ -1,4 +1,4 @@
-// Cooperative-cancellation coverage for both engines (the service's
+// Cooperative-cancellation coverage at shards 0 and 2 (the service's
 // deadline/watchdog/drain paths all ride on these tokens):
 //  - a cancelled run unwinds with CancelledError and leaks nothing
 //    (the ASan job runs this binary with detect_leaks=1),
@@ -10,11 +10,11 @@
 #include <atomic>
 #include <chrono>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
-#include "runner/sharded_sim.hpp"
 #include "runner/sweep_runner.hpp"
 #include "sim/cancellation.hpp"
 
@@ -60,12 +60,14 @@ TEST(Cancellation, PreCancelledRunThrowsImmediately) {
   EXPECT_THROW(run_sweep_job(job), CancelledError);
 }
 
-TEST(Cancellation, MidRunCancelUnwindsClassicEngine) {
-  // Cancel from another thread while the replay runs; the run must
-  // throw CancelledError carrying the reason, and normal unwinding must
-  // release everything (leak-checked under ASan).
+// Cancel from another thread while the replay runs; the run must throw
+// CancelledError carrying the reason, and normal unwinding must release
+// everything (leak-checked under ASan).
+void check_mid_run_cancel_unwinds(int shards) {
   CancelToken token;
   SweepJob job = trace2_job(WorkloadOptions{});
+  job.config.shards = shards;
+  job.config.shard_threads = 2;
   job.workload.scale = 1.0;  // long enough to guarantee a mid-run cancel
   job.workload.seed = 2;
   job.cancel = &token;
@@ -75,31 +77,16 @@ TEST(Cancellation, MidRunCancelUnwindsClassicEngine) {
   });
   try {
     run_sweep_job(job);
-    FAIL() << "expected CancelledError";
+    ADD_FAILURE() << "expected CancelledError";
   } catch (const CancelledError& e) {
     EXPECT_EQ(e.reason(), CancelReason::kDeadline);
   }
   canceller.join();
 }
 
-TEST(Cancellation, MidRunCancelUnwindsShardedEngine) {
-  CancelToken token;
-  SweepJob job = trace2_job(WorkloadOptions{});
-  job.config.shards = 2;
-  job.config.shard_threads = 2;
-  job.workload.scale = 1.0;
-  job.workload.seed = 2;
-  job.cancel = &token;
-  std::thread canceller([&token] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    token.cancel(CancelReason::kShutdown);
-  });
-  EXPECT_THROW(run_sweep_job(job), CancelledError);
-  canceller.join();
-}
-
-TEST(Cancellation, UnfiredTokenIsBitIdenticalClassic) {
+void check_unfired_token_is_bit_identical(int shards) {
   SweepJob plain = trace2_job(tiny_workload());
+  plain.config.shards = shards;
   const Metrics baseline = run_sweep_job(plain);
 
   CancelToken token;  // never fires
@@ -109,16 +96,20 @@ TEST(Cancellation, UnfiredTokenIsBitIdenticalClassic) {
   EXPECT_EQ(metrics_json(baseline), metrics_json(observed));
 }
 
-TEST(Cancellation, UnfiredTokenIsBitIdenticalSharded) {
-  SweepJob plain = trace2_job(tiny_workload());
-  plain.config.shards = 2;
-  const Metrics baseline = run_sweep_job(plain);
+TEST(Cancellation, MidRunCancelUnwindsClassicEngine) {
+  check_mid_run_cancel_unwinds(0);
+}
 
-  CancelToken token;
-  SweepJob watched = plain;
-  watched.cancel = &token;
-  const Metrics observed = run_sweep_job(watched);
-  EXPECT_EQ(metrics_json(baseline), metrics_json(observed));
+TEST(Cancellation, MidRunCancelUnwindsShardedEngine) {
+  check_mid_run_cancel_unwinds(2);
+}
+
+TEST(Cancellation, UnfiredTokenIsBitIdenticalClassic) {
+  check_unfired_token_is_bit_identical(0);
+}
+
+TEST(Cancellation, UnfiredTokenIsBitIdenticalSharded) {
+  check_unfired_token_is_bit_identical(2);
 }
 
 TEST(Cancellation, CancelledRunCanBeRetriedCleanly) {

@@ -1,4 +1,4 @@
-// Progress-hook invariants for both engines:
+// Progress-hook invariants at shards 0 and 2:
 //  - frames are monotone in events / sim time / completed requests,
 //  - exactly one final frame arrives, last, with done == total,
 //  - a hooked run's metrics stay bit-identical to an unhooked run,
@@ -60,9 +60,9 @@ void check_monotone(const std::vector<ProgressSnapshot>& frames) {
   EXPECT_TRUE(frames.back().final_frame) << "final frame must come last";
 }
 
-TEST(ProgressHook, ClassicFramesAreMonotoneWithOneFinal) {
+void check_frames_monotone_with_one_final(int shards) {
   Frames frames;
-  SweepJob job = tiny_job(0);
+  SweepJob job = tiny_job(shards);
   job.progress = collector(frames);
   const Metrics m = run_sweep_job(job);
   check_monotone(frames.all);
@@ -73,38 +73,33 @@ TEST(ProgressHook, ClassicFramesAreMonotoneWithOneFinal) {
   EXPECT_GT(last.events, 0u);
 }
 
-TEST(ProgressHook, ShardedFramesAreMonotoneWithOneFinal) {
+void check_hooked_run_is_bit_identical(int shards) {
+  const Metrics plain = run_sweep_job(tiny_job(shards));
   Frames frames;
-  SweepJob job = tiny_job(2);
+  SweepJob job = tiny_job(shards);
   job.progress = collector(frames);
-  const Metrics m = run_sweep_job(job);
-  check_monotone(frames.all);
-  const ProgressSnapshot& last = frames.all.back();
-  EXPECT_GT(last.total, 0u);
-  EXPECT_EQ(last.done, last.total);
-  EXPECT_EQ(last.done, static_cast<std::uint64_t>(m.requests));
+  const Metrics hooked = run_sweep_job(job);
+  EXPECT_EQ(metrics_json(plain), metrics_json(hooked));
+}
+
+TEST(ProgressHook, ClassicFramesAreMonotoneWithOneFinal) {
+  check_frames_monotone_with_one_final(0);
+}
+
+TEST(ProgressHook, ShardedFramesAreMonotoneWithOneFinal) {
+  check_frames_monotone_with_one_final(2);
 }
 
 TEST(ProgressHook, HookedClassicRunIsBitIdentical) {
-  const Metrics plain = run_sweep_job(tiny_job(0));
-  Frames frames;
-  SweepJob job = tiny_job(0);
-  job.progress = collector(frames);
-  const Metrics hooked = run_sweep_job(job);
-  EXPECT_EQ(metrics_json(plain), metrics_json(hooked));
+  check_hooked_run_is_bit_identical(0);
 }
 
 TEST(ProgressHook, HookedShardedRunIsBitIdentical) {
-  const Metrics plain = run_sweep_job(tiny_job(2));
-  Frames frames;
-  SweepJob job = tiny_job(2);
-  job.progress = collector(frames);
-  const Metrics hooked = run_sweep_job(job);
-  EXPECT_EQ(metrics_json(plain), metrics_json(hooked));
+  check_hooked_run_is_bit_identical(2);
 }
 
 TEST(ProgressHook, RegistryOnOffRunsAreBitIdentical) {
-  // Classic vs sharded, registry enabled vs disabled: 4 runs, 1 answer.
+  // Shards 0 and 2, registry enabled vs disabled: 4 runs, 2 answers.
   for (int shards : {0, 2}) {
     MetricsRegistry::instance().set_enabled(true);
     const Metrics on = run_sweep_job(tiny_job(shards));
@@ -116,24 +111,26 @@ TEST(ProgressHook, RegistryOnOffRunsAreBitIdentical) {
 }
 
 TEST(ProgressHook, ClassicAndShardedAgreeUnderHooks) {
+  // trace2 at N=10 is one uncached array: shards 0 and 2 agree exactly.
   Frames fc, fs;
-  SweepJob classic = tiny_job(0);
-  classic.progress = collector(fc);
+  SweepJob streamed = tiny_job(0);
+  streamed.progress = collector(fc);
   SweepJob sharded = tiny_job(2);
   sharded.progress = collector(fs);
-  EXPECT_EQ(metrics_json(run_sweep_job(classic)),
+  EXPECT_EQ(metrics_json(run_sweep_job(streamed)),
             metrics_json(run_sweep_job(sharded)));
-  // Both engines observed the same workload size.
+  // Both feeds observed the same workload size.
   EXPECT_EQ(fc.all.back().total, fs.all.back().total);
 }
 
 TEST(ProgressHook, EngineEventCountersAdvance) {
   Counter& events = MetricsRegistry::instance().counter(
-      "raidsim_engine_classic_events_total",
-      "Events executed by the classic engine");
-  const std::uint64_t before = events.value();
-  run_sweep_job(tiny_job(0));
-  EXPECT_GT(events.value(), before);
+      "raidsim_engine_events_total", "Kernel events executed (all shards)");
+  for (int shards : {0, 2}) {
+    const std::uint64_t before = events.value();
+    run_sweep_job(tiny_job(shards));
+    EXPECT_GT(events.value(), before) << "shards=" << shards;
+  }
 }
 
 }  // namespace

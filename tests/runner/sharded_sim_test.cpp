@@ -1,7 +1,8 @@
-// ShardedSimulator contract: one simulation partitioned by array must
-// produce bit-identical merged metrics at ANY shard count >= 1 and ANY
-// thread count -- the same determinism discipline SweepRunner holds
-// across whole sweeps, applied inside a single run.
+// Sharding contract: one simulation partitioned by array must produce
+// bit-identical merged metrics at ANY shard count >= 1 and ANY thread
+// count -- the same determinism discipline SweepRunner holds across whole
+// sweeps, applied inside a single run -- and shards = 0 must match them
+// in everything but the destage tail.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,10 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "array/rebuild.hpp"
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
 #include "obs/tracer.hpp"
-#include "runner/sharded_sim.hpp"
 #include "runner/sweep_runner.hpp"
 #include "trace/trace_io.hpp"
 
@@ -28,7 +29,7 @@ Metrics run_sharded(SimulationConfig config, const std::string& trace,
   WorkloadOptions wo;
   wo.scale = scale;
   auto stream = make_workload(trace, wo);
-  return run_sharded_simulation(config, *stream, wo.seed);
+  return run_simulation(config, *stream);
 }
 
 // Exact equality on every merged quantity, not near-equality: the engine
@@ -145,7 +146,7 @@ TEST(ShardedSim, ShardCountClampedToArrayCount) {
   wo.scale = 0.005;
   auto stream = make_workload("trace1", wo);
 
-  ShardedSimulator sim(config, stream->geometry());
+  Simulator sim(config, stream->geometry());
   EXPECT_EQ(sim.arrays(), 13);
   EXPECT_EQ(sim.shards(), 13);
 
@@ -161,7 +162,7 @@ TEST(ShardedSim, RouteMatchesArrayMajorBlockLayout) {
   WorkloadOptions wo;
   wo.scale = 0.005;
   auto stream = make_workload("trace1", wo);
-  ShardedSimulator sim(config, stream->geometry());
+  Simulator sim(config, stream->geometry());
 
   const std::int64_t per_array =
       stream->geometry().blocks_per_disk * config.array_data_disks;
@@ -173,27 +174,6 @@ TEST(ShardedSim, RouteMatchesArrayMajorBlockLayout) {
             (std::pair<int, std::int64_t>{3, 7}));
 }
 
-TEST(ShardedSim, ShardRngStreamsAreSeedDeterministic) {
-  SimulationConfig config;
-  config.organization = Organization::kRaid5;
-  config.array_data_disks = 10;
-  config.shards = 4;
-  WorkloadOptions wo;
-  wo.scale = 0.005;
-  auto stream = make_workload("trace1", wo);
-
-  ShardedSimulator a(config, stream->geometry(), 1234);
-  ShardedSimulator b(config, stream->geometry(), 1234);
-  ShardedSimulator c(config, stream->geometry(), 5678);
-  bool any_differs = false;
-  for (int s = 0; s < a.shards(); ++s) {
-    const auto x = a.shard_rng(s).next_u64();
-    EXPECT_EQ(x, b.shard_rng(s).next_u64());
-    if (x != c.shard_rng(s).next_u64()) any_differs = true;
-  }
-  EXPECT_TRUE(any_differs);
-}
-
 TEST(ShardedSim, RunIsSingleShot) {
   SimulationConfig config;
   config.organization = Organization::kMirror;
@@ -202,10 +182,24 @@ TEST(ShardedSim, RunIsSingleShot) {
   WorkloadOptions wo;
   wo.scale = 0.01;
   auto stream = make_workload("trace2", wo);
-  ShardedSimulator sim(config, stream->geometry());
+  Simulator sim(config, stream->geometry());
   sim.run(*stream);
   auto again = make_workload("trace2", wo);
   EXPECT_THROW(sim.run(*again), std::logic_error);
+}
+
+// Request-by-request driving shares one clock across the arrays, so it
+// exists only for the streamed shard.
+TEST(ShardedSim, ExternalDrivingRequiresShardZero) {
+  SimulationConfig config;
+  config.organization = Organization::kMirror;
+  config.array_data_disks = 5;
+  config.shards = 2;
+  Simulator sim(config, TraceGeometry{10, 1000});
+  EXPECT_THROW(sim.submit(TraceRecord{0.0, 0, 1, false}), std::logic_error);
+  EXPECT_THROW(sim.drain_and_finalize(), std::logic_error);
+  EXPECT_EQ(&sim.event_queue(), &sim.event_queue(0));
+  EXPECT_NE(&sim.event_queue(0), &sim.event_queue(1));
 }
 
 TEST(ShardedSim, GeometryMismatchRejected) {
@@ -216,7 +210,7 @@ TEST(ShardedSim, GeometryMismatchRejected) {
   WorkloadOptions wo;
   wo.scale = 0.01;
   auto trace2 = make_workload("trace2", wo);
-  ShardedSimulator sim(config, trace2->geometry());
+  Simulator sim(config, trace2->geometry());
   auto trace1 = make_workload("trace1", wo);
   EXPECT_THROW(sim.run(*trace1), std::invalid_argument);
 }
@@ -242,38 +236,105 @@ TEST(ShardedSim, PrevalidatedBinaryTraceMatchesSyntheticStream) {
   const std::string bytes = buffer.str();
   auto binary = BinaryTraceReader::from_buffer(bytes.data(), bytes.size());
   ASSERT_TRUE(binary->prevalidated());
-  const Metrics from_binary =
-      run_sharded_simulation(config, *binary, wo.seed);
+  const Metrics from_binary = run_simulation(config, *binary);
 
   auto synthetic = make_workload("trace1", wo);
-  const Metrics from_synthetic =
-      run_sharded_simulation(config, *synthetic, wo.seed);
+  const Metrics from_synthetic = run_simulation(config, *synthetic);
   expect_identical(from_binary, from_synthetic);
 }
 
-// run_sweep_job dispatches on config.shards: 0 keeps the classic engine,
-// >= 1 selects the sharded engine.
+// run_sweep_job honours config.shards. Without a cache the shard count
+// changes nothing: the two arrays' responses merge in global array order
+// either way, and no destage timer sets a tail.
 TEST(ShardedSim, SweepJobDispatchesOnShardConfig) {
-  SweepJob classic;
-  classic.config.organization = Organization::kMirror;
-  classic.config.array_data_disks = 5;
-  classic.trace = "trace2";
-  classic.workload.scale = 0.01;
+  SweepJob streamed;
+  streamed.config.organization = Organization::kMirror;
+  streamed.config.array_data_disks = 5;
+  streamed.trace = "trace2";
+  streamed.workload.scale = 0.01;
 
-  SweepJob sharded = classic;
+  SweepJob sharded = streamed;
   sharded.config.shards = 2;
 
-  const Metrics a = run_sweep_job(classic);
-  const Metrics b = run_sweep_job(sharded);
-  // Same trace either way, so the replayed requests agree exactly. The
-  // means agree only to floating-point reassociation: the classic engine
-  // adds latencies in global completion order while the sharded merge
-  // combines per-array recorders (see the determinism contract in
-  // runner/sharded_sim.hpp).
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.response_all.count(), b.response_all.count());
-  EXPECT_NEAR(a.response_all.mean(), b.response_all.mean(),
-              1e-9 * a.response_all.mean());
+  const Metrics a = run_sweep_job(streamed);
+  ASSERT_EQ(a.arrays, 2);
+  expect_identical(a, run_sweep_job(sharded));
+}
+
+void expect_same_responses(const LatencyRecorder& a, const LatencyRecorder& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.p50(), b.p50());
+  EXPECT_EQ(a.p95(), b.p95());
+  EXPECT_EQ(a.p99(), b.p99());
+  EXPECT_EQ(a.p999(), b.p999());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+// Cached runs at shards = 0 and >= 1 differ only in when destage timers
+// stop (run quiescence vs each array's last response), which shows only
+// after an array's last response: every response and hit ratio agrees
+// exactly. Only the destage-tail counters (destage writes, disk
+// accesses, events, elapsed time) may differ.
+TEST(ShardedSim, CachedResponsesMatchAtShardZero) {
+  SimulationConfig config;
+  config.organization = Organization::kRaid5;
+  config.cached = true;
+
+  const Metrics streamed = run_sharded(config, "trace1", 0.01, 0, 1);
+  const Metrics sharded = run_sharded(config, "trace1", 0.01, 4, 2);
+  ASSERT_GT(streamed.requests, 0u);
+  EXPECT_EQ(streamed.requests, sharded.requests);
+  expect_same_responses(streamed.response_all, sharded.response_all);
+  expect_same_responses(streamed.response_read, sharded.response_read);
+  expect_same_responses(streamed.response_write, sharded.response_write);
+  ASSERT_EQ(streamed.response_per_array.size(), 13u);
+  ASSERT_EQ(sharded.response_per_array.size(), 13u);
+  for (std::size_t a = 0; a < 13; ++a) {
+    SCOPED_TRACE("array " + std::to_string(a));
+    expect_same_responses(streamed.response_per_array[a],
+                          sharded.response_per_array[a]);
+  }
+  EXPECT_EQ(streamed.read_hit_ratio(), sharded.read_hit_ratio());
+  EXPECT_EQ(streamed.write_hit_ratio(), sharded.write_hit_ratio());
+}
+
+// Degraded RAID5 with an online rebuild of array 0 on its own shard's
+// queue (raidsim_cli --fail-disk=1 --rebuild): trace2 at N=5 is two
+// arrays. Uncached runs agree at every shard count; cached runs agree at
+// every shard count >= 1.
+Metrics run_rebuilding(bool cached, int shards) {
+  SimulationConfig config;
+  config.organization = Organization::kRaid5;
+  config.array_data_disks = 5;
+  config.cached = cached;
+  config.shards = shards;
+  config.shard_threads = 2;
+  WorkloadOptions wo;
+  wo.scale = 0.02;
+  auto stream = make_workload("trace2", wo);
+  Simulator sim(config, stream->geometry());
+  EXPECT_EQ(sim.arrays(), 2);
+  sim.mutable_controller(0).fail_disk(1);
+  RebuildProcess rebuild(sim.event_queue(0), sim.mutable_controller(0));
+  rebuild.start(nullptr);
+  const Metrics m = sim.run(*stream);
+  EXPECT_GT(m.controller.degraded_reads + m.controller.degraded_writes, 0u);
+  EXPECT_TRUE(rebuild.completed());
+  return m;
+}
+
+std::string to_json(const Metrics& m) {
+  std::ostringstream os;
+  m.to_json(os);
+  return os.str();
+}
+
+TEST(ShardedSim, DegradedRebuildRunsAtEveryShardCount) {
+  const std::string uncached = to_json(run_rebuilding(false, 0));
+  EXPECT_EQ(uncached, to_json(run_rebuilding(false, 1)));
+  EXPECT_EQ(uncached, to_json(run_rebuilding(false, 2)));
+  EXPECT_EQ(to_json(run_rebuilding(true, 1)), to_json(run_rebuilding(true, 2)));
 }
 
 std::string slurp(const std::string& path) {

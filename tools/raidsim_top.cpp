@@ -239,12 +239,9 @@ void render(const std::map<std::string, double>& now,
       get(now, "raidsim_svc_jobs_deadline_total"),
       get(now, "raidsim_svc_flight_dumps_total"));
   std::printf(
-      "engines: classic %.0f runs / %.0f events   sharded %.0f runs / "
-      "%.0f events   frames %llu\n\n",
-      get(now, "raidsim_engine_classic_runs_total"),
-      get(now, "raidsim_engine_classic_events_total"),
-      get(now, "raidsim_engine_sharded_runs_total"),
-      get(now, "raidsim_engine_sharded_events_total"),
+      "engine: %.0f runs / %.0f events   frames %llu\n\n",
+      get(now, "raidsim_engine_runs_total"),
+      get(now, "raidsim_engine_events_total"),
       static_cast<unsigned long long>(frames));
 
   if (jobs.empty()) {
