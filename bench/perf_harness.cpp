@@ -53,10 +53,16 @@ void* operator new[](std::size_t n) {
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a delete-expression, std::free on memory
+// from the operator new above trips GCC 12's -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -571,7 +577,7 @@ int main(int argc, char** argv) {
     shard_points.push_back(p);
   }
   const int hw_threads = max_threads;
-  for (const auto [shards, threads] :
+  for (const auto& [shards, threads] :
        std::vector<std::pair<int, int>>{{2, 1},
                                         {2, 2},
                                         {4, 1},

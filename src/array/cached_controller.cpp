@@ -132,10 +132,9 @@ void CachedController::submit_read(const ArrayRequest& request,
                     barrier->expect(1);
                     ++stats_.sync_victim_writes;
                     if (auditor_) auditor_->nvram_evict(result.victim);
-                    victim_writeback(result.victim, DiskPriority::kNormal,
-                                     [barrier](SimTime tv) {
-                                       barrier->arrive(tv);
-                                     });
+                    victim_writeback(result.victim, [barrier](SimTime tv) {
+                      barrier->arrive(tv);
+                    });
                   }
                 }
                 barrier->arrive(t);
@@ -196,7 +195,7 @@ void CachedController::try_cache_writes(OpRef<StalledWrite> write) {
       // responses do not wait for it.
       ++stats_.sync_victim_writes;
       if (auditor_) auditor_->nvram_evict(result.victim);
-      victim_writeback(result.victim, DiskPriority::kNormal, nullptr);
+      victim_writeback(result.victim, nullptr);
     }
     ++write->next;
   }
@@ -214,23 +213,20 @@ void CachedController::pump_stalled() {
   }
 }
 
-void CachedController::victim_writeback(std::int64_t block,
-                                        DiskPriority priority,
-                                        Completion done) {
-  // The victim left the cache together with any old-data copy, so the
-  // parity update takes the full read-modify-write path. RAID4 victims
-  // bypass the spool (the paper's "serviced directly from disk" case).
+void CachedController::victim_writeback(std::int64_t block, Completion done) {
+  // The victim left the cache together with any old-data copy
+  // (NvCache::make_room drops it), so the parity update takes the full
+  // read-modify-write path. RAID4 victims bypass the spool (the paper's
+  // "serviced directly from disk" case).
   auto plans = layout_->map_write(block, 1);
   auto barrier = Barrier::create(eq_.op_arena(),
       static_cast<int>(plans.size()),
       done ? std::move(done) : [](SimTime) {});
-  auto never_cached = [](const PhysicalExtent&) { return false; };
   for (const auto& plan : plans)
-    execute_update(plan, priority, sync_, never_cached,
-                   [barrier](SimTime t) { barrier->arrive(t); });
+    execute_update(plan, [barrier](SimTime t) { barrier->arrive(t); });
 }
 
-bool CachedController::old_cached_extent(const PhysicalExtent& extent) const {
+bool CachedController::old_data_cached(const PhysicalExtent& extent) const {
   if (extent.logical_start < 0) return false;
   for (int i = 0; i < extent.block_count; ++i)
     if (!cache_.has_old(extent.logical_start + i)) return false;
@@ -332,11 +328,7 @@ void CachedController::issue_destage_run(std::int64_t start_block, int count) {
         execute_update_spooled(plan,
                                [barrier](SimTime t) { barrier->arrive(t); });
       } else {
-        execute_update(plan, DiskPriority::kNormal, sync_,
-                       [this](const PhysicalExtent& e) {
-                         return old_cached_extent(e);
-                       },
-                       [barrier](SimTime t) { barrier->arrive(t); });
+        execute_update(plan, [barrier](SimTime t) { barrier->arrive(t); });
       }
     }
     i = j;
@@ -351,74 +343,42 @@ void CachedController::execute_update_spooled(
   // to the dedicated parity disk asynchronously. The destage of the data
   // is complete once the data are on disk -- the buffered parity is
   // already stable in the NV cache.
-  ExtentList pieces;
-  for (const auto& w : update.writes)
-    for (const auto& piece : split_at_cylinders(w)) pieces.push_back(piece);
-
   const bool full = update.full_stripe;
-
-  // Per-piece delta source, also needed for the audit covers below.
-  InlineVec<char, 16> piece_old_cached;
-  for (std::size_t i = 0; i < pieces.size(); ++i)
-    piece_old_cached.push_back(!full && old_cached_extent(pieces[i]) ? 1 : 0);
-
-  std::vector<ParityCover> covers;
-  if (auditor_) {
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      const auto& piece = pieces[i];
-      if (piece.logical_start < 0) continue;
-      for (int b = 0; b < piece.block_count; ++b) {
-        ParityCover c;
-        c.block = piece.logical_start + b;
-        c.gen = auditor_->current_gen(c.block);
-        c.assumed_old_gen = piece_old_cached[i]
-                                ? auditor_->old_copy_gen(c.block)
-                                : auditor_->disk_gen(c.block);
-        covers.push_back(c);
-      }
-    }
-  }
+  // Per-piece delta source (a full stripe needs none), also needed for
+  // the audit covers.
+  const DataPieces data = data_pieces(update.writes, /*old_data_known=*/!full);
+  auto covers = parity_covers(data);
 
   // Intent journal: the update retires only when the data writes AND the
   // spooled parity have both landed (the spool entry carries the parity
   // arrival as an on_durable callback).
-  std::function<void(SimTime)> intent_arrive;
-  if (journal_ && !crashed() && update.parity.valid() &&
-      !update.writes.empty()) {
-    const std::uint64_t id = journal_->open(update, eq_.now());
-    ++stats_.journal_intents;
-    auto pending = make_op<int>(eq_.op_arena(), 2);
-    intent_arrive = [this, id, pending](SimTime t) {
-      if (--*pending == 0 && journal_) journal_->close(id, t);
-    };
-  }
-
+  const auto intent = open_intent(update, 2);
   auto completion = Barrier::create(eq_.op_arena(),
-      static_cast<int>(pieces.size()),
-      [intent_arrive, done = std::move(done)](SimTime t) {
-        if (intent_arrive) intent_arrive(t);
+      static_cast<int>(data.extents.size()),
+      [intent, done = std::move(done)](SimTime t) {
+        if (intent) intent->arrive(t);
         if (done) done(t);
       });
 
   const PhysicalExtent parity = update.parity;
   auto enqueue_parity = [this, parity, full, covers = std::move(covers),
-                         intent_arrive](SimTime) {
+                         intent](SimTime) {
     if (!parity.valid()) return;
     for (int b = 0; b < parity.block_count; ++b) {
       const bool first = b == 0;
-      // Wrapping an EMPTY std::function would make a non-null (but
-      // throwing) Completion, so the empty case passes a true null.
+      Completion on_durable;
+      if (first && intent)
+        on_durable = [intent](SimTime t) { intent->arrive(t); };
       add_spool_entry(parity.start_block + b, full,
                       first ? covers : std::vector<ParityCover>{},
-                      first && intent_arrive ? Completion(intent_arrive)
-                                             : Completion());
+                      std::move(on_durable));
     }
   };
 
   if (full) {
     // Full stripe: parity computed from new data, available immediately.
     enqueue_parity(eq_.now());
-    for (const auto& piece : pieces) {
+    for (const auto& piece : data.extents) {
       auto tap = audit_data_write(
           piece, [completion](SimTime t) { completion->arrive(t); });
       disk_write(piece, DiskPriority::kNormal, std::move(tap.on_complete),
@@ -430,34 +390,10 @@ void CachedController::execute_update_spooled(
   // Partial update: the xor-delta needs the old data of every modified
   // piece -- either already retained in the cache or read by the data
   // disk's RMW pass.
-  int delta_inputs = 0;
-  for (std::size_t i = 0; i < pieces.size(); ++i)
-    if (!piece_old_cached[i]) ++delta_inputs;
-  auto delta_barrier = Barrier::create(eq_.op_arena(), delta_inputs, enqueue_parity);
-  if (delta_inputs == 0) enqueue_parity(eq_.now());
-
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const auto& piece = pieces[i];
-    Disk& disk = *disks_[static_cast<std::size_t>(piece.disk)];
-    DiskRequest req;
-    req.start_block = piece.start_block;
-    req.block_count = piece.block_count;
-    req.priority = DiskPriority::kNormal;
-    if (piece_old_cached[i]) {
-      req.kind = DiskOpKind::kWrite;
-    } else {
-      req.kind = DiskOpKind::kReadModifyWrite;
-      req.gate = WriteGate::already_open(eq_.op_arena());
-      req.on_read_done = [delta_barrier](SimTime t) {
-        delta_barrier->arrive(t);
-      };
-    }
-    auto tap = audit_data_write(
-        piece, [completion](SimTime t) { completion->arrive(t); });
-    req.on_complete = std::move(tap.on_complete);
-    req.on_power_fail = std::move(tap.on_power_fail);
-    disk.submit(std::move(req));
-  }
+  auto delta_barrier =
+      Barrier::create(eq_.op_arena(), data.reads, enqueue_parity);
+  if (data.reads == 0) enqueue_parity(eq_.now());
+  issue_rmw_data(data, delta_barrier, nullptr, completion);
 }
 
 void CachedController::add_spool_entry(std::int64_t parity_block,

@@ -96,13 +96,13 @@ class CachedController : public ArrayController {
   void issue_destage_run(std::int64_t start_block, int count);
   /// Synchronous writeback of an evicted dirty block; `done` fires when
   /// it is on disk (including its parity update).
-  void victim_writeback(std::int64_t block, DiskPriority priority,
-                        Completion done);
+  void victim_writeback(std::int64_t block, Completion done);
   /// Execute one update plan routing the parity through the RAID4 spool.
   void execute_update_spooled(const StripeUpdate& update,
                               Completion done);
 
-  bool old_cached_extent(const PhysicalExtent& extent) const;
+  /// Every block of the extent has its old copy retained in the cache.
+  bool old_data_cached(const PhysicalExtent& extent) const override;
 
   // RAID4 parity spool. Entries carry the audit covers of the stripe
   // update that buffered them plus callbacks to fire when the parity

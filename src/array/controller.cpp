@@ -52,6 +52,15 @@ bool is_read_first(SyncPolicy policy) {
          policy == SyncPolicy::kReadFirstPriority;
 }
 
+/// The reads ArrayController::read_groups issues for `groups`.
+int group_reads(const std::vector<Layout::DegradedGroup>& groups) {
+  int reads = 0;
+  for (const auto& group : groups)
+    reads += static_cast<int>(group.member_reads.size()) +
+             (group.parity.valid() ? 1 : 0);
+  return reads;
+}
+
 }  // namespace
 
 ArrayController::ArrayController(EventQueue& eq, const Config& config)
@@ -171,22 +180,25 @@ void ArrayController::disk_read(const PhysicalExtent& extent,
       return;
     }
     ++stats_.degraded_reads;
-    int ops = 0;
-    for (const auto& group : groups)
-      ops += static_cast<int>(group.member_reads.size()) +
-             (group.parity.valid() ? 1 : 0);
-    auto barrier = Barrier::create(eq_.op_arena(), ops, std::move(done));
-    for (const auto& group : groups) {
-      for (const auto& member : group.member_reads)
-        disk_read(member, priority,
-                  [barrier](SimTime t) { barrier->arrive(t); });
-      if (group.parity.valid())
-        disk_read(group.parity, priority,
-                  [barrier](SimTime t) { barrier->arrive(t); });
-    }
+    read_groups(groups, priority, std::move(done));
     return;
   }
   submit_op(extent, /*is_write=*/false, priority, std::move(done), 0);
+}
+
+void ArrayController::read_groups(
+    const std::vector<Layout::DegradedGroup>& groups, DiskPriority priority,
+    Barrier::Fire done) {
+  auto barrier =
+      Barrier::create(eq_.op_arena(), group_reads(groups), std::move(done));
+  for (const auto& group : groups) {
+    for (const auto& member : group.member_reads)
+      disk_read(member, priority,
+                [barrier](SimTime t) { barrier->arrive(t); });
+    if (group.parity.valid())
+      disk_read(group.parity, priority,
+                [barrier](SimTime t) { barrier->arrive(t); });
+  }
 }
 
 bool ArrayController::alternate_read_available(
@@ -226,21 +238,8 @@ bool ArrayController::issue_alternate_read(const PhysicalExtent& extent,
                                            Completion& done) {
   if (!alternate_read_available(extent)) return false;
   const auto groups = layout_->degraded_group(extent);
-  if (groups.empty()) return false;
-  int ops = 0;
-  for (const auto& group : groups)
-    ops += static_cast<int>(group.member_reads.size()) +
-           (group.parity.valid() ? 1 : 0);
-  if (ops == 0) return false;
-  auto barrier = Barrier::create(eq_.op_arena(), ops, std::move(done));
-  for (const auto& group : groups) {
-    for (const auto& member : group.member_reads)
-      disk_read(member, priority,
-                [barrier](SimTime t) { barrier->arrive(t); });
-    if (group.parity.valid())
-      disk_read(group.parity, priority,
-                [barrier](SimTime t) { barrier->arrive(t); });
-  }
+  if (group_reads(groups) == 0) return false;
+  read_groups(groups, priority, std::move(done));
   return true;
 }
 
@@ -497,10 +496,6 @@ void ArrayController::repair_media_error(const PhysicalExtent& extent,
     if (done) done(eq_.now());
     return;
   }
-  int reads = 0;
-  for (const auto& group : groups)
-    reads += static_cast<int>(group.member_reads.size()) +
-             (group.parity.valid() ? 1 : 0);
   auto rewrite = [this, extent, priority,
                   done = std::move(done)](SimTime) mutable {
     disk_write(extent, priority,
@@ -509,15 +504,7 @@ void ArrayController::repair_media_error(const PhysicalExtent& extent,
                  if (done) done(t);
                });
   };
-  auto barrier = Barrier::create(eq_.op_arena(), reads, std::move(rewrite));
-  for (const auto& group : groups) {
-    for (const auto& member : group.member_reads)
-      disk_read(member, priority,
-                [barrier](SimTime t) { barrier->arrive(t); });
-    if (group.parity.valid())
-      disk_read(group.parity, priority,
-                [barrier](SimTime t) { barrier->arrive(t); });
-  }
+  read_groups(groups, priority, std::move(rewrite));
 }
 
 bool ArrayController::holds_work() const {
@@ -648,23 +635,82 @@ ArrayController::AuditTap ArrayController::audit_data_write(
 }
 
 std::vector<ParityCover> ArrayController::parity_covers(
-    const ExtentList& writes,
-    const std::function<bool(const PhysicalExtent&)>& old_data_cached) const {
+    const DataPieces& pieces) const {
   std::vector<ParityCover> covers;
   if (auditor_ == nullptr) return covers;
-  for (const auto& w : writes) {
-    if (w.logical_start < 0) continue;
-    const bool cached = old_data_cached && old_data_cached(w);
-    for (int i = 0; i < w.block_count; ++i) {
+  for (std::size_t i = 0; i < pieces.extents.size(); ++i) {
+    const auto& piece = pieces.extents[i];
+    if (piece.logical_start < 0) continue;
+    for (int b = 0; b < piece.block_count; ++b) {
       ParityCover c;
-      c.block = w.logical_start + i;
+      c.block = piece.logical_start + b;
       c.gen = auditor_->current_gen(c.block);
-      c.assumed_old_gen = cached ? auditor_->old_copy_gen(c.block)
-                                 : auditor_->disk_gen(c.block);
+      c.assumed_old_gen = pieces.old_cached[i]
+                              ? auditor_->old_copy_gen(c.block)
+                              : auditor_->disk_gen(c.block);
       covers.push_back(c);
     }
   }
   return covers;
+}
+
+ArrayController::DataPieces ArrayController::data_pieces(
+    const ExtentList& writes, bool old_data_known) const {
+  DataPieces pieces;
+  for (const auto& w : writes)
+    for (const auto& piece : split_at_cylinders(w)) {
+      pieces.extents.push_back(piece);
+      const bool cached = old_data_known && old_data_cached(piece);
+      pieces.old_cached.push_back(cached ? 1 : 0);
+      if (!cached) ++pieces.reads;
+    }
+  return pieces;
+}
+
+void ArrayController::issue_rmw_data(const DataPieces& pieces,
+                                     const OpRef<Barrier>& read_barrier,
+                                     const OpRef<Barrier>& start_barrier,
+                                     const OpRef<Barrier>& completion) {
+  for (std::size_t i = 0; i < pieces.extents.size(); ++i) {
+    const auto& piece = pieces.extents[i];
+    Disk& disk = *disks_[static_cast<std::size_t>(piece.disk)];
+    DiskRequest req;
+    req.start_block = piece.start_block;
+    req.block_count = piece.block_count;
+    req.priority = DiskPriority::kNormal;
+    if (pieces.old_cached[i]) {
+      // Old content already buffered: plain in-place write.
+      req.kind = DiskOpKind::kWrite;
+    } else {
+      // Read the old data, rewrite a revolution later. The write phase
+      // needs nothing beyond the new data, which the controller already
+      // has, so its own gate is pre-opened.
+      req.kind = DiskOpKind::kReadModifyWrite;
+      req.gate = WriteGate::already_open(eq_.op_arena());
+      req.on_read_done = [read_barrier](SimTime t) {
+        read_barrier->arrive(t);
+      };
+    }
+    if (start_barrier)
+      req.on_start = [start_barrier](SimTime t) { start_barrier->arrive(t); };
+    auto tap = audit_data_write(
+        piece, [completion](SimTime t) { completion->arrive(t); });
+    req.on_complete = std::move(tap.on_complete);
+    req.on_power_fail = std::move(tap.on_power_fail);
+    disk.submit(std::move(req));
+  }
+}
+
+OpRef<Barrier> ArrayController::open_intent(const StripeUpdate& update,
+                                            int arrivals) {
+  if (!journal_ || crashed_ || !update.parity.valid() || update.writes.empty())
+    return nullptr;
+  // An intent still open at a crash marks its stripe for recovery resync.
+  const std::uint64_t id = journal_->open(update, eq_.now());
+  ++stats_.journal_intents;
+  return Barrier::create(eq_.op_arena(), arrivals, [this, id](SimTime t) {
+    if (journal_) journal_->close(id, t);
+  });
 }
 
 ExtentList ArrayController::split_at_cylinders(
@@ -691,10 +737,6 @@ bool ArrayController::rebuild_extent(const PhysicalExtent& extent,
                                      Completion done) {
   const auto groups = layout_->degraded_group(extent);
   if (groups.empty()) return false;
-  int reads = 0;
-  for (const auto& group : groups)
-    reads += static_cast<int>(group.member_reads.size()) +
-             (group.parity.valid() ? 1 : 0);
   const std::uint64_t span =
       obs_begin(tracer_, ObsPhase::kRebuild, array_index_, -1, eq_.now());
   if (span) {
@@ -717,15 +759,7 @@ bool ArrayController::rebuild_extent(const PhysicalExtent& extent,
     req.on_complete = std::move(done);
     replacement.submit(std::move(req));
   };
-  auto barrier = Barrier::create(eq_.op_arena(), reads, std::move(write_back));
-  for (const auto& group : groups) {
-    for (const auto& member : group.member_reads)
-      disk_read(member, priority,
-                [barrier](SimTime t) { barrier->arrive(t); });
-    if (group.parity.valid())
-      disk_read(group.parity, priority,
-                [barrier](SimTime t) { barrier->arrive(t); });
-  }
+  read_groups(groups, priority, std::move(write_back));
   return true;
 }
 
@@ -778,19 +812,13 @@ StripeUpdate ArrayController::degrade_update(const StripeUpdate& update) {
   return out;
 }
 
-void ArrayController::execute_update(
-    const StripeUpdate& update, DiskPriority data_priority, SyncPolicy sync,
-    const std::function<bool(const PhysicalExtent&)>& old_data_cached,
-    Completion done) {
-  if (journal_ && !crashed_ && update.parity.valid() &&
-      !update.writes.empty()) {
-    // Record the stripe-update intent before any disk I/O is issued; it
-    // retires only when the whole plan (data AND parity) has landed. An
-    // intent still open at a crash marks its stripe for recovery resync.
-    const std::uint64_t id = journal_->open(update, eq_.now());
-    ++stats_.journal_intents;
-    done = [this, id, done = std::move(done)](SimTime t) {
-      if (journal_) journal_->close(id, t);
+void ArrayController::execute_update(const StripeUpdate& update,
+                                     Completion done) {
+  // The intent retires only when the whole plan (data AND parity) has
+  // landed.
+  if (auto intent = open_intent(update, 1)) {
+    done = [intent, done = std::move(done)](SimTime t) {
+      intent->arrive(t);
       if (done) done(t);
     };
   }
@@ -801,20 +829,17 @@ void ArrayController::execute_update(
       if (done) done(eq_.now());
       return;
     }
-    execute_update_impl(degraded, data_priority, sync, old_data_cached,
-                        std::move(done));
+    execute_update_impl(degraded, std::move(done));
     return;
   }
-  execute_update_impl(update, data_priority, sync, old_data_cached,
-                      std::move(done));
+  execute_update_impl(update, std::move(done));
 }
 
-void ArrayController::execute_update_impl(
-    const StripeUpdate& update, DiskPriority data_priority, SyncPolicy sync,
-    const std::function<bool(const PhysicalExtent&)>& old_data_cached,
-    Completion done) {
-  const DiskPriority parity_priority =
-      parity_has_priority(sync) ? DiskPriority::kParity : data_priority;
+void ArrayController::execute_update_impl(const StripeUpdate& update,
+                                          Completion done) {
+  const DiskPriority parity_priority = parity_has_priority(sync_)
+                                           ? DiskPriority::kParity
+                                           : DiskPriority::kNormal;
 
   // ---- Plain-write plans: full stripes, Base/Mirror, reconstruct mode.
   if (update.reconstruct || update.full_stripe) {
@@ -824,13 +849,17 @@ void ArrayController::execute_update_impl(
     for (const auto& w : update.writes) {
       auto tap = audit_data_write(
           w, [completion](SimTime t) { completion->arrive(t); });
-      disk_write(w, data_priority, std::move(tap.on_complete),
+      disk_write(w, DiskPriority::kNormal, std::move(tap.on_complete),
                  std::move(tap.on_power_fail));
     }
     if (update.parity.valid()) {
       // The parity is recomputed from full content here, so its coverage
-      // advances unconditionally (no stale-delta poisoning).
-      auto covers = parity_covers(update.writes, nullptr);
+      // advances unconditionally (no stale-delta poisoning). Without an
+      // auditor the pieces are not even split.
+      std::vector<ParityCover> covers;
+      if (auditor_)
+        covers = parity_covers(
+            data_pieces(update.writes, /*old_data_known=*/false));
       auto parity_done = [this, covers = std::move(covers),
                           completion](SimTime t) {
         if (auditor_)
@@ -854,7 +883,7 @@ void ArrayController::execute_update_impl(
                          nullptr, ObsPhase::kWriteParity);
             });
         for (const auto& r : update.reconstruct_reads)
-          disk_read(r, data_priority,
+          disk_read(r, DiskPriority::kNormal,
                     [read_barrier](SimTime t) { read_barrier->arrive(t); });
       }
     }
@@ -864,9 +893,7 @@ void ArrayController::execute_update_impl(
   // ---- Read-modify-write plan (small writes).
   assert(update.parity.valid());
 
-  ExtentList data_pieces;
-  for (const auto& w : update.writes)
-    for (const auto& piece : split_at_cylinders(w)) data_pieces.push_back(piece);
+  const DataPieces data = data_pieces(update.writes, /*old_data_known=*/true);
   // The parity pieces outlive this frame inside issue_parity (and are
   // shared by up to two barriers), so they live in the op arena and the
   // lambdas carry an 8-byte handle.
@@ -874,40 +901,18 @@ void ArrayController::execute_update_impl(
       make_op<ExtentList>(eq_.op_arena(), split_at_cylinders(update.parity));
 
   const int total_ops =
-      static_cast<int>(data_pieces.size() + parity_pieces->size());
+      static_cast<int>(data.extents.size() + parity_pieces->size());
   auto completion = Barrier::create(eq_.op_arena(), total_ops, std::move(done));
 
   // The gate opens when the new parity is computable: every data piece
   // whose old content is not already in the controller must finish its
   // old-data read first.
   auto gate = make_op<WriteGate>(eq_.op_arena());
-  int gate_inputs = 0;
-  InlineVec<char, 16> piece_old_cached;
-  for (std::size_t i = 0; i < data_pieces.size(); ++i) {
-    piece_old_cached.push_back(old_data_cached(data_pieces[i]) ? 1 : 0);
-    if (!piece_old_cached[i]) ++gate_inputs;
-  }
 
   // Audit bookkeeping: the parity advances by an XOR delta computed
-  // against each block's old content -- the retained cache copy for
-  // cached pieces, the on-disk content (RMW read) otherwise. The covers
-  // are marked only when every parity piece has landed.
-  std::vector<ParityCover> covers;
-  if (auditor_) {
-    for (std::size_t i = 0; i < data_pieces.size(); ++i) {
-      const auto& piece = data_pieces[i];
-      if (piece.logical_start < 0) continue;
-      for (int b = 0; b < piece.block_count; ++b) {
-        ParityCover c;
-        c.block = piece.logical_start + b;
-        c.gen = auditor_->current_gen(c.block);
-        c.assumed_old_gen = piece_old_cached[i]
-                                ? auditor_->old_copy_gen(c.block)
-                                : auditor_->disk_gen(c.block);
-        covers.push_back(c);
-      }
-    }
-  }
+  // against each block's old content. The covers are marked only when
+  // every parity piece has landed.
+  auto covers = parity_covers(data);
   auto parity_remaining =
       make_op<int>(eq_.op_arena(), static_cast<int>(parity_pieces->size()));
 
@@ -935,13 +940,13 @@ void ArrayController::execute_update_impl(
     }
   };
 
-  const bool read_first = is_read_first(sync);
+  const bool read_first = is_read_first(sync_);
   auto read_barrier = Barrier::create(eq_.op_arena(),
-      gate_inputs, [gate, read_first, issue_parity](SimTime t) {
+      data.reads, [gate, read_first, issue_parity](SimTime t) {
         gate->open(t);
         if (read_first) issue_parity(t);
       });
-  if (gate_inputs == 0) {
+  if (data.reads == 0) {
     // No reads to wait for (all old data cached): open now and, for RF,
     // issue immediately.
     gate->open(eq_.now());
@@ -949,41 +954,14 @@ void ArrayController::execute_update_impl(
   }
 
   OpRef<Barrier> start_barrier;
-  if (is_disk_first(sync)) {
-    start_barrier =
-        Barrier::create(eq_.op_arena(), static_cast<int>(data_pieces.size()), issue_parity);
+  if (is_disk_first(sync_)) {
+    start_barrier = Barrier::create(
+        eq_.op_arena(), static_cast<int>(data.extents.size()), issue_parity);
   }
 
-  for (std::size_t i = 0; i < data_pieces.size(); ++i) {
-    const auto& piece = data_pieces[i];
-    Disk& disk = *disks_[static_cast<std::size_t>(piece.disk)];
-    DiskRequest req;
-    req.start_block = piece.start_block;
-    req.block_count = piece.block_count;
-    req.priority = data_priority;
-    if (piece_old_cached[i]) {
-      // Old content already buffered: plain in-place write.
-      req.kind = DiskOpKind::kWrite;
-    } else {
-      // Read the old data, rewrite a revolution later. The write phase
-      // needs nothing beyond the new data, which the controller already
-      // has, so its own gate is pre-opened.
-      req.kind = DiskOpKind::kReadModifyWrite;
-      req.gate = WriteGate::already_open(eq_.op_arena());
-      req.on_read_done = [read_barrier](SimTime t) {
-        read_barrier->arrive(t);
-      };
-    }
-    if (start_barrier)
-      req.on_start = [start_barrier](SimTime t) { start_barrier->arrive(t); };
-    auto tap = audit_data_write(
-        piece, [completion](SimTime t) { completion->arrive(t); });
-    req.on_complete = std::move(tap.on_complete);
-    req.on_power_fail = std::move(tap.on_power_fail);
-    disk.submit(std::move(req));
-  }
+  issue_rmw_data(data, read_barrier, start_barrier, completion);
 
-  if (sync == SyncPolicy::kSimultaneousIssue) issue_parity(eq_.now());
+  if (sync_ == SyncPolicy::kSimultaneousIssue) issue_parity(eq_.now());
 }
 
 }  // namespace raidsim

@@ -15,6 +15,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/small_function.hpp"
 #include "util/arena.hpp"
+#include "util/inline_vec.hpp"
 
 namespace raidsim {
 
@@ -390,18 +391,19 @@ class ArrayController {
                   PowerFail on_power_fail = nullptr,
                   ObsPhase phase = ObsPhase::kAuto);
 
-  /// Execute one parity-group update plan. `data_priority` applies to the
-  /// data accesses, and the parity access priority is raised for the /PR
-  /// policies. `old_data_cached(extent)` tells the engine whether the old
-  /// content of a data extent is already in the controller (cached
-  /// organizations retain old blocks), in which case the data access is a
-  /// plain write and the parity gate does not wait for it.
-  /// `done` fires once every access of the plan has completed.
-  void execute_update(const StripeUpdate& update, DiskPriority data_priority,
-                      SyncPolicy sync,
-                      const std::function<bool(const PhysicalExtent&)>&
-                          old_data_cached,
-                      Completion done);
+  /// Execute one parity-group update plan under the configured sync
+  /// policy (the parity access priority is raised for the /PR policies).
+  /// A data piece whose old content old_data_cached() reports is written
+  /// plainly and the parity gate does not wait for it. `done` fires once
+  /// every access of the plan has completed.
+  void execute_update(const StripeUpdate& update, Completion done);
+
+  /// True when the old content of a data extent is already in the
+  /// controller (cached organizations retain old blocks), so updating
+  /// its parity needs no old-data read. The base controller keeps none.
+  virtual bool old_data_cached(const PhysicalExtent& /*extent*/) const {
+    return false;
+  }
 
   /// Split an extent at cylinder boundaries (RMW accesses must not cross
   /// a cylinder).
@@ -412,24 +414,57 @@ class ArrayController {
     return static_cast<std::int64_t>(blocks) * disk_geometry_.block_bytes();
   }
 
-  EventQueue& eq_;
-  DiskGeometry disk_geometry_;
-  SeekModel seek_model_;
-  std::unique_ptr<Layout> layout_;
-  std::vector<std::unique_ptr<Disk>> disks_;
-  std::unique_ptr<Channel> channel_;
-  std::unique_ptr<BufferPool> buffers_;
+  // ------------------------------------------------------ plan steps
+  // Every plan shape (small-write RMW, the sync policies, RAID4 parity
+  // caching, degraded and repair reads) is assembled from these.
+
+  /// Read every surviving member of `groups` and then its parity, group
+  /// by group; `done` fires once all of them are in the controller.
+  void read_groups(const std::vector<Layout::DegradedGroup>& groups,
+                   DiskPriority priority, Barrier::Fire done);
+
+  /// Record the stripe-update intent of `update` in the attached journal
+  /// before any of its disk I/O is issued. Returns a barrier expecting
+  /// `arrivals` that retires the intent, or null when nothing was
+  /// recorded (no journal, a crashed controller, or no parity to keep in
+  /// step with the data).
+  OpRef<Barrier> open_intent(const StripeUpdate& update, int arrivals);
+
+  /// The data accesses of a small-write plan: its writes split at
+  /// cylinder boundaries, each flagged when old_data_cached() holds for
+  /// it.
+  struct DataPieces {
+    ExtentList extents;
+    InlineVec<char, 16> old_cached;  // per extent
+    int reads = 0;  // extents whose old data an RMW pass must read
+  };
+  /// `old_data_known == false` flags every piece uncached without asking.
+  DataPieces data_pieces(const ExtentList& writes, bool old_data_known) const;
+
+  /// Issue one disk access per data piece at normal priority: a plain
+  /// write when its old content is cached, otherwise a read-modify-write
+  /// (its write gate pre-opened: the new data are already here) whose
+  /// read phase arrives at `read_barrier`. `start_barrier` (DF only, may
+  /// be null) hears each access acquire its disk, `completion` each one
+  /// land. Each access is wrapped in the audit tap.
+  void issue_rmw_data(const DataPieces& pieces,
+                      const OpRef<Barrier>& read_barrier,
+                      const OpRef<Barrier>& start_barrier,
+                      const OpRef<Barrier>& completion);
+
+  /// Build the parity-cover records for the data pieces of an update:
+  /// which generation each block's parity delta was computed against
+  /// (the retained old copy for cached pieces, the on-disk content for
+  /// pieces whose old data the RMW pass reads). Empty without an auditor.
+  std::vector<ParityCover> parity_covers(const DataPieces& pieces) const;
+
   /// Rewrite an update plan for single-failure operation: writes to the
   /// failed disk are dropped and replaced by a reconstruct-style parity
   /// update over the surviving members; a failed parity disk simply
   /// stops being maintained.
   StripeUpdate degrade_update(const StripeUpdate& update);
 
-  void execute_update_impl(const StripeUpdate& update,
-                           DiskPriority data_priority, SyncPolicy sync,
-                           const std::function<bool(const PhysicalExtent&)>&
-                               old_data_cached,
-                           Completion done);
+  void execute_update_impl(const StripeUpdate& update, Completion done);
 
   /// Fault-aware submission of a plain read/write: installs the
   /// transient-retry and media-repair handlers around the disk op.
@@ -452,18 +487,17 @@ class ArrayController {
   AuditTap audit_data_write(const PhysicalExtent& extent,
                             Completion inner);
 
-  /// Build the parity-cover records for the data extents of an update:
-  /// which generation each block's parity delta was computed against
-  /// (the retained old copy for cached pieces, the on-disk content for
-  /// pieces whose old data the RMW pass reads). Empty without an auditor.
-  std::vector<ParityCover> parity_covers(
-      const ExtentList& writes,
-      const std::function<bool(const PhysicalExtent&)>& old_data_cached)
-      const;
   void handle_retry_exhaustion(const PhysicalExtent& extent, bool is_write,
                                DiskPriority priority,
                                Completion done, SimTime now);
 
+  EventQueue& eq_;
+  DiskGeometry disk_geometry_;
+  SeekModel seek_model_;
+  std::unique_ptr<Layout> layout_;
+  std::vector<std::unique_ptr<Disk>> disks_;
+  std::unique_ptr<Channel> channel_;
+  std::unique_ptr<BufferPool> buffers_;
   SyncPolicy sync_;
   ControllerStats stats_;
   FaultPolicy fault_;

@@ -88,11 +88,8 @@ void UncachedController::submit_write(const ArrayRequest& request,
             buffers_->release();
             ctx->done(t);
           });
-      auto never_cached = [](const PhysicalExtent&) { return false; };
-      for (const auto& plan : plans) {
-        execute_update(plan, DiskPriority::kNormal, sync_, never_cached,
-                       [barrier](SimTime t) { barrier->arrive(t); });
-      }
+      for (const auto& plan : plans)
+        execute_update(plan, [barrier](SimTime t) { barrier->arrive(t); });
     });
   });
 }

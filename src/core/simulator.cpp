@@ -357,6 +357,10 @@ void Simulator::run_shard(Shard& shard) {
     disks += array.controller->disks().size();
   shard.eq.reserve(8 * disks + 64);
   pump(shard);
+  drain(shard);
+}
+
+void Simulator::drain(Shard& shard) {
   // Cancellation, progress and the stranded check share one batch
   // boundary, so none of them taxes the per-event hot path.
   for (;;) {
@@ -507,15 +511,11 @@ Metrics Simulator::drain_and_finalize() {
         "Simulator: drain_and_finalize() requires shards = 0");
   if (ran_) throw std::logic_error("Simulator: already ran/finalized");
   ran_ = true;
-  // Let in-flight work (and background destage of it) complete, then
-  // stop the periodic timers and drain.
+  // Let in-flight work (and background destage of it) complete; the last
+  // response stops the periodic timers, then the queue drains.
   Shard& shard = *shards_[0];
-  shard.feed_done = true;
-  while (shard.outstanding > 0 && shard.eq.step()) {
-  }
-  if (shard.outstanding == 0) quiesce(shard);
-  while (shard.eq.step()) {
-  }
+  end_feed(shard);
+  drain(shard);
   return finalize();
 }
 

@@ -87,7 +87,8 @@ class Simulator {
 
   /// End an externally driven run: stop periodic background processes,
   /// drain the remaining events, and build the metrics. `shards = 0`
-  /// only; throws std::logic_error otherwise.
+  /// only; throws std::logic_error otherwise, and StrandedRequestsError
+  /// (as run() does) when submitted requests can no longer complete.
   Metrics drain_and_finalize();
 
   int arrays() const { return static_cast<int>(controllers_.size()); }
@@ -176,6 +177,11 @@ class Simulator {
   void schedule_sample_tick(Shard& shard);
   void take_sample(Shard& shard);
   void run_shard(Shard& shard);
+  /// Run the shard's queue dry in batches, polling cancellation and
+  /// progress between them and stopping the periodic timers once the
+  /// shard is stranded. Throws StrandedRequestsError when host requests
+  /// remain outstanding.
+  void drain(Shard& shard);
   void publish(Shard& shard);
   void maybe_emit_progress(bool final_frame);
   Metrics finalize();

@@ -146,6 +146,46 @@ TEST(Simulator, StrandedRequestsFailLoudly) {
   }
 }
 
+TEST(Simulator, DrainAndFinalizeFailsLoudlyWhenStranded) {
+  // The two crash repros above, driven through submit() and
+  // drain_and_finalize() (the closed-loop and drill path): an unrestarted
+  // crash strands all three requests; a crash that eats the first read
+  // and restarts strands one, and the restarted destage timer must not
+  // keep the drain ticking forever.
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cached" : "uncached");
+    SimulationConfig config;
+    config.organization = cached ? Organization::kRaid5 : Organization::kBase;
+    config.cached = cached;
+    config.array_data_disks = cached ? 4 : 2;
+    const TraceGeometry geo{config.array_data_disks, 1000};
+    Simulator sim(config, geo);
+    EventQueue& eq = sim.event_queue();
+    double arrival = 0.0;
+    for (const TraceRecord& r : {TraceRecord{0.0, 0, 1, false},
+                                 TraceRecord{5.0, 1500, 1, true},
+                                 TraceRecord{5.0, 10, 2, false}}) {
+      arrival += r.delta_ms;
+      eq.schedule_at(arrival, [&sim, r] { sim.submit(r); });
+    }
+    eq.schedule_at(1.0, [&sim, cached] {
+      sim.mutable_controller(0).crash_halt(cached);
+    });
+    if (cached)
+      eq.schedule_at(2.0,
+                     [&sim] { sim.mutable_controller(0).crash_restart(); });
+    // Submit everything before the drain, as a closed-loop driver does.
+    while (eq.now() < arrival && eq.step()) {
+    }
+    try {
+      sim.drain_and_finalize();
+      ADD_FAILURE() << "expected StrandedRequestsError";
+    } catch (const StrandedRequestsError& e) {
+      EXPECT_EQ(e.stranded(), cached ? 1u : 3u);
+    }
+  }
+}
+
 TEST(Simulator, StrandedCachedRunEnds) {
   // The crash eats the first read; the controller restarts and serves the
   // rest. Once the trace is done and the write is destaged, nothing can

@@ -173,7 +173,8 @@ TEST_F(ServiceSocketTest, NonReadingSubscriberDoesNotBlockJobs) {
     job.workload.scale = 0.02;
     job.workload.seed = 20 + i;
     job.no_cache = true;
-    job.id = "j" + std::to_string(i);
+    job.id = "j";  // appended: see ResultCache.ConcurrentMixedAccessIsSafe
+    job.id += std::to_string(i);
     EXPECT_EQ(status_of(worker.request(encode_job_request(job))), "ok");
   }
 }
