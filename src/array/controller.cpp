@@ -166,7 +166,7 @@ int ArrayController::choose_mirror_read_disk(const PhysicalExtent& extent) {
 
 void ArrayController::disk_read(const PhysicalExtent& extent,
                                 DiskPriority priority,
-                                Completion done) {
+                                Completion done, bool repair_read) {
   assert(extent.valid());
   if (is_degraded(extent)) {
     // Reconstruct the content from the surviving members of the parity
@@ -180,24 +180,25 @@ void ArrayController::disk_read(const PhysicalExtent& extent,
       return;
     }
     ++stats_.degraded_reads;
-    read_groups(groups, priority, std::move(done));
+    read_groups(groups, priority, std::move(done), repair_read);
     return;
   }
-  submit_op(extent, /*is_write=*/false, priority, std::move(done), 0);
+  submit_op(extent, /*is_write=*/false, priority, std::move(done), 0,
+            nullptr, ObsPhase::kAuto, repair_read);
 }
 
 void ArrayController::read_groups(
     const std::vector<Layout::DegradedGroup>& groups, DiskPriority priority,
-    Barrier::Fire done) {
+    Barrier::Fire done, bool repair_read) {
   auto barrier =
       Barrier::create(eq_.op_arena(), group_reads(groups), std::move(done));
   for (const auto& group : groups) {
     for (const auto& member : group.member_reads)
       disk_read(member, priority,
-                [barrier](SimTime t) { barrier->arrive(t); });
+                [barrier](SimTime t) { barrier->arrive(t); }, repair_read);
     if (group.parity.valid())
       disk_read(group.parity, priority,
-                [barrier](SimTime t) { barrier->arrive(t); });
+                [barrier](SimTime t) { barrier->arrive(t); }, repair_read);
   }
 }
 
@@ -374,7 +375,8 @@ void ArrayController::submit_op(const PhysicalExtent& extent, bool is_write,
                                 Completion done,
                                 int attempt,
                                 PowerFail on_power_fail,
-                                ObsPhase phase) {
+                                ObsPhase phase,
+                                bool repair_read) {
   // A crashed controller issues nothing; the host request this op served
   // died with the crash (its completion simply never fires).
   if (crashed_) return;
@@ -387,7 +389,7 @@ void ArrayController::submit_op(const PhysicalExtent& extent, bool is_write,
       if (done) done(eq_.now());
       return;
     }
-    disk_read(extent, priority, std::move(done));
+    disk_read(extent, priority, std::move(done), repair_read);
     return;
   }
   Disk& disk = *disks_[static_cast<std::size_t>(extent.disk)];
@@ -401,6 +403,7 @@ void ArrayController::submit_op(const PhysicalExtent& extent, bool is_write,
     DiskPriority priority = DiskPriority::kNormal;
     int attempt = 0;
     ObsPhase phase = ObsPhase::kAuto;
+    bool repair_read = false;
     Completion done;
     PowerFail on_power_fail;
   };
@@ -410,6 +413,7 @@ void ArrayController::submit_op(const PhysicalExtent& extent, bool is_write,
   ctx->priority = priority;
   ctx->attempt = attempt;
   ctx->phase = phase;
+  ctx->repair_read = repair_read;
   ctx->done = std::move(done);
   ctx->on_power_fail = std::move(on_power_fail);
   DiskRequest req;
@@ -430,6 +434,19 @@ void ArrayController::submit_op(const PhysicalExtent& extent, bool is_write,
     FaultCtx& c = *ctx;
     if (error == DiskError::kMedia && !c.is_write) {
       ++stats_.media_errors;
+      if (c.repair_read && shares_group_with_media_error(c.extent)) {
+        // A reconstruction read hit a second latent error in a group
+        // that holds another: a double fault. The block cannot be
+        // reconstructed, so it is remapped with its content lost and the
+        // repair completes, instead of starting a repair that would read
+        // the first bad block again, and so on forever.
+        ++stats_.media_losses;
+        ++stats_.unrecoverable;
+        disks_[static_cast<std::size_t>(c.extent.disk)]->clear_media_errors(
+            c.extent.start_block, c.extent.block_count);
+        if (c.done) c.done(t);
+        return;
+      }
       // The data are reconstructed from the group and rewritten in
       // place (sector remap); the reconstruction also serves the read.
       repair_media_error(c.extent, c.priority, std::move(c.done));
@@ -444,7 +461,8 @@ void ArrayController::submit_op(const PhysicalExtent& extent, bool is_write,
         --retries_pending_;
         FaultCtx& c = *ctx;
         submit_op(c.extent, c.is_write, c.priority, std::move(c.done),
-                  c.attempt + 1, std::move(c.on_power_fail), c.phase);
+                  c.attempt + 1, std::move(c.on_power_fail), c.phase,
+                  c.repair_read);
       });
       return;
     }
@@ -504,7 +522,26 @@ void ArrayController::repair_media_error(const PhysicalExtent& extent,
                  if (done) done(t);
                });
   };
-  read_groups(groups, priority, std::move(rewrite));
+  read_groups(groups, priority, std::move(rewrite), /*repair_read=*/true);
+}
+
+bool ArrayController::shares_group_with_media_error(
+    const PhysicalExtent& extent) const {
+  const Disk& disk = *disks_[static_cast<std::size_t>(extent.disk)];
+  const auto bad = [this](const PhysicalExtent& e) {
+    return e.valid() && disks_[static_cast<std::size_t>(e.disk)]
+                            ->has_media_error(e.start_block, e.block_count);
+  };
+  for (int i = 0; i < extent.block_count; ++i) {
+    const PhysicalExtent block{extent.disk, extent.start_block + i, 1};
+    if (!disk.has_media_error(block.start_block, 1)) continue;
+    for (const auto& group : layout_->degraded_group(block)) {
+      if (bad(group.parity)) return true;
+      for (const auto& member : group.member_reads)
+        if (bad(member)) return true;
+    }
+  }
+  return false;
 }
 
 bool ArrayController::holds_work() const {

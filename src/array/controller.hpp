@@ -258,7 +258,10 @@ class ArrayController {
   /// the surviving members of its parity group (or the mirror twin) and
   /// rewrite it on its own disk, remapping the bad sectors. Without
   /// redundancy the data are lost (counted) and the blocks remapped
-  /// empty. `done` fires when the rewrite (or loss accounting) is done.
+  /// empty. A second latent error in the same parity group, hit by a
+  /// reconstruction read, is a double fault: that block is counted lost
+  /// the same way and the repair completes. `done` fires when the
+  /// rewrite (or loss accounting) is done.
   void repair_media_error(const PhysicalExtent& extent, DiskPriority priority,
                           Completion done);
 
@@ -378,9 +381,11 @@ class ArrayController {
   /// Issue a plain read of `extent`; `done` fires when the data are in
   /// the controller (before any channel transfer). Extents on the failed
   /// disk are transparently reconstructed from the surviving members of
-  /// their parity group.
+  /// their parity group. A `repair_read` serves repair_media_error's
+  /// reconstruction: a latent error it hits in a group that holds
+  /// another is a double fault, counted as a loss instead of repaired.
   void disk_read(const PhysicalExtent& extent, DiskPriority priority,
-                 Completion done);
+                 Completion done, bool repair_read = false);
 
   /// Issue a plain write of `extent`; `done` fires when it is on disk.
   /// `on_power_fail` (optional) is invoked instead when a crash kills the
@@ -420,8 +425,11 @@ class ArrayController {
 
   /// Read every surviving member of `groups` and then its parity, group
   /// by group; `done` fires once all of them are in the controller.
+  /// `repair_read` marks them as a media repair's reconstruction reads
+  /// (see disk_read).
   void read_groups(const std::vector<Layout::DegradedGroup>& groups,
-                   DiskPriority priority, Barrier::Fire done);
+                   DiskPriority priority, Barrier::Fire done,
+                   bool repair_read = false);
 
   /// Record the stripe-update intent of `update` in the attached journal
   /// before any of its disk I/O is issued. Returns a barrier expecting
@@ -466,13 +474,18 @@ class ArrayController {
 
   void execute_update_impl(const StripeUpdate& update, Completion done);
 
+  /// True when a latent-error block of `extent` shares its parity group
+  /// with another latent-error block, so neither can be reconstructed.
+  bool shares_group_with_media_error(const PhysicalExtent& extent) const;
+
   /// Fault-aware submission of a plain read/write: installs the
   /// transient-retry and media-repair handlers around the disk op.
   void submit_op(const PhysicalExtent& extent, bool is_write,
                  DiskPriority priority, Completion done,
                  int attempt,
                  PowerFail on_power_fail = nullptr,
-                 ObsPhase phase = ObsPhase::kAuto);
+                 ObsPhase phase = ObsPhase::kAuto,
+                 bool repair_read = false);
 
   /// Audit instrumentation for one data-write extent: the returned
   /// callbacks wrap the disk op so the auditor learns exactly which

@@ -56,14 +56,14 @@ struct SimulationConfig {
   bool intent_journal = false;
 
   /// Intra-run sharding (core/simulator.hpp). 0 = one event kernel that
-  /// streams the trace and stops every array's destage timer when the
-  /// run's last request completes. >= 1 partitions the arrays of THIS
-  /// run into that many independent event kernels executed on a thread
-  /// pool (clamped to the array count), reads the trace up front, and
-  /// stops each array's destage timer at that array's last response;
-  /// merged metrics are bit-identical at any shard/thread count >= 1, and
-  /// differ from shards = 0 only in the destage tail (see
-  /// docs/performance.md).
+  /// stops every array's destage timer when the run's last request
+  /// completes. >= 1 partitions the arrays of THIS run into that many
+  /// independent event kernels executed on a thread pool (clamped to the
+  /// array count) and stops each array's destage timer at that array's
+  /// last response; merged metrics are bit-identical at any shard/thread
+  /// count >= 1, and differ from shards = 0 only in the destage tail (see
+  /// docs/performance.md). Every shard count streams the trace through
+  /// the same bounded windowed feed.
   int shards = 0;
   /// Worker threads for shards >= 1; 0 = min(shards, hardware
   /// concurrency). Thread count never changes results, only wall time.

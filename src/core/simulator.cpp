@@ -5,6 +5,7 @@
 #include <exception>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "array/cached_controller.hpp"
 #include "array/uncached_controller.hpp"
@@ -33,13 +34,20 @@ EngineMetrics& engine_metrics() {
   return metrics;
 }
 
+/// Records the reader routes per refill, per shard: 128 KB of window a
+/// shard (32 bytes a record), 53 K records a refill for the 13 arrays of
+/// trace 1. Small enough that a one-shard run's footprint barely moves,
+/// large enough that epochs -- one pool launch and at most one park per
+/// shard each -- stay few.
+constexpr std::size_t kWindowPerShard = 4096;
+
 }  // namespace
 
 /// One trace record routed to a shard, fully resolved on the reading
 /// thread: absolute arrival time (summed in global record order) and
 /// array-local addressing, so the shard kernel never touches global
 /// routing state.
-struct Simulator::ShardRecord {
+struct Simulator::FeedRecord {
   SimTime arrival = 0.0;
   std::int64_t local_block = 0;
   int local_array = 0;  // index into the owning shard's arrays
@@ -58,9 +66,16 @@ struct Simulator::ArrayState {
   LatencyRecorder response_read;
   LatencyRecorder response_write;
   std::uint64_t requests = 0;
-  /// Per-array quiescence only: records routed here and not yet
-  /// completed; reaching zero stops this array's background machinery.
+  std::uint64_t outstanding = 0;  // host requests submitted, not completed
+  /// Records the reader has routed here whose response has not come back
+  /// (only per-array quiescence takes responses off it). Zero with the
+  /// feed done means the last response has been seen.
   std::uint64_t remaining = 0;
+  /// Per-array quiescence: `remaining` is zero but the feed is not done,
+  /// so whether the last response has been seen waits for the reader.
+  /// Every array starts undecided: none has a record before the first
+  /// refill.
+  bool undecided = false;
 };
 
 struct Simulator::Shard {
@@ -68,11 +83,14 @@ struct Simulator::Shard {
   std::unique_ptr<Tracer> tracer;
   std::unique_ptr<TimeSeriesSampler> sampler;
   EventId sampler_event = 0;
-  std::vector<ArrayState> arrays;    // global arrays s, s + S, s + 2S, ...
-  std::vector<ShardRecord> records;  // per-array quiescence feed
-  std::size_t cursor = 0;            // next record to dispatch
+  std::vector<ArrayState> arrays;  // global arrays s, s + S, s + 2S, ...
+  std::vector<FeedRecord> window;  // routed by the reader, in arrival order
+  std::size_t cursor = 0;          // next window record to dispatch
   std::uint64_t outstanding = 0;
-  bool feed_done = false;            // every record of the shard dispatched
+  bool feed_done = false;     // every record of the shard dispatched
+  bool pump_pending = true;   // the next arrival waits for the reader
+  bool parked = false;        // stopped until the reader has refilled
+  bool finished = false;      // queue drained with the feed done
 
   // Progress publication: written by the owning shard thread at its
   // batch boundary (relaxed), read by whichever thread aggregates a
@@ -132,6 +150,7 @@ Simulator::Simulator(const SimulationConfig& config,
     state.controller = controllers_.back().get();
     state.shard = &shard;
     state.index = a;
+    state.undecided = per_array_quiescence_;
     shard.arrays.push_back(std::move(state));
   }
 
@@ -189,54 +208,78 @@ void Simulator::validate_record(const TraceRecord& record) const {
     throw std::out_of_range("Simulator: request outside the database");
 }
 
-void Simulator::load_records(TraceStream& trace) {
+void Simulator::refill(TraceStream& trace, Feed& feed) {
+  // Drop what each shard has dispatched; a scheduled but not yet
+  // dispatched arrival is at the cursor, which moves to the front with it.
+  for (auto& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
+    shard.window.erase(shard.window.begin(),
+                       shard.window.begin() +
+                           static_cast<std::ptrdiff_t>(shard.cursor));
+    shard.cursor = 0;
+  }
   // Arrival times are a prefix sum over the GLOBAL record order, so the
   // floating-point arrival of each request is independent of the
   // partition.
   const std::size_t shard_count = shards_.size();
-  if (const std::uint64_t hint = trace.size_hint()) {
-    const auto per_shard = static_cast<std::size_t>(hint / shard_count + 1);
-    for (auto& shard : shards_) shard->records.reserve(per_shard);
-  }
-  double arrival = 0.0;
-  while (auto rec = trace.next()) {
+  for (std::size_t n = 0; n < kWindowPerShard * shard_count; ++n) {
+    auto rec = trace.next();
+    if (!rec) {
+      feed_done_ = true;
+      progress_total_ = feed.records;
+      return;
+    }
     if (validate_records_) validate_record(*rec);
-    arrival += rec->delta_ms;
+    feed.arrival += rec->delta_ms;
+    ++feed.records;
     const auto [array, local_block] = route(rec->block);
     const auto a = static_cast<std::size_t>(array);
     Shard& shard = *shards_[a % shard_count];
-    ShardRecord out;
-    out.arrival = arrival;
+    FeedRecord out;
+    out.arrival = feed.arrival;
     out.local_block = local_block;
     out.local_array = static_cast<int>(a / shard_count);
     out.block_count = rec->block_count;
     out.is_write = rec->is_write;
-    shard.records.push_back(out);
+    shard.window.push_back(out);
     ++shard.arrays[a / shard_count].remaining;
-    ++progress_total_;
   }
 }
 
-void Simulator::pump(Shard& shard) {
-  if (per_array_quiescence_) {
-    if (shard.cursor == shard.records.size()) return end_feed(shard);
-    shard.eq.schedule_at(shard.records[shard.cursor].arrival, [this, &shard] {
-      const ShardRecord& r = shard.records[shard.cursor++];
-      dispatch(shard.arrays[static_cast<std::size_t>(r.local_array)],
-               r.local_block, r.block_count, r.is_write, nullptr);
-      pump(shard);
-    });
-    return;
+void Simulator::park(Shard& shard) {
+  shard.parked = true;
+  shard.eq.stop();
+}
+
+bool Simulator::settle(Shard& shard) {
+  bool settled = true;
+  for (auto& array : shard.arrays) {
+    if (!array.undecided) continue;
+    if (array.remaining > 0) {
+      array.undecided = false;  // the refill brought it more records
+    } else if (feed_done_) {
+      array.undecided = false;  // its last response has come
+      array.controller->shutdown();
+    } else {
+      settled = false;
+    }
   }
-  // Streaming feed: one shard holds every array.
-  auto record = stream_->next();
-  if (!record) return end_feed(shard);
-  if (validate_records_) validate_record(*record);
-  arrival_time_ += record->delta_ms;
-  shard.eq.schedule_at(arrival_time_, [this, &shard, rec = *record] {
-    const auto [array, local_block] = route(rec.block);
-    dispatch(shard.arrays[static_cast<std::size_t>(array)], local_block,
-             rec.block_count, rec.is_write, nullptr);
+  return settled;
+}
+
+void Simulator::pump(Shard& shard) {
+  if (shard.cursor == shard.window.size()) {
+    if (feed_done_) return end_feed(shard);
+    // The next record is still in the trace. Stop before any other event
+    // runs, so that the refill schedules the arrival with the sequence
+    // number it would have taken here.
+    shard.pump_pending = true;
+    return park(shard);
+  }
+  shard.eq.schedule_at(shard.window[shard.cursor].arrival, [this, &shard] {
+    const FeedRecord& r = shard.window[shard.cursor++];
+    dispatch(shard.arrays[static_cast<std::size_t>(r.local_array)],
+             r.local_block, r.block_count, r.is_write, nullptr);
     pump(shard);
   });
 }
@@ -261,6 +304,7 @@ void Simulator::dispatch(ArrayState& array, std::int64_t local_block,
   request.obs_id =
       obs_begin(shard.tracer.get(), host_phase, array.index, -1, arrival);
   ++shard.outstanding;
+  ++array.outstanding;
   array.controller->submit(
       request, [this, &array, arrival, is_write, host_phase,
                 obs_id = request.obs_id,
@@ -271,8 +315,18 @@ void Simulator::dispatch(ArrayState& array, std::int64_t local_block,
         array.response_all.add(response);
         (is_write ? array.response_write : array.response_read).add(response);
         ++array.requests;
-        if (per_array_quiescence_ && --array.remaining == 0)
-          array.controller->shutdown();
+        --array.outstanding;
+        if (per_array_quiescence_ && --array.remaining == 0) {
+          if (feed_done_) {
+            array.controller->shutdown();
+          } else {
+            // Last response or not, only the reader can tell: nothing
+            // else may run before it has. shutdown() only cancels the
+            // destage tick, so deciding after this callback is exact.
+            array.undecided = true;
+            park(shard);
+          }
+        }
         if (--shard.outstanding == 0 && shard.feed_done) quiesce(shard);
         if (on_complete) on_complete(t);
       });
@@ -349,15 +403,14 @@ void Simulator::run_shard(Shard& shard) {
     explicit OwnerGuard(OpArena& a) : arena(a) { arena.bind_owner(); }
     ~OwnerGuard() { arena.release_owner(); }
   } owner_guard(shard.eq.op_arena());
-  // Warm the kernel: slot table sized to the steady-state event
-  // population (a few in-flight events per disk), so the hot path never
-  // reallocates mid-run.
-  std::size_t disks = 0;
-  for (const auto& array : shard.arrays)
-    disks += array.controller->disks().size();
-  shard.eq.reserve(8 * disks + 64);
-  pump(shard);
-  drain(shard);
+  shard.parked = false;
+  if (!settle(shard)) return;  // an array still waits for the reader
+  if (shard.pump_pending) {
+    shard.pump_pending = false;
+    pump(shard);
+  }
+  if (!shard.parked) drain(shard);
+  shard.finished = !shard.parked;
 }
 
 void Simulator::drain(Shard& shard) {
@@ -369,13 +422,69 @@ void Simulator::drain(Shard& shard) {
     const std::uint64_t ran = shard.eq.run(kCancelCheckBatch);
     publish(shard);
     if (progress_) maybe_emit_progress(false);
-    if (ran < kCancelCheckBatch) break;
+    if (shard.parked || ran < kCancelCheckBatch) return;
     // Nothing left could complete the outstanding requests, but a
     // periodic timer would keep the queue ticking forever: stop it so
-    // the queue drains and the check below reports the stranded count.
+    // the queue drains and check_stranded() reports what is left.
     if (stranded(shard)) quiesce(shard);
   }
-  if (shard.outstanding != 0) throw StrandedRequestsError(shard.outstanding);
+}
+
+void Simulator::check_stranded() {
+  std::uint64_t total = 0;
+  int first = -1;
+  for (int a = 0; a < arrays(); ++a) {
+    const std::uint64_t left = array_state(a).outstanding;
+    if (left != 0 && first < 0) first = a;
+    total += left;
+  }
+  if (total != 0)
+    throw StrandedRequestsError(total, first, array_state(first).outstanding);
+}
+
+void Simulator::run_epoch() {
+  std::vector<std::size_t> runnable;  // indices into shards_
+  for (std::size_t s = 0; s < shards_.size(); ++s)
+    if (!shards_[s]->finished) runnable.push_back(s);
+  // Fullest window first, so the epoch's last shard to finish is a short
+  // one. Which thread runs a shard never changes its results.
+  const auto backlog = [this](std::size_t s) {
+    return shards_[s]->window.size() - shards_[s]->cursor;
+  };
+  std::stable_sort(runnable.begin(), runnable.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return backlog(a) > backlog(b);
+                   });
+  std::vector<std::exception_ptr> errors(shards_.size());
+  std::mutex queue_mutex;
+  std::size_t next = 0;
+  auto worker = [&] {
+    for (;;) {
+      std::size_t s = 0;
+      {
+        std::lock_guard<std::mutex> lock(queue_mutex);
+        if (next == runnable.size()) return;
+        s = runnable[next++];
+      }
+      try {
+        run_shard(*shards_[s]);
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t pool = std::min<std::size_t>(
+      static_cast<std::size_t>(thread_count_), runnable.size());
+  {
+    // The coordinating thread is one of the workers; the jthreads join
+    // before the errors are looked at, on every path.
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 1; t < pool; ++t) helpers.emplace_back(worker);
+    worker();
+  }
+  // First failure by shard order, the SweepRunner discipline.
+  for (auto& error : errors)
+    if (error) std::rethrow_exception(error);
 }
 
 void Simulator::publish(Shard& shard) {
@@ -441,51 +550,33 @@ Metrics Simulator::run(TraceStream& trace) {
     throw std::invalid_argument("Simulator: trace geometry mismatch");
 
   validate_records_ = !trace.prevalidated();
-  if (per_array_quiescence_) {
-    load_records(trace);
-    // Arrays the trace never touches quiesce at once: no response of
-    // theirs will ever stop their destage timers.
-    for (auto& shard : shards_)
-      for (auto& array : shard->arrays)
-        if (array.remaining == 0) array.controller->shutdown();
-  } else {
-    stream_ = &trace;
-    progress_total_ = trace.size_hint();
+  progress_total_ = trace.size_hint();
+  for (auto& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
+    // Warm the kernel: slot table sized to the steady-state event
+    // population (a few in-flight events per disk), so the hot path
+    // never reallocates mid-run.
+    std::size_t disks = 0;
+    for (const auto& array : shard.arrays)
+      disks += array.controller->disks().size();
+    shard.eq.reserve(8 * disks + 64);
+    shard.window.reserve(kWindowPerShard);
   }
 
-  std::vector<std::exception_ptr> errors(shards_.size());
-  std::mutex queue_mutex;
-  std::size_t next = 0;
-  auto worker = [&] {
-    for (;;) {
-      std::size_t index;
-      {
-        std::lock_guard<std::mutex> lock(queue_mutex);
-        if (next >= shards_.size()) return;
-        index = next++;
-      }
-      try {
-        run_shard(*shards_[index]);
-      } catch (...) {
-        errors[index] = std::current_exception();
-      }
-    }
-  };
-  const std::size_t pool = std::min<std::size_t>(
-      static_cast<std::size_t>(thread_count_), shards_.size());
-  if (pool <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
-  stream_ = nullptr;
-
-  // First failure by shard order, the SweepRunner discipline.
-  for (auto& error : errors)
-    if (error) std::rethrow_exception(error);
+  // Epochs: the reader refills the windows on this thread, then every
+  // unfinished shard runs on the pool until it parks or finishes. Once
+  // the feed is done no shard can park, so the next epoch ends the run.
+  Feed feed;
+  do {
+    // Shards parked on an undecided array poll nothing while the reader
+    // runs on, so the reader polls too.
+    if (cancel_ != nullptr && cancel_->cancelled())
+      throw CancelledError(cancel_->reason());
+    refill(trace, feed);
+    run_epoch();
+  } while (!std::all_of(shards_.begin(), shards_.end(),
+                        [](const auto& shard) { return shard->finished; }));
+  check_stranded();
 
   if (progress_) {
     // Every shard has stopped: publish exact finals and emit the one
@@ -516,6 +607,7 @@ Metrics Simulator::drain_and_finalize() {
   Shard& shard = *shards_[0];
   end_feed(shard);
   drain(shard);
+  check_stranded();
   return finalize();
 }
 

@@ -24,19 +24,32 @@ namespace raidsim {
 /// outstanding: some request lost its completion (a dropped op handle, a
 /// gate that never opens, a crash nobody restarted). Checked in release
 /// builds too, so a stranded run never returns plausible-looking metrics.
+/// Names the lowest-index array still holding requests, so the error is
+/// the same at every shard and thread count.
 class StrandedRequestsError : public std::logic_error {
  public:
-  explicit StrandedRequestsError(std::uint64_t stranded)
+  StrandedRequestsError(std::uint64_t stranded, int array,
+                        std::uint64_t array_stranded)
       : std::logic_error("simulation drained with " +
                          std::to_string(stranded) +
-                         " host request(s) never completed"),
-        stranded_(stranded) {}
+                         " host request(s) never completed; array " +
+                         std::to_string(array) + " holds " +
+                         std::to_string(array_stranded)),
+        stranded_(stranded),
+        array_(array),
+        array_stranded_(array_stranded) {}
 
-  /// Host requests submitted but never completed.
+  /// Host requests submitted but never completed, over every array.
   std::uint64_t stranded() const { return stranded_; }
+  /// Lowest global index of an array with stranded requests.
+  int array() const { return array_; }
+  /// Stranded requests of that array.
+  std::uint64_t array_stranded() const { return array_stranded_; }
 
  private:
   std::uint64_t stranded_;
+  int array_;
+  std::uint64_t array_stranded_;
 };
 
 /// Top-level trace-driven simulator. Partitions the traced database's
@@ -49,12 +62,32 @@ class StrandedRequestsError : public std::logic_error {
 /// array -- so a run splits by array without approximation. The arrays
 /// are packed into shards, each with its own EventQueue, Tracer and
 /// TimeSeriesSampler: array a belongs to shard a % S. `config.shards`
-/// picks S:
+/// picks S: one shard at 0, min(shards, arrays) at >= 1, run on a pool
+/// of `config.shard_threads` workers.
 ///
-///  * 0: one shard that streams the trace, record by record;
-///  * >= 1: min(shards, arrays) shards run on a pool of
-///    `config.shard_threads` workers. The trace is read up front on one
-///    thread, so arrival times are summed in global record order.
+/// One windowed feed serves every shard count. run() alternates two
+/// phases. The reader, on the calling thread, pulls the next 4 K records
+/// per shard in global order, sums their arrival times in that order,
+/// and routes each into its shard's window. Then every unfinished shard
+/// runs on the pool until it needs the reader again and parks:
+///
+///  * its window is empty while the trace is not done. The kernel stops
+///    right after the current callback, and the next arrival is
+///    scheduled after the refill, with the sequence number it would have
+///    taken inside that callback;
+///  * one of its arrays is undecided: per-array quiescence only, the
+///    array's routed-but-unanswered count fell to zero before the trace
+///    was done. After the refill the array has new records (that was not
+///    its last response) or the trace is done (it was, and its destage
+///    timer stops) before the shard runs another event. An array the
+///    trace never touches stays undecided, and its shard parked, until
+///    the trace is done.
+///
+/// So the feed holds about one window while every array keeps receiving
+/// traffic; a shard with an idle array buffers its other arrays' records
+/// until the array is decided. Outputs are bit-identical to replaying
+/// the whole trace at once. What a replay's memory cannot go below is
+/// the trace generator's own LRU-stack state, ~117 MB for full trace 1.
 ///
 /// Each array records its own responses, merged into the run totals in
 /// global array order; elapsed_ms is the max over shard clocks and
@@ -156,14 +189,29 @@ class Simulator {
  private:
   struct ArrayState;
   struct Shard;
-  struct ShardRecord;
+  struct FeedRecord;
+  /// Reader state of the feed during run().
+  struct Feed {
+    double arrival = 0.0;       // arrival-time prefix sum, global order
+    std::uint64_t records = 0;  // records read so far
+  };
 
   ArrayState& array_state(int array);
   std::string artifact_prefix(const std::string& prefix,
                               std::size_t shard) const;
   /// Single bounds check shared by the feed and submit paths.
   void validate_record(const TraceRecord& record) const;
-  void load_records(TraceStream& trace);
+  /// Reader: drop each window's dispatched records and route the next
+  /// window of records from `trace`; sets feed_done_ at its end.
+  void refill(TraceStream& trace, Feed& feed);
+  /// Stop the shard's kernel after the current callback until the next
+  /// refill.
+  void park(Shard& shard);
+  /// Decide the shard's undecided arrays after a refill. False while one
+  /// stays undecided: the shard must not run yet.
+  bool settle(Shard& shard);
+  /// Schedule the shard's next arrival, or park when its window is empty
+  /// and the trace is not done.
   void pump(Shard& shard);
   void end_feed(Shard& shard);
   void dispatch(ArrayState& array, std::int64_t local_block,
@@ -176,12 +224,18 @@ class Simulator {
   bool stranded(const Shard& shard) const;
   void schedule_sample_tick(Shard& shard);
   void take_sample(Shard& shard);
+  /// One epoch of one shard: settle, pump if the arrival is pending, and
+  /// drain until it parks or finishes.
   void run_shard(Shard& shard);
-  /// Run the shard's queue dry in batches, polling cancellation and
-  /// progress between them and stopping the periodic timers once the
-  /// shard is stranded. Throws StrandedRequestsError when host requests
-  /// remain outstanding.
+  /// Run every unfinished shard on the pool until each parks or finishes;
+  /// rethrows the first failure by shard order.
+  void run_epoch();
+  /// Run the shard's queue in batches until it parks or drains, polling
+  /// cancellation and progress between batches and stopping the
+  /// periodic timers once the shard is stranded.
   void drain(Shard& shard);
+  /// Throw StrandedRequestsError when any host request is outstanding.
+  void check_stranded();
   void publish(Shard& shard);
   void maybe_emit_progress(bool final_frame);
   Metrics finalize();
@@ -198,10 +252,9 @@ class Simulator {
   /// response, so its trajectory depends on its own request stream only
   /// and results are identical at any shard count. The two differ only
   /// in the destage tail (destage writes, disk accesses, events,
-  /// elapsed_ms), and the benchmark fingerprints pin both. The flag also
-  /// selects the record feed: per-array quiescence needs each array's
-  /// record count up front, so it reads the whole trace before the run,
-  /// while the run-quiescence feed streams it.
+  /// elapsed_ms), and the benchmark fingerprints pin both. The feed is
+  /// the same under both rules; only per-array quiescence parks a shard
+  /// on an undecided array.
   bool per_array_quiescence_ = false;
   int thread_count_ = 1;
   const CancelToken* cancel_ = nullptr;
@@ -213,8 +266,9 @@ class Simulator {
   /// Global array order; declared after shards_ so controllers (which
   /// hold op handles into their shard's arena) are destroyed first.
   std::vector<std::unique_ptr<ArrayController>> controllers_;
-  TraceStream* stream_ = nullptr;  // streaming feed, during run()
-  double arrival_time_ = 0.0;      // streaming feed's arrival prefix sum
+  /// The reader has reached the end of the trace. Written only between
+  /// epochs, while no shard runs.
+  bool feed_done_ = false;
   bool ran_ = false;
   /// Cleared for streams whose records were bounds-checked at conversion
   /// time (TraceStream::prevalidated), removing the per-record check from

@@ -356,12 +356,14 @@ bool EventQueue::step() {
 
 std::uint64_t EventQueue::run(std::uint64_t limit) {
   std::uint64_t count = 0;
+  stop_ = false;
   while (limit == 0 || count < limit) {
     if (batch_pos_ >= batch_.size() && !refill_batch()) break;
     const HeapEntry e = batch_[batch_pos_++];
     if (stale(e)) continue;  // cancelled after batching
     execute(e);
     ++count;
+    if (stop_) break;
   }
   return count;
 }

@@ -116,9 +116,15 @@ class EventQueue {
   /// Run the next event; returns false if none remain.
   bool step();
 
-  /// Run until the queue drains or `limit` events have executed
-  /// (limit == 0 means unbounded). Returns the number executed.
+  /// Run until the queue drains, `limit` events have executed (limit ==
+  /// 0 means unbounded) or a callback calls stop(). Returns the number
+  /// executed.
   std::uint64_t run(std::uint64_t limit = 0);
+
+  /// Make the run() in progress return once the current callback
+  /// finishes, before any other event runs. A stop requested outside
+  /// run() is dropped when the next run() starts.
+  void stop() { stop_ = true; }
 
   /// Run events until simulation time would exceed `until`; events at
   /// exactly `until` are executed, and now() advances to `until`.
@@ -222,6 +228,7 @@ class EventQueue {
   std::size_t in_buckets_ = 0;   // entries resident in buckets (incl. stale)
   std::uint64_t pops_since_rebuild_ = 0;
   bool rebuilding_ = false;
+  bool stop_ = false;  // see stop()
 
   // Batched-dispatch state. The batch persists across public calls:
   // step()/run()/run_until() all dispatch from it, refilling a bucket's

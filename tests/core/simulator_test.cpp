@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <optional>
 #include <string>
 
 #include "core/workloads.hpp"
@@ -108,6 +109,52 @@ TEST(Simulator, RejectsOutOfRangeRecords) {
   EXPECT_THROW(sim.run(trace), std::out_of_range);
 }
 
+/// `count` records spread over the whole database; record `bad` (if
+/// below `count`) addresses one block past its end.
+class SweepStream : public TraceStream {
+ public:
+  SweepStream(TraceGeometry geo, int count, int bad)
+      : geo_(geo), count_(count), bad_(bad) {}
+  const TraceGeometry& geometry() const override { return geo_; }
+  std::optional<TraceRecord> next() override {
+    if (n_ == count_) return std::nullopt;
+    const int i = n_++;
+    TraceRecord r;
+    r.delta_ms = 2.0 + (i % 7);
+    r.block = i == bad_ ? geo_.total_blocks()
+                        : (static_cast<std::int64_t>(i) * 7919) %
+                              geo_.total_blocks();
+    r.is_write = i % 3 == 0;
+    return r;
+  }
+
+ private:
+  TraceGeometry geo_;
+  int count_;
+  int bad_;
+  int n_ = 0;
+};
+
+TEST(Simulator, OutOfRangeRecordMidTraceUnwindsShards) {
+  // The reader meets the bad record many windows into the trace, while
+  // both shards have requests in flight and destage timers pending. The
+  // run must throw out_of_range from run() with every worker joined --
+  // not hang in a parked shard, not terminate on a joinable thread --
+  // and tear down cleanly.
+  SimulationConfig config;
+  config.organization = Organization::kRaid5;
+  config.cached = true;
+  config.array_data_disks = 4;
+  config.shards = 2;
+  config.shard_threads = 2;
+  const TraceGeometry geo{8, 1000};
+  SweepStream trace(geo, 50'000, 40'000);
+  Simulator sim(config, geo);
+  EXPECT_THROW(sim.run(trace), std::out_of_range);
+  EXPECT_GT(sim.event_queue(0).executed(), 0u);
+  EXPECT_GT(sim.event_queue(1).executed(), 0u);
+}
+
 TEST(Simulator, RunIsSingleShot) {
   SimulationConfig config;
   TraceGeometry geo{10, 1000};
@@ -120,28 +167,36 @@ TEST(Simulator, RunIsSingleShot) {
 
 TEST(Simulator, StrandedRequestsFailLoudly) {
   // A controller crash nobody restarts eats every request in flight and
-  // every later one: the queue drains with all three never completed.
-  // That must throw in release builds too, not return metrics.
+  // every later one: array 1's queue drains with all three never
+  // completed, while array 0 serves its one request. That must throw in
+  // release builds too, not return metrics, and name array 1 whichever
+  // shard it runs in.
   for (int shards : {0, 2}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     SimulationConfig config;
     config.organization = Organization::kBase;
     config.array_data_disks = 2;
     config.shards = shards;
-    TraceGeometry geo{2, 1000};
+    TraceGeometry geo{4, 1000};
     FixedStream trace(geo, {
+                               {0.0, 2000, 1, false},
                                {0.0, 0, 1, false},
-                               {5.0, 1500, 1, true},
-                               {5.0, 10, 2, false},
+                               {5.0, 3500, 1, true},
+                               {5.0, 2010, 2, false},
                            });
     Simulator sim(config, geo);
-    sim.event_queue().schedule_at(
-        1.0, [&sim] { sim.mutable_controller(0).crash_halt(false); });
+    sim.event_queue(1).schedule_at(
+        1.0, [&sim] { sim.mutable_controller(1).crash_halt(false); });
     try {
       sim.run(trace);
       ADD_FAILURE() << "expected StrandedRequestsError";
     } catch (const StrandedRequestsError& e) {
       EXPECT_EQ(e.stranded(), 3u);
+      EXPECT_EQ(e.array(), 1);
+      EXPECT_EQ(e.array_stranded(), 3u);
+      EXPECT_NE(std::string(e.what()).find("array 1 holds 3"),
+                std::string::npos)
+          << e.what();
     }
   }
 }
@@ -182,6 +237,8 @@ TEST(Simulator, DrainAndFinalizeFailsLoudlyWhenStranded) {
       ADD_FAILURE() << "expected StrandedRequestsError";
     } catch (const StrandedRequestsError& e) {
       EXPECT_EQ(e.stranded(), cached ? 1u : 3u);
+      EXPECT_EQ(e.array(), 0);
+      EXPECT_EQ(e.array_stranded(), e.stranded());
     }
   }
 }

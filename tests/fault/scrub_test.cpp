@@ -89,6 +89,57 @@ TEST_F(ScrubTest, MediaErrorWithoutRedundancyIsRecordedLoss) {
   EXPECT_EQ(disk.media_error_count(), 0u);  // remapped (content lost)
 }
 
+TEST_F(ScrubTest, SecondErrorInGroupIsDoubleFault) {
+  // The repair of the first error reads the group, and that read hits the
+  // second error. Repairing it would read the first block again, and so
+  // on forever; instead it is a loss and both repairs end.
+  EventQueue eq;
+  UncachedController c(eq, config(Organization::kRaid5));
+  const auto first = c.layout().map_read(7, 1)[0];
+  const auto groups = c.layout().degraded_group(first);
+  ASSERT_FALSE(groups.empty());
+  ASSERT_FALSE(groups[0].member_reads.empty());
+  const auto second = groups[0].member_reads[0];
+  auto& first_disk = *c.disks()[static_cast<std::size_t>(first.disk)];
+  auto& second_disk = *c.disks()[static_cast<std::size_t>(second.disk)];
+  first_disk.plant_media_error(first.start_block);
+  second_disk.plant_media_error(second.start_block);
+
+  double done = -1.0;
+  c.submit(ArrayRequest{7, 1, false}, [&](SimTime t) { done = t; });
+  eq.run();
+
+  EXPECT_GE(done, 0.0);
+  EXPECT_EQ(c.stats().media_errors, 2u);
+  EXPECT_EQ(c.stats().media_repairs, 1u);  // the first block, rewritten
+  EXPECT_EQ(c.stats().media_losses, 1u);   // the second, double fault
+  EXPECT_EQ(c.stats().unrecoverable, 1u);
+  EXPECT_EQ(first_disk.media_error_count(), 0u);
+  EXPECT_EQ(second_disk.media_error_count(), 0u);
+}
+
+TEST_F(ScrubTest, ScrubEndsOverTwoErrorsInOneGroup) {
+  EventQueue eq;
+  UncachedController c(eq, config(Organization::kRaid5));
+  const auto first = c.layout().map_read(11, 1)[0];
+  const auto second = c.layout().degraded_group(first)[0].member_reads[0];
+  c.disks()[static_cast<std::size_t>(first.disk)]->plant_media_error(
+      first.start_block);
+  c.disks()[static_cast<std::size_t>(second.disk)]->plant_media_error(
+      second.start_block);
+
+  ScrubProcess scrub(eq, c, single_sweep());
+  scrub.start();
+  eq.run();
+
+  EXPECT_EQ(scrub.stats().sweeps_completed, 1u);
+  EXPECT_EQ(c.stats().media_errors, 2u);
+  EXPECT_EQ(c.stats().media_repairs, 1u);
+  EXPECT_EQ(c.stats().media_losses, 1u);
+  EXPECT_EQ(c.stats().unrecoverable, 1u);
+  for (const auto& disk : c.disks()) EXPECT_EQ(disk->media_error_count(), 0u);
+}
+
 TEST_F(ScrubTest, SkipsFailedDiskMidSweep) {
   EventQueue eq;
   UncachedController c(eq, config(Organization::kRaid5));

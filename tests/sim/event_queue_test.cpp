@@ -90,6 +90,34 @@ TEST(EventQueue, RunWithLimit) {
   EXPECT_EQ(eq.run(), 2u);
 }
 
+TEST(EventQueue, StopReturnsAfterCurrentCallback) {
+  // Three events tie at t = 1; the second stops the run. Nothing else may
+  // run first, and an event scheduled after the stop takes the sequence
+  // number it would have taken inside the stopping callback.
+  EventQueue eq;
+  std::vector<int> order;
+  eq.schedule_at(1.0, [&] { order.push_back(0); });
+  eq.schedule_at(1.0, [&] {
+    order.push_back(1);
+    eq.stop();
+  });
+  eq.schedule_at(1.0, [&] { order.push_back(2); });
+  EXPECT_EQ(eq.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  eq.schedule_at(1.0, [&] { order.push_back(3); });
+  EXPECT_EQ(eq.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, StopOutsideRunIsDropped) {
+  EventQueue eq;
+  int count = 0;
+  for (int i = 0; i < 3; ++i) eq.schedule_at(i, [&] { ++count; });
+  eq.stop();
+  EXPECT_EQ(eq.run(), 3u);
+  EXPECT_EQ(count, 3);
+}
+
 TEST(EventQueue, RunUntilStopsAtBoundary) {
   EventQueue eq;
   std::vector<double> fired;
