@@ -66,7 +66,9 @@ struct SimulationConfig {
   /// the same bounded windowed feed.
   int shards = 0;
   /// Worker threads for shards >= 1; 0 = min(shards, hardware
-  /// concurrency). Thread count never changes results, only wall time.
+  /// concurrency). A shards >= 1 run uses these workers plus the calling
+  /// thread, which reads the trace one window ahead of them. Thread count
+  /// never changes results, only wall time.
   int shard_threads = 0;
 
   /// Single-valued and ignored by the simulator; kept only because

@@ -34,13 +34,6 @@ EngineMetrics& engine_metrics() {
   return metrics;
 }
 
-/// Records the reader routes per refill, per shard: 128 KB of window a
-/// shard (32 bytes a record), 53 K records a refill for the 13 arrays of
-/// trace 1. Small enough that a one-shard run's footprint barely moves,
-/// large enough that epochs -- one pool launch and at most one park per
-/// shard each -- stay few.
-constexpr std::size_t kWindowPerShard = 4096;
-
 }  // namespace
 
 /// One trace record routed to a shard, fully resolved on the reading
@@ -53,6 +46,16 @@ struct Simulator::FeedRecord {
   int local_array = 0;  // index into the owning shard's arrays
   int block_count = 1;
   bool is_write = false;
+};
+
+/// Reader-owned feed state during run(): what the reader has routed since
+/// the last commit. Only the thread that called run() touches it.
+struct Simulator::Feed {
+  double arrival = 0.0;       // arrival-time prefix sum, global order
+  std::uint64_t records = 0;  // records read so far
+  std::vector<std::vector<FeedRecord>> windows;  // staged, per shard
+  std::vector<std::uint64_t> routed;  // staged records, per global array
+  bool done = false;                  // the trace has ended
 };
 
 struct Simulator::ArrayState {
@@ -74,7 +77,7 @@ struct Simulator::ArrayState {
   /// Per-array quiescence: `remaining` is zero but the feed is not done,
   /// so whether the last response has been seen waits for the reader.
   /// Every array starts undecided: none has a record before the first
-  /// refill.
+  /// commit.
   bool undecided = false;
 };
 
@@ -89,7 +92,7 @@ struct Simulator::Shard {
   std::uint64_t outstanding = 0;
   bool feed_done = false;     // every record of the shard dispatched
   bool pump_pending = true;   // the next arrival waits for the reader
-  bool parked = false;        // stopped until the reader has refilled
+  bool parked = false;        // stopped until the next commit
   bool finished = false;      // queue drained with the feed done
 
   // Progress publication: written by the owning shard thread at its
@@ -209,15 +212,6 @@ void Simulator::validate_record(const TraceRecord& record) const {
 }
 
 void Simulator::refill(TraceStream& trace, Feed& feed) {
-  // Drop what each shard has dispatched; a scheduled but not yet
-  // dispatched arrival is at the cursor, which moves to the front with it.
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    shard.window.erase(shard.window.begin(),
-                       shard.window.begin() +
-                           static_cast<std::ptrdiff_t>(shard.cursor));
-    shard.cursor = 0;
-  }
   // Arrival times are a prefix sum over the GLOBAL record order, so the
   // floating-point arrival of each request is independent of the
   // partition.
@@ -225,8 +219,7 @@ void Simulator::refill(TraceStream& trace, Feed& feed) {
   for (std::size_t n = 0; n < kWindowPerShard * shard_count; ++n) {
     auto rec = trace.next();
     if (!rec) {
-      feed_done_ = true;
-      progress_total_ = feed.records;
+      feed.done = true;
       return;
     }
     if (validate_records_) validate_record(*rec);
@@ -234,16 +227,43 @@ void Simulator::refill(TraceStream& trace, Feed& feed) {
     ++feed.records;
     const auto [array, local_block] = route(rec->block);
     const auto a = static_cast<std::size_t>(array);
-    Shard& shard = *shards_[a % shard_count];
     FeedRecord out;
     out.arrival = feed.arrival;
     out.local_block = local_block;
     out.local_array = static_cast<int>(a / shard_count);
     out.block_count = rec->block_count;
     out.is_write = rec->is_write;
-    shard.window.push_back(out);
-    ++shard.arrays[a / shard_count].remaining;
+    feed.windows[a % shard_count].push_back(out);
+    ++feed.routed[a];
   }
+}
+
+void Simulator::commit(Feed& feed) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
+    auto& staged = feed.windows[s];
+    if (shard.cursor == shard.window.size()) {
+      // Fully dispatched, the common case: take the staged window whole
+      // and give the reader the spent buffer back.
+      shard.window.swap(staged);
+    } else {
+      // A scheduled but not yet dispatched arrival is at the cursor, which
+      // moves to the front with it.
+      shard.window.erase(shard.window.begin(),
+                         shard.window.begin() +
+                             static_cast<std::ptrdiff_t>(shard.cursor));
+      shard.window.insert(shard.window.end(), staged.begin(), staged.end());
+    }
+    staged.clear();
+    shard.cursor = 0;
+  }
+  for (int a = 0; a < arrays(); ++a) {
+    auto& routed = feed.routed[static_cast<std::size_t>(a)];
+    array_state(a).remaining += routed;
+    routed = 0;
+  }
+  feed_done_ = feed.done;
+  if (feed_done_) progress_total_ = feed.records;
 }
 
 void Simulator::park(Shard& shard) {
@@ -256,7 +276,7 @@ bool Simulator::settle(Shard& shard) {
   for (auto& array : shard.arrays) {
     if (!array.undecided) continue;
     if (array.remaining > 0) {
-      array.undecided = false;  // the refill brought it more records
+      array.undecided = false;  // the commit brought it more records
     } else if (feed_done_) {
       array.undecided = false;  // its last response has come
       array.controller->shutdown();
@@ -271,7 +291,7 @@ void Simulator::pump(Shard& shard) {
   if (shard.cursor == shard.window.size()) {
     if (feed_done_) return end_feed(shard);
     // The next record is still in the trace. Stop before any other event
-    // runs, so that the refill schedules the arrival with the sequence
+    // runs, so that the next epoch schedules the arrival with the sequence
     // number it would have taken here.
     shard.pump_pending = true;
     return park(shard);
@@ -320,8 +340,8 @@ void Simulator::dispatch(ArrayState& array, std::int64_t local_block,
           if (feed_done_) {
             array.controller->shutdown();
           } else {
-            // Last response or not, only the reader can tell: nothing
-            // else may run before it has. shutdown() only cancels the
+            // Last response or not, only the next commit can tell:
+            // nothing else may run before it. shutdown() only cancels the
             // destage tick, so deciding after this callback is exact.
             array.undecided = true;
             park(shard);
@@ -442,7 +462,7 @@ void Simulator::check_stranded() {
     throw StrandedRequestsError(total, first, array_state(first).outstanding);
 }
 
-void Simulator::run_epoch() {
+void Simulator::run_epoch(TraceStream& trace, Feed& feed) {
   std::vector<std::size_t> runnable;  // indices into shards_
   for (std::size_t s = 0; s < shards_.size(); ++s)
     if (!shards_[s]->finished) runnable.push_back(s);
@@ -473,18 +493,31 @@ void Simulator::run_epoch() {
       }
     }
   };
-  const std::size_t pool = std::min<std::size_t>(
-      static_cast<std::size_t>(thread_count_), runnable.size());
-  {
-    // The coordinating thread is one of the workers; the jthreads join
-    // before the errors are looked at, on every path.
-    std::vector<std::jthread> helpers;
-    for (std::size_t t = 1; t < pool; ++t) helpers.emplace_back(worker);
+  std::exception_ptr read_error;
+  const auto read = [&] {
+    if (feed.done) return;
+    try {
+      refill(trace, feed);
+    } catch (...) {
+      read_error = std::current_exception();
+    }
+  };
+  if (thread_count_ == 0) {
     worker();
+    read();
+  } else {
+    // The jthreads join before the errors are looked at, on every path.
+    const std::size_t pool = std::min<std::size_t>(
+        static_cast<std::size_t>(thread_count_), runnable.size());
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 0; t < pool; ++t) helpers.emplace_back(worker);
+    read();
   }
-  // First failure by shard order, the SweepRunner discipline.
+  // First failure by shard order, the SweepRunner discipline; the read
+  // came after the epoch in the serial order, so its failure comes last.
   for (auto& error : errors)
     if (error) std::rethrow_exception(error);
+  if (read_error) std::rethrow_exception(read_error);
 }
 
 void Simulator::publish(Shard& shard) {
@@ -563,17 +596,21 @@ Metrics Simulator::run(TraceStream& trace) {
     shard.window.reserve(kWindowPerShard);
   }
 
-  // Epochs: the reader refills the windows on this thread, then every
-  // unfinished shard runs on the pool until it parks or finishes. Once
-  // the feed is done no shard can park, so the next epoch ends the run.
+  // Read the first window, then per epoch: commit what was read, and read
+  // the next window while the shards run. Once the feed is done no shard
+  // can park, so the epoch after the commit that ends it ends the run.
   Feed feed;
+  feed.windows.resize(shards_.size());
+  for (auto& window : feed.windows) window.reserve(kWindowPerShard);
+  feed.routed.assign(controllers_.size(), 0);
+  refill(trace, feed);
   do {
     // Shards parked on an undecided array poll nothing while the reader
     // runs on, so the reader polls too.
     if (cancel_ != nullptr && cancel_->cancelled())
       throw CancelledError(cancel_->reason());
-    refill(trace, feed);
-    run_epoch();
+    commit(feed);
+    run_epoch(trace, feed);
   } while (!std::all_of(shards_.begin(), shards_.end(),
                         [](const auto& shard) { return shard->finished; }));
   check_stranded();

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -65,25 +66,38 @@ class StrandedRequestsError : public std::logic_error {
 /// picks S: one shard at 0, min(shards, arrays) at >= 1, run on a pool
 /// of `config.shard_threads` workers.
 ///
-/// One windowed feed serves every shard count. run() alternates two
-/// phases. The reader, on the calling thread, pulls the next 4 K records
-/// per shard in global order, sums their arrival times in that order,
-/// and routes each into its shard's window. Then every unfinished shard
-/// runs on the pool until it needs the reader again and parks:
+/// One windowed feed serves every shard count. The reader, on the calling
+/// thread, pulls the next kWindowPerShard records per shard in global
+/// order, sums their arrival times in that order, and routes each into its
+/// shard's staged window. run() then alternates commits and epochs. A
+/// commit, between epochs while no shard runs, hands the staged windows to
+/// the shards. In an epoch every unfinished shard runs until it needs the
+/// reader again and parks, while the reader reads the window after it:
+/// at `shards >= 1` the shards run on a pool of `config.shard_threads`
+/// helper threads and the calling thread reads alongside them; at
+/// `shards = 0` the one shard runs inline and the read follows it. A
+/// shard parks when:
 ///
 ///  * its window is empty while the trace is not done. The kernel stops
 ///    right after the current callback, and the next arrival is
-///    scheduled after the refill, with the sequence number it would have
+///    scheduled after the commit, with the sequence number it would have
 ///    taken inside that callback;
 ///  * one of its arrays is undecided: per-array quiescence only, the
 ///    array's routed-but-unanswered count fell to zero before the trace
-///    was done. After the refill the array has new records (that was not
+///    was done. After the commit the array has new records (that was not
 ///    its last response) or the trace is done (it was, and its destage
 ///    timer stops) before the shard runs another event. An array the
 ///    trace never touches stays undecided, and its shard parked, until
 ///    the trace is done.
 ///
-/// So the feed holds about one window while every array keeps receiving
+/// Each epoch starts from the shard state that reading the window between
+/// the epochs would give: only when records are generated moves, so the
+/// read-ahead changes no output. After an epoch a shard's failure is
+/// rethrown first, by shard order, then the reader's, the order a
+/// read-after-epoch loop meets them in. The trace is only ever read on the
+/// thread that called run().
+///
+/// So the feed holds about two windows while every array keeps receiving
 /// traffic; a shard with an idle array buffers its other arrays' records
 /// until the array is decided. Outputs are bit-identical to replaying
 /// the whole trace at once. What a replay's memory cannot go below is
@@ -156,6 +170,13 @@ class Simulator {
   /// that the relaxed atomic load never shows up in a profile.
   static constexpr std::uint64_t kCancelCheckBatch = 4096;
 
+  /// Records the reader routes per read, per shard: 128 KB of window a
+  /// shard (32 bytes a record), 53 K records a read for the 13 arrays of
+  /// trace 1. Small enough that a one-shard run's footprint barely moves,
+  /// large enough that epochs -- one pool launch and at most one park per
+  /// shard each -- stay few.
+  static constexpr std::size_t kWindowPerShard = 4096;
+
   /// Attach a progress observer. Each shard publishes its event count,
   /// clock and completed-request tally at its cancel-poll boundary; the
   /// shard that crosses a boundary aggregates them (sum of events/done,
@@ -190,24 +211,25 @@ class Simulator {
   struct ArrayState;
   struct Shard;
   struct FeedRecord;
-  /// Reader state of the feed during run().
-  struct Feed {
-    double arrival = 0.0;       // arrival-time prefix sum, global order
-    std::uint64_t records = 0;  // records read so far
-  };
+  struct Feed;
 
   ArrayState& array_state(int array);
   std::string artifact_prefix(const std::string& prefix,
                               std::size_t shard) const;
   /// Single bounds check shared by the feed and submit paths.
   void validate_record(const TraceRecord& record) const;
-  /// Reader: drop each window's dispatched records and route the next
-  /// window of records from `trace`; sets feed_done_ at its end.
+  /// The read: route the next window of records from `trace` into the
+  /// feed's staged windows and counts, marking the feed done at the end of
+  /// the trace. Touches only `feed`, so it runs while the shards do.
   void refill(TraceStream& trace, Feed& feed);
+  /// Between epochs, while no shard runs: drop each window's dispatched
+  /// records, hand it the staged ones, add the staged counts to
+  /// `remaining`, and publish feed_done_ and progress_total_.
+  void commit(Feed& feed);
   /// Stop the shard's kernel after the current callback until the next
-  /// refill.
+  /// commit.
   void park(Shard& shard);
-  /// Decide the shard's undecided arrays after a refill. False while one
+  /// Decide the shard's undecided arrays after a commit. False while one
   /// stays undecided: the shard must not run yet.
   bool settle(Shard& shard);
   /// Schedule the shard's next arrival, or park when its window is empty
@@ -227,9 +249,13 @@ class Simulator {
   /// One epoch of one shard: settle, pump if the arrival is pending, and
   /// drain until it parks or finishes.
   void run_shard(Shard& shard);
-  /// Run every unfinished shard on the pool until each parks or finishes;
-  /// rethrows the first failure by shard order.
-  void run_epoch();
+  /// Run every unfinished shard until each parks or finishes and, unless
+  /// the feed is done, read the next window meanwhile: the shards on
+  /// thread_count_ helper threads and the read on the calling thread, or,
+  /// when thread_count_ is 0, the shard inline and then the read. Once all
+  /// have stopped, rethrows the first shard failure by shard order, then
+  /// the read's.
+  void run_epoch(TraceStream& trace, Feed& feed);
   /// Run the shard's queue in batches until it parks or drains, polling
   /// cancellation and progress between batches and stopping the
   /// periodic timers once the shard is stranded.
@@ -256,18 +282,22 @@ class Simulator {
   /// the same under both rules; only per-array quiescence parks a shard
   /// on an undecided array.
   bool per_array_quiescence_ = false;
-  int thread_count_ = 1;
+  /// Helper threads an epoch runs on; 0 at shards = 0, where it runs
+  /// inline on the calling thread.
+  int thread_count_ = 0;
   const CancelToken* cancel_ = nullptr;
   ProgressFn progress_;
   std::mutex progress_mu_;
-  std::uint64_t progress_total_ = 0;  // trace size for the hook
+  /// Trace size for the hook: the size hint, then the record count once
+  /// a commit ends the feed. Never written while a shard runs.
+  std::uint64_t progress_total_ = 0;
   std::string artifact_prefix_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Global array order; declared after shards_ so controllers (which
   /// hold op handles into their shard's arena) are destroyed first.
   std::vector<std::unique_ptr<ArrayController>> controllers_;
-  /// The reader has reached the end of the trace. Written only between
-  /// epochs, while no shard runs.
+  /// The reader has reached the end of the trace, as of the last commit.
+  /// Written only by a commit, while no shard runs.
   bool feed_done_ = false;
   bool ran_ = false;
   /// Cleared for streams whose records were bounds-checked at conversion

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/workloads.hpp"
 
@@ -135,24 +138,111 @@ class SweepStream : public TraceStream {
   int n_ = 0;
 };
 
-TEST(Simulator, OutOfRangeRecordMidTraceUnwindsShards) {
-  // The reader meets the bad record many windows into the trace, while
-  // both shards have requests in flight and destage timers pending. The
-  // run must throw out_of_range from run() with every worker joined --
-  // not hang in a parked shard, not terminate on a joinable thread --
-  // and tear down cleanly.
+/// Two arrays of 4 data disks.
+const TraceGeometry kTwoArrays{8, 1000};
+
+/// Cached RAID5 over kTwoArrays: one shard per array at shards >= 1, run
+/// on 2 threads.
+SimulationConfig two_cached_raid5(int shards) {
   SimulationConfig config;
   config.organization = Organization::kRaid5;
   config.cached = true;
   config.array_data_disks = 4;
-  config.shards = 2;
+  config.shards = shards;
   config.shard_threads = 2;
-  const TraceGeometry geo{8, 1000};
-  SweepStream trace(geo, 50'000, 40'000);
-  Simulator sim(config, geo);
-  EXPECT_THROW(sim.run(trace), std::out_of_range);
-  EXPECT_GT(sim.event_queue(0).executed(), 0u);
-  EXPECT_GT(sim.event_queue(1).executed(), 0u);
+  return config;
+}
+
+/// Records in the first feed window of two_cached_raid5(shards).
+int first_window(int shards) {
+  return static_cast<int>(Simulator::kWindowPerShard) * (shards == 0 ? 1 : 2);
+}
+
+TEST(Simulator, OutOfRangeRecordMidTraceUnwindsShards) {
+  // The reader meets the bad record in the first window (read before any
+  // epoch), in the second (read while epoch 1 runs) or many windows into
+  // the trace, while the shards have requests in flight and destage
+  // timers pending. Each run must throw out_of_range from run() with
+  // every worker joined -- not hang in a parked shard, not terminate on a
+  // joinable thread -- and tear down cleanly.
+  for (const int shards : {0, 2}) {
+    const SimulationConfig config = two_cached_raid5(shards);
+    for (const int bad : {100, first_window(shards) + 100, 40'000}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", bad record " +
+                   std::to_string(bad));
+      SweepStream trace(kTwoArrays, 50'000, bad);
+      Simulator sim(config, kTwoArrays);
+      ASSERT_EQ(sim.shards(), shards == 0 ? 1 : 2);
+      EXPECT_THROW(sim.run(trace), std::out_of_range);
+      if (bad == 100) {
+        // Nothing ran: the first window never reached a shard.
+        EXPECT_EQ(sim.event_queue(0).executed(), 0u);
+      } else {
+        EXPECT_GT(sim.event_queue(0).executed(), 0u);
+        EXPECT_GT(sim.event_queue(1).executed(), 0u);
+      }
+    }
+  }
+}
+
+TEST(Simulator, ShardFailureOutranksReadFailure) {
+  // Epoch 1 is cancelled from the progress hook while the reader meets a
+  // bad record in the window it reads alongside: the shards' failure
+  // comes first, as when the read followed the epoch.
+  for (const int shards : {0, 2}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const SimulationConfig config = two_cached_raid5(shards);
+    SweepStream trace(kTwoArrays, 50'000, first_window(shards) + 100);
+    CancelToken token;
+    Simulator sim(config, kTwoArrays);
+    sim.set_cancel_token(&token);
+    sim.set_progress_hook([&token](const ProgressSnapshot&) {
+      token.cancel();
+    });
+    EXPECT_THROW(sim.run(trace), CancelledError);
+  }
+}
+
+/// Forwards another stream and records the thread of every next() call.
+class ThreadRecordingStream : public TraceStream {
+ public:
+  explicit ThreadRecordingStream(TraceStream& inner) : inner_(inner) {}
+  const TraceGeometry& geometry() const override { return inner_.geometry(); }
+  std::optional<TraceRecord> next() override {
+    threads_.push_back(std::this_thread::get_id());
+    return inner_.next();
+  }
+  const std::vector<std::thread::id>& threads() const { return threads_; }
+
+ private:
+  TraceStream& inner_;
+  std::vector<std::thread::id> threads_;
+};
+
+TEST(FeedReader, TraceIsReadOnlyOnTheRunThread) {
+  // The reader works one window ahead of the shards, but never leaves
+  // the thread that called run(): a TraceStream need not be thread-safe.
+  // 13 arrays; the trace spans several windows at every shard count.
+  const TraceGeometry geo{26, 1000};
+  for (const int shards : {0, 2, 13}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    SimulationConfig config;
+    config.organization = Organization::kBase;
+    config.array_data_disks = 2;
+    config.shards = shards;
+    config.shard_threads = 2;
+    SweepStream records(geo, 150'000, 150'000);
+    ThreadRecordingStream trace(records);
+    Simulator sim(config, geo);
+    ASSERT_EQ(sim.shards(), shards == 0 ? 1 : shards);
+    const Metrics m = sim.run(trace);
+    EXPECT_EQ(m.requests, 150'000u);
+    ASSERT_GT(trace.threads().size(), 150'000u);
+    const std::thread::id caller = std::this_thread::get_id();
+    EXPECT_EQ(std::count(trace.threads().begin(), trace.threads().end(),
+                         caller),
+              static_cast<std::ptrdiff_t>(trace.threads().size()));
+  }
 }
 
 TEST(Simulator, RunIsSingleShot) {
