@@ -14,10 +14,8 @@
 //      not after the full simulation.
 //   3. Cache byte-identity: the same config served fresh (no_cache) and
 //      from the cache returns byte-identical metrics JSON.
-//   4. Retries: a job with injected transient failures succeeds after
-//      the expected number of attempts.
-//   5. Invalid configs: typed `invalid` rejections, never a crash.
-//   6. Drain: the protocol `drain` op (the SIGTERM path) stops
+//   4. Invalid configs: typed `invalid` rejections, never a crash.
+//   5. Drain: the protocol `drain` op (the SIGTERM path) stops
 //      admission and completes every in-flight job with a typed status.
 //
 // Exit code 0 = every assertion held.
@@ -78,7 +76,6 @@ int main() {
   opts.supervisor.queue_capacity = 3;
   opts.supervisor.cache_capacity = 64;
   opts.supervisor.watchdog_period_ms = 5.0;
-  opts.supervisor.backoff_base_ms = 1.0;
   opts.supervisor.drain_budget_ms = 30000.0;
   opts.log_final_stats = false;
 
@@ -178,31 +175,7 @@ int main() {
           "cache hit is byte-identical to the fresh run");
   }
 
-  std::printf("== phase 4: transient retries ==\n");
-  {
-    raidsim::svc::Client client(socket_path);
-    raidsim::svc::JobRequest job = base_job(43);
-    job.fail_first = 2;  // injected: attempts 1 and 2 throw TransientError
-    job.max_retries = 3;
-    job.no_cache = true;
-    job.id = "retry";
-    const raidsim::svc::JsonValue response =
-        client.request(encode_job_request(job));
-    check(field_string(response, "status") == "ok",
-          "transient failures retried to success");
-    check(field_number(response, "attempts") == 3.0,
-          "took exactly 3 attempts (2 injected failures)");
-
-    job.fail_first = 5;
-    job.max_retries = 1;
-    job.id = "retry-exhausted";
-    const raidsim::svc::JsonValue exhausted =
-        client.request(encode_job_request(job));
-    check(field_string(exhausted, "status") == "failed",
-          "persistent transient failure reported as `failed` after retries");
-  }
-
-  std::printf("== phase 5: hostile input ==\n");
+  std::printf("== phase 4: hostile input ==\n");
   {
     raidsim::svc::Client client(socket_path);
     const char* bad[] = {
@@ -211,6 +184,7 @@ int main() {
         "{\"op\":\"run\",\"config\":{\"channel_mb_per_s\":null}}",
         "{\"op\":\"run\",\"config\":{\"bogus_knob\":1}}",
         "{\"op\":\"run\",\"scale\":-1}",
+        "{\"op\":\"run\",\"max_retries\":2}",  // retired key
         "{\"op\":\"launch-missiles\"}",
         "this is not json",
         "{\"op\":\"run\",\"config\":{\"n\":5}",  // truncated
@@ -229,7 +203,7 @@ int main() {
           "server still healthy after hostile input");
   }
 
-  std::printf("== phase 6: graceful drain ==\n");
+  std::printf("== phase 5: graceful drain ==\n");
   {
     // Submit a long job, then drain while it runs: the drain must stop
     // admission (typed `draining`) and the in-flight job must still get

@@ -400,12 +400,13 @@ void CachedController::add_spool_entry(std::int64_t parity_block,
                                        bool full_stripe,
                                        std::vector<ParityCover> covers,
                                        Completion on_durable) {
-  if (SpoolEntry* existing = spool_.find(parity_block)) {
+  if (auto it = spool_.find(parity_block); it != spool_.end()) {
     // Coalesce: a later full-stripe parity supersedes a pending delta;
     // the reserved slot is shared, so release the extra reservation.
-    existing->full_stripe = existing->full_stripe || full_stripe;
-    for (auto& c : covers) existing->covers.push_back(std::move(c));
-    if (on_durable) existing->on_durable.push_back(std::move(on_durable));
+    SpoolEntry& existing = it->second;
+    existing.full_stripe = existing.full_stripe || full_stripe;
+    for (auto& c : covers) existing.covers.push_back(std::move(c));
+    if (on_durable) existing.on_durable.push_back(std::move(on_durable));
     cache_.release_parity_slot();
     return;
   }
@@ -413,7 +414,7 @@ void CachedController::add_spool_entry(std::int64_t parity_block,
   entry.full_stripe = full_stripe;
   entry.covers = std::move(covers);
   if (on_durable) entry.on_durable.push_back(std::move(on_durable));
-  spool_.insert(parity_block, std::move(entry));
+  spool_.emplace(parity_block, std::move(entry));
   stats_.parity_queue_peak = std::max(stats_.parity_queue_peak, spool_.size());
   pump_spooler();
 }
@@ -422,9 +423,11 @@ void CachedController::pump_spooler() {
   if (spooling_ || spool_.empty() || crashed()) return;
   // SCAN: continue sweeping upward from the last serviced position,
   // wrapping at the end (parity block number increases with cylinder).
-  auto popped = spool_.pop_at_or_after(scan_position_);
-  const std::int64_t block = popped.key;
-  spooling_entry_ = std::move(popped.value);
+  auto it = spool_.lower_bound(scan_position_);
+  if (it == spool_.end()) it = spool_.begin();
+  const std::int64_t block = it->first;
+  spooling_entry_ = std::move(it->second);
+  spool_.erase(it);
   spooling_ = true;
   spooling_block_ = block;
   scan_position_ = block + 1;

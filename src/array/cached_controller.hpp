@@ -1,10 +1,10 @@
 #pragma once
 
 #include <deque>
+#include <map>
 #include <vector>
 
 #include "array/controller.hpp"
-#include "array/parity_spool.hpp"
 #include "cache/nv_cache.hpp"
 
 namespace raidsim {
@@ -125,9 +125,8 @@ class CachedController : public ArrayController {
   std::deque<OpRef<StalledWrite>> stalled_;
   std::unique_ptr<IntentJournal> journal_owned_;
 
-  // Parity spool state: key = physical block on the parity disk. Flat
-  // hot-key/cold-body layout -- see parity_spool.hpp.
-  FlatSpool<SpoolEntry> spool_;
+  // Parity spool state: key = physical block on the parity disk.
+  std::map<std::int64_t, SpoolEntry> spool_;
   std::int64_t scan_position_ = 0;
   bool spooling_ = false;
   std::int64_t spooling_block_ = -1;  // in-service entry (crash requeue)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -206,9 +207,13 @@ std::pair<int, std::int64_t> Simulator::route(std::int64_t db_block) const {
 }
 
 void Simulator::validate_record(const TraceRecord& record) const {
+  // Overflow-safe: block + block_count may wrap int64 on crafted input.
   if (record.block_count < 1 || record.block < 0 ||
-      record.block + record.block_count > total_blocks_)
+      record.block > total_blocks_ - record.block_count)
     throw std::out_of_range("Simulator: request outside the database");
+  if (!std::isfinite(record.delta_ms) || record.delta_ms < 0.0)
+    throw std::out_of_range(
+        "Simulator: negative or non-finite inter-arrival delta");
 }
 
 void Simulator::refill(TraceStream& trace, Feed& feed) {
@@ -222,7 +227,7 @@ void Simulator::refill(TraceStream& trace, Feed& feed) {
       feed.done = true;
       return;
     }
-    if (validate_records_) validate_record(*rec);
+    validate_record(*rec);
     feed.arrival += rec->delta_ms;
     ++feed.records;
     const auto [array, local_block] = route(rec->block);
@@ -582,7 +587,6 @@ Metrics Simulator::run(TraceStream& trace) {
       trace.geometry().blocks_per_disk != geometry_.blocks_per_disk)
     throw std::invalid_argument("Simulator: trace geometry mismatch");
 
-  validate_records_ = !trace.prevalidated();
   progress_total_ = trace.size_hint();
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;

@@ -216,7 +216,8 @@ class Simulator {
   ArrayState& array_state(int array);
   std::string artifact_prefix(const std::string& prefix,
                               std::size_t shard) const;
-  /// Single bounds check shared by the feed and submit paths.
+  /// Single record check (extent in bounds, finite non-negative delta)
+  /// shared by the feed and submit paths; throws std::out_of_range.
   void validate_record(const TraceRecord& record) const;
   /// The read: route the next window of records from `trace` into the
   /// feed's staged windows and counts, marking the feed done at the end of
@@ -300,10 +301,6 @@ class Simulator {
   /// Written only by a commit, while no shard runs.
   bool feed_done_ = false;
   bool ran_ = false;
-  /// Cleared for streams whose records were bounds-checked at conversion
-  /// time (TraceStream::prevalidated), removing the per-record check from
-  /// the replay hot path. submit() always validates.
-  bool validate_records_ = true;
 };
 
 /// Convenience: build a simulator for `config` and replay `trace`.

@@ -53,7 +53,6 @@ const char* instant_category(ObsPhase phase) {
     case ObsPhase::kRedirected:
       return "tail";
     case ObsPhase::kJobRejected:
-    case ObsPhase::kJobRetry:
     case ObsPhase::kJobDeadline:
     case ObsPhase::kJobWatchdog:
       return "svc";

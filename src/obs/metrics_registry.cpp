@@ -9,20 +9,6 @@
 
 namespace raidsim {
 
-namespace metrics_detail {
-
-std::size_t thread_shard() {
-  // Dense per-thread slot ids beat hashing std::thread::id: the first
-  // kShards threads get distinct shards, and slot assignment is one
-  // thread_local read after the first call.
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot % kShards;
-}
-
-}  // namespace metrics_detail
-
 namespace {
 
 bool valid_metric_name(const std::string& name) {
@@ -52,16 +38,12 @@ HistogramMetric::HistogramMetric(const std::atomic<bool>* enabled,
                                  std::size_t buckets)
     : buckets_(buckets),
       min_value_(min_value),
-      shards_(metrics_detail::kShards),
+      counts_(buckets),
       enabled_(enabled) {
   if (buckets < 1 || min_value <= 0.0 || max_value <= min_value)
     throw std::invalid_argument("HistogramMetric: bad bucket layout");
   log_min_ = std::log(min_value);
   log_step_ = (std::log(max_value) - log_min_) / static_cast<double>(buckets);
-  // vector<atomic> is neither copyable nor movable element-wise, but
-  // constructing by count and move-assigning the whole vector is fine.
-  for (auto& shard : shards_)
-    shard.counts = std::vector<std::atomic<std::uint64_t>>(buckets);
 }
 
 std::size_t HistogramMetric::bucket_index(double x) const {
@@ -73,35 +55,27 @@ std::size_t HistogramMetric::bucket_index(double x) const {
 
 void HistogramMetric::observe(double x) {
   if (!enabled_->load(std::memory_order_relaxed)) return;
-  Shard& shard = shards_[metrics_detail::thread_shard()];
-  shard.counts[bucket_index(x)].fetch_add(1, std::memory_order_relaxed);
-  double cur = shard.sum.load(std::memory_order_relaxed);
-  while (!shard.sum.compare_exchange_weak(cur, cur + x,
-                                          std::memory_order_relaxed)) {
+  counts_[bucket_index(x)].fetch_add(1, std::memory_order_relaxed);
+  double cur = sum_.load(std::memory_order_relaxed);
+  while (!sum_.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
   }
 }
 
 std::uint64_t HistogramMetric::count() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_)
-    for (const auto& c : shard.counts)
-      total += c.load(std::memory_order_relaxed);
+  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
   return total;
 }
 
 double HistogramMetric::sum() const {
-  double total = 0.0;
-  for (const auto& shard : shards_)
-    total += shard.sum.load(std::memory_order_relaxed);
-  return total;
+  return sum_.load(std::memory_order_relaxed);
 }
 
-std::vector<std::uint64_t> HistogramMetric::merged_buckets() const {
-  std::vector<std::uint64_t> merged(buckets_, 0);
-  for (const auto& shard : shards_)
-    for (std::size_t i = 0; i < buckets_; ++i)
-      merged[i] += shard.counts[i].load(std::memory_order_relaxed);
-  return merged;
+std::vector<std::uint64_t> HistogramMetric::bucket_counts() const {
+  std::vector<std::uint64_t> counts(buckets_);
+  for (std::size_t i = 0; i < buckets_; ++i)
+    counts[i] = counts_[i].load(std::memory_order_relaxed);
+  return counts;
 }
 
 double HistogramMetric::bucket_upper_bound(std::size_t i) const {
@@ -189,7 +163,7 @@ std::string MetricsRegistry::scrape() const {
         break;
       case Kind::kHistogram: {
         out << "# TYPE " << name << " histogram\n";
-        const auto buckets = entry.histogram->merged_buckets();
+        const auto buckets = entry.histogram->bucket_counts();
         std::uint64_t cumulative = 0;
         for (std::size_t i = 0; i < buckets.size(); ++i) {
           cumulative += buckets[i];
@@ -219,18 +193,15 @@ void MetricsRegistry::reset() {
     (void)name;
     switch (entry.kind) {
       case Kind::kCounter:
-        for (auto& shard : entry.counter->shards_)
-          shard.v.store(0, std::memory_order_relaxed);
+        entry.counter->value_.store(0, std::memory_order_relaxed);
         break;
       case Kind::kGauge:
         entry.gauge->value_.store(0.0, std::memory_order_relaxed);
         break;
       case Kind::kHistogram:
-        for (auto& shard : entry.histogram->shards_) {
-          for (auto& c : shard.counts)
-            c.store(0, std::memory_order_relaxed);
-          shard.sum.store(0.0, std::memory_order_relaxed);
-        }
+        for (auto& c : entry.histogram->counts_)
+          c.store(0, std::memory_order_relaxed);
+        entry.histogram->sum_.store(0.0, std::memory_order_relaxed);
         break;
     }
   }

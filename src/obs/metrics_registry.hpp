@@ -18,54 +18,36 @@ namespace raidsim {
 /// Discipline (same as tracing): telemetry is passive. A metric update
 /// never touches simulation state, so registry-on runs are bit-identical
 /// to registry-off runs -- tests/runner/progress_test.cpp asserts it at
-/// shards 0 and 2. Hot-path updates are lock-free: counters and histograms
-/// are sharded across cache-line-padded slots indexed by a per-thread
-/// slot id and written with relaxed atomics; scrape() merges the shards.
-/// A disabled registry (set_enabled(false)) reduces every update to one
-/// relaxed bool load and a branch.
+/// shards 0 and 2. Updates are lock-free relaxed atomics, one per counter
+/// and one bucket array plus a sum per histogram: every update site is
+/// per job, per health event, or once per 4096 simulated events per
+/// shard, so contention is negligible. A disabled registry
+/// (set_enabled(false)) reduces every update to one relaxed bool load and
+/// a branch.
 ///
 /// Instrumentation sites hold `Counter&`/`Gauge&` references obtained
 /// once at setup (registration takes a mutex; updates never do).
-
-namespace metrics_detail {
-/// Shards per metric. Threads map onto shards by a cheap per-thread slot
-/// id; more threads than shards just share slots (still lock-free).
-inline constexpr std::size_t kShards = 16;
-std::size_t thread_shard();
-}  // namespace metrics_detail
 
 /// Monotonically increasing event count.
 class Counter {
  public:
   void add(std::uint64_t delta = 1) {
     if (!enabled_->load(std::memory_order_relaxed)) return;
-    shards_[metrics_detail::thread_shard()].v.fetch_add(
-        delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
 
-  /// Merged value. Monotone across calls (per-location coherence makes
-  /// each shard's reads non-decreasing).
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_)
-      total += shard.v.load(std::memory_order_relaxed);
-    return total;
-  }
+  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   friend class MetricsRegistry;
   explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
 
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> v{0};
-  };
-  Shard shards_[metrics_detail::kShards];
+  std::atomic<std::uint64_t> value_{0};
   const std::atomic<bool>* enabled_;
 };
 
 /// Instantaneous value (queue depth, in-flight jobs, quarantined disks).
-/// Single atomic double: set() is a store, add() a CAS loop -- gauges
-/// update orders of magnitude less often than counters.
+/// Single atomic double: set() is a store, add() a CAS loop.
 class Gauge {
  public:
   void set(double v) {
@@ -91,15 +73,15 @@ class Gauge {
 /// Log-bucketed histogram for latency-like quantities, the atomic
 /// sibling of util/stats.hpp's Histogram: buckets cover
 /// [min_value, max_value) geometrically, values outside clamp into the
-/// edge buckets. Per-shard bucket arrays + sum keep observe() lock-free.
+/// edge buckets. Atomic bucket counts + sum keep observe() lock-free.
 class HistogramMetric {
  public:
   void observe(double x);
 
   std::uint64_t count() const;
   double sum() const;
-  /// Merged per-bucket counts (size bucket_count()).
-  std::vector<std::uint64_t> merged_buckets() const;
+  /// Per-bucket counts (size bucket_count()).
+  std::vector<std::uint64_t> bucket_counts() const;
   std::size_t bucket_count() const { return buckets_; }
   /// Inclusive upper bound of bucket i (Prometheus `le`); the last
   /// bucket's bound is +infinity.
@@ -112,15 +94,12 @@ class HistogramMetric {
 
   std::size_t bucket_index(double x) const;
 
-  struct alignas(64) Shard {
-    std::vector<std::atomic<std::uint64_t>> counts;
-    std::atomic<double> sum{0.0};
-  };
   std::size_t buckets_;
   double min_value_;
   double log_min_;
   double log_step_;
-  std::vector<Shard> shards_;
+  std::vector<std::atomic<std::uint64_t>> counts_;
+  std::atomic<double> sum_{0.0};
   const std::atomic<bool>* enabled_;
 };
 

@@ -42,13 +42,12 @@ enum class ObsPhase : std::uint8_t {
   // What-if service job lifecycle (src/svc). These spans live on the
   // service supervisor's wall-clock tracer, not a simulation tracer:
   // kJobQueue covers admission -> worker pickup, kJobRun covers the
-  // simulation attempt(s) under the same span id.
+  // simulation run.
   kJobQueue,
   kJobRun,
-  // Service instants: admission-control rejection, a transient-failure
-  // retry, a deadline/watchdog cancellation.
+  // Service instants: admission-control rejection, a deadline/watchdog
+  // cancellation.
   kJobRejected,
-  kJobRetry,
   kJobDeadline,
   kJobWatchdog,
   // Sentinel: "derive from the op kind" default for DiskRequest tagging.

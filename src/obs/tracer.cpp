@@ -29,7 +29,6 @@ const char* to_string(ObsPhase phase) {
     case ObsPhase::kJobQueue: return "job-queue";
     case ObsPhase::kJobRun: return "job-run";
     case ObsPhase::kJobRejected: return "job-rejected";
-    case ObsPhase::kJobRetry: return "job-retry";
     case ObsPhase::kJobDeadline: return "job-deadline";
     case ObsPhase::kJobWatchdog: return "job-watchdog";
     case ObsPhase::kAuto: return "auto";

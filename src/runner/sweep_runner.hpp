@@ -36,7 +36,7 @@ struct SweepJob {
   ProgressFn progress;
   /// Non-empty: flight recorder. The run traces into a small ring
   /// (`flight_events` capacity) and, if it unwinds -- cancellation,
-  /// deadline, TransientError -- the ring is dumped to
+  /// deadline, any exception -- the ring is dumped to
   /// `<flight_out>.trace.json` (sharded: `<flight_out>_shard<k>...`)
   /// before the exception propagates, so postmortems need no
   /// pre-arranged trace_out. No-op when tracing is compiled out.

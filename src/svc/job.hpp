@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 #include "core/config.hpp"
@@ -17,21 +16,12 @@ enum class JobStatus : std::uint8_t {
   kInvalid,     // config/request rejected by validation, never queued
   kOverloaded,  // admission control shed the job (queue full)
   kDraining,    // server is draining; not admitting new work
-  kFailed,      // ran but threw (after exhausting transient retries)
+  kFailed,      // the run threw
   kCancelled,   // cancelled by shutdown drain or the stuck-job watchdog
   kDeadline,    // per-job deadline expired (queued or mid-run)
 };
 
 const char* to_string(JobStatus status);
-
-/// Transient job failure: the supervisor retries these with capped
-/// exponential backoff before reporting kFailed. Anything else a job
-/// throws is treated as deterministic and fails immediately.
-class TransientError : public std::runtime_error {
- public:
-  explicit TransientError(const std::string& what)
-      : std::runtime_error(what) {}
-};
 
 /// One what-if query: a full simulation point plus service policy knobs.
 struct JobRequest {
@@ -43,14 +33,9 @@ struct JobRequest {
   /// job is cancelled cooperatively mid-run (or skipped if still
   /// queued) and reported as kDeadline.
   double deadline_ms = 0.0;
-  /// Transient-failure retries allowed (capped by the supervisor).
-  int max_retries = 0;
   /// Bypass the result-cache lookup (the fresh result is still stored).
   /// The overload drill uses this to assert hit/fresh byte-identity.
   bool no_cache = false;
-  /// Test hook: make the first `fail_first` attempts throw
-  /// TransientError, to exercise the retry/backoff path end to end.
-  int fail_first = 0;
   /// Client correlation id, echoed verbatim in the response.
   std::string id;
 };
@@ -61,7 +46,6 @@ struct JobResult {
   std::string error;            // non-ok: human-readable cause
   std::string metrics_json;     // kOk only: Metrics::to_json bytes
   bool cached = false;          // kOk only: served from the result cache
-  int attempts = 0;             // simulation attempts actually made
   std::uint64_t fingerprint = 0;  // job_fingerprint of the request
   double queue_ms = 0.0;        // admission -> worker pickup
   double run_ms = 0.0;          // worker pickup -> terminal state
@@ -72,13 +56,12 @@ struct JobResult {
 
 /// One streamed progress observation for a running job, derived from the
 /// engines' batch-boundary snapshots (sim/progress.hpp) plus wall-clock
-/// bookkeeping. Successive frames for one attempt are monotone in
+/// bookkeeping. Successive frames for one job are monotone in
 /// `events` and `sim_ms`; the supervisor throttles emission to its
 /// progress_interval_ms.
 struct JobProgress {
   std::string id;               // client correlation id
   std::uint64_t fingerprint = 0;
-  int attempt = 1;
   std::uint64_t events = 0;     // kernel events executed so far
   double sim_ms = 0.0;          // simulated time reached
   std::uint64_t done = 0;       // trace records completed

@@ -204,14 +204,8 @@ JobRequest decode_job_request(const JsonValue& request) {
       job.deadline_ms = number_field(value, key);
       if (!std::isfinite(job.deadline_ms) || job.deadline_ms < 0.0)
         bad("'deadline_ms' must be finite and >= 0");
-    } else if (key == "max_retries") {
-      job.max_retries = int_field(value, key);
-      if (job.max_retries < 0) bad("'max_retries' must be >= 0");
     } else if (key == "no_cache") {
       job.no_cache = bool_field(value, key);
-    } else if (key == "fail_first") {
-      job.fail_first = int_field(value, key);
-      if (job.fail_first < 0) bad("'fail_first' must be >= 0");
     } else if (key == "config") {
       apply_config(job.config, value);
     } else {
@@ -244,9 +238,7 @@ std::string encode_job_request(const JobRequest& request) {
      << ",\"seed\":" << request.workload.seed;
   if (request.deadline_ms > 0.0)
     os << ",\"deadline_ms\":" << num(request.deadline_ms);
-  if (request.max_retries > 0) os << ",\"max_retries\":" << request.max_retries;
   if (request.no_cache) os << ",\"no_cache\":true";
-  if (request.fail_first > 0) os << ",\"fail_first\":" << request.fail_first;
 
   const SimulationConfig& c = request.config;
   const SimulationConfig defaults;
@@ -291,7 +283,6 @@ std::string encode_job_response(const JobResult& result,
   os << "{\"id\":" << json_quote(id) << ",\"status\":\""
      << to_string(result.status) << "\"";
   if (!result.error.empty()) os << ",\"error\":" << json_quote(result.error);
-  os << ",\"attempts\":" << result.attempts;
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(result.fingerprint));
@@ -317,8 +308,7 @@ std::string encode_progress_frame(const JobProgress& progress) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(progress.fingerprint));
   os << ",\"key\":\"" << buf << "\"";
-  os << ",\"attempt\":" << progress.attempt
-     << ",\"events\":" << progress.events;
+  os << ",\"events\":" << progress.events;
   std::snprintf(buf, sizeof(buf), "%.3f", progress.sim_ms);
   os << ",\"sim_ms\":" << buf;
   os << ",\"done\":" << progress.done << ",\"total\":" << progress.total;

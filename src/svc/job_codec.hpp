@@ -32,7 +32,7 @@ std::string encode_error_response(const std::string& id, JobStatus status,
                                   const std::string& error);
 
 /// One streamed progress line (newline included):
-///   {"type":"progress","id":...,"attempt":1,"events":N,"sim_ms":T,
+///   {"type":"progress","id":...,"key":K,"events":N,"sim_ms":T,
 ///    "done":D,"total":R,"percent":P,"eta_ms":E,"final":false}
 /// `percent`/`eta_ms` are omitted when unknown. Response lines never
 /// carry "type", so clients can split frames from terminal responses on

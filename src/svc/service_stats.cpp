@@ -19,7 +19,6 @@ std::string ServiceStats::to_json(std::size_t queue_depth, std::size_t running,
      << ",\"failed\":" << failed.load()
      << ",\"cancelled\":" << cancelled.load()
      << ",\"deadline_expired\":" << deadline_expired.load()
-     << ",\"retries\":" << retries.load()
      << ",\"watchdog_kills\":" << watchdog_kills.load()
      << ",\"peak_queue_depth\":" << peak_queue_depth.load()
      << ",\"queue_depth\":" << queue_depth << ",\"running\":" << running

@@ -22,7 +22,6 @@ struct ServiceStats {
   std::atomic<std::uint64_t> failed{0};
   std::atomic<std::uint64_t> cancelled{0};
   std::atomic<std::uint64_t> deadline_expired{0};
-  std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> watchdog_kills{0};
   std::atomic<std::uint64_t> peak_queue_depth{0};
 

@@ -3,9 +3,9 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/job_key.hpp"
 #include "obs/metrics_registry.hpp"
@@ -48,8 +48,6 @@ struct SvcMetrics {
       "Jobs cancelled by drain or watchdog");
   Counter& deadline = MetricsRegistry::instance().counter(
       "raidsim_svc_jobs_deadline_total", "Jobs that missed their deadline");
-  Counter& retries = MetricsRegistry::instance().counter(
-      "raidsim_svc_retries_total", "Transient-failure retry attempts");
   Counter& watchdog_kills = MetricsRegistry::instance().counter(
       "raidsim_svc_watchdog_kills_total", "Stuck jobs killed by the watchdog");
   Counter& cache_hits = MetricsRegistry::instance().counter(
@@ -257,82 +255,53 @@ void Supervisor::run_job(const JobPtr& job) {
   svc_metrics().inflight.add(1.0);
   job->run_span = span_begin(ObsPhase::kJobRun, 0);
 
-  const int retries = std::min(job->request.max_retries, opts_.retry_cap);
-  int attempt = 0;
-  std::string flight;  // prefix of the attempt that unwound last
-  for (;;) {
-    ++attempt;
-    result.attempts = attempt;
-    job->attempt = attempt;
-    job->attempt_started = Clock::now();
-    job->last_frame_ns.store(-1, std::memory_order_relaxed);
-    try {
-      if (attempt <= job->request.fail_first)
-        throw TransientError("injected transient failure (attempt " +
-                             std::to_string(attempt) + ")");
-      SweepJob sweep;
-      sweep.config = job->request.config;
-      sweep.trace = job->request.trace;
-      sweep.workload = job->request.workload;
-      sweep.cancel = &job->token;
-      if (job->progress) {
-        JobPtr self = job;
-        sweep.progress = [this, self](const ProgressSnapshot& snap) {
-          on_engine_progress(self, snap);
-        };
-      }
-      if (!opts_.flight_dir.empty()) {
-        flight = flight_prefix(job, attempt);
-        sweep.flight_out = flight;
-        sweep.flight_events = opts_.flight_events;
-      }
-      Metrics metrics = run_sweep_job(sweep);
-      std::ostringstream os;
-      metrics.to_json(os);
-      result.status = JobStatus::kOk;
-      result.metrics_json = os.str();
-      // Store even when the lookup was bypassed, so a no_cache probe
-      // still primes the cache for the byte-identity check.
-      cache_.insert(job->key, result.metrics_json);
-      break;
-    } catch (const TransientError& e) {
-      if (attempt <= retries) {
-        stats_.retries.fetch_add(1, std::memory_order_relaxed);
-        svc_metrics().retries.add(1);
-        span_instant(ObsPhase::kJobRetry, attempt);
-        if (backoff_sleep(job, attempt)) continue;
-        result.status = JobStatus::kCancelled;
-        result.error = "cancelled during retry backoff";
-        break;
-      }
-      result.status = JobStatus::kFailed;
-      result.error = std::string("transient failure persisted: ") + e.what();
-      break;
-    } catch (const CancelledError& e) {
-      switch (e.reason()) {
-        case CancelReason::kDeadline:
-          result.status = JobStatus::kDeadline;
-          result.error = "deadline expired mid-run";
-          break;
-        case CancelReason::kWatchdog:
-          result.status = JobStatus::kCancelled;
-          result.error = "watchdog cancelled a stuck job";
-          break;
-        default:
-          result.status = JobStatus::kCancelled;
-          result.error = "cancelled by shutdown drain";
-          break;
-      }
-      break;
-    } catch (const std::exception& e) {
-      result.status = JobStatus::kFailed;
-      result.error = e.what();
-      break;
-    } catch (...) {
-      result.status = JobStatus::kFailed;
-      result.error = "unknown exception";
-      break;
+  std::string flight;  // artifact prefix, empty when the recorder is off
+  try {
+    SweepJob sweep;
+    sweep.config = job->request.config;
+    sweep.trace = job->request.trace;
+    sweep.workload = job->request.workload;
+    sweep.cancel = &job->token;
+    if (job->progress) {
+      JobPtr self = job;
+      sweep.progress = [this, self](const ProgressSnapshot& snap) {
+        on_engine_progress(self, snap);
+      };
     }
+    if (!opts_.flight_dir.empty()) {
+      flight = flight_prefix(job);
+      sweep.flight_out = flight;
+      sweep.flight_events = opts_.flight_events;
+    }
+    Metrics metrics = run_sweep_job(sweep);
+    std::ostringstream os;
+    metrics.to_json(os);
+    result.status = JobStatus::kOk;
+    result.metrics_json = os.str();
+    // Store even when the lookup was bypassed, so a no_cache probe
+    // still primes the cache for the byte-identity check.
+    cache_.insert(job->key, result.metrics_json);
+  } catch (const CancelledError& e) {
+    switch (e.reason()) {
+      case CancelReason::kDeadline:
+        result.status = JobStatus::kDeadline;
+        result.error = "deadline expired mid-run";
+        break;
+      case CancelReason::kWatchdog:
+        result.status = JobStatus::kCancelled;
+        result.error = "watchdog cancelled a stuck job";
+        break;
+      default:
+        result.status = JobStatus::kCancelled;
+        result.error = "cancelled by shutdown drain";
+        break;
+    }
+  } catch (const std::exception& e) {
+    result.status = JobStatus::kFailed;
+    result.error = e.what();
+  } catch (...) {
+    result.status = JobStatus::kFailed;
+    result.error = "unknown exception";
   }
 
   {
@@ -352,7 +321,7 @@ void Supervisor::run_job(const JobPtr& job) {
     if (!result.flight_out.empty()) svc_metrics().flight_dumps.add(1);
   }
 
-  span_end(job->run_span, ObsPhase::kJobRun, result.attempts);
+  span_end(job->run_span, ObsPhase::kJobRun, 0);
   complete(job, std::move(result));
 }
 
@@ -382,7 +351,6 @@ void Supervisor::on_engine_progress(const JobPtr& job,
   JobProgress frame;
   frame.id = job->request.id;
   frame.fingerprint = job->fingerprint;
-  frame.attempt = job->attempt;
   frame.events = snap.events;
   frame.sim_ms = snap.sim_ms;
   frame.done = snap.done;
@@ -394,7 +362,7 @@ void Supervisor::on_engine_progress(const JobPtr& job,
                           static_cast<double>(snap.total));
     frame.percent = 100.0 * frac;
     if (snap.done > 0 && snap.done < snap.total) {
-      const double wall = elapsed_ms(job->attempt_started, now);
+      const double wall = elapsed_ms(job->started, now);
       frame.eta_ms = wall * static_cast<double>(snap.total - snap.done) /
                      static_cast<double>(snap.done);
     } else if (snap.done >= snap.total) {
@@ -405,30 +373,15 @@ void Supervisor::on_engine_progress(const JobPtr& job,
   job->progress(frame);
 }
 
-std::string Supervisor::flight_prefix(const JobPtr& job, int attempt) const {
+std::string Supervisor::flight_prefix(const JobPtr& job) const {
   // The job sequence number keeps concurrent identical requests (same
   // fingerprint, e.g. a no_cache pair) from overwriting each other's
   // artifact.
   char name[96];
-  std::snprintf(name, sizeof(name), "/flight_%016llx_j%llu_a%d",
+  std::snprintf(name, sizeof(name), "/flight_%016llx_j%llu",
                 static_cast<unsigned long long>(job->fingerprint),
-                static_cast<unsigned long long>(job->seq), attempt);
+                static_cast<unsigned long long>(job->seq));
   return opts_.flight_dir + name;
-}
-
-bool Supervisor::backoff_sleep(const JobPtr& job, int attempt) {
-  double delay = opts_.backoff_base_ms * std::pow(2.0, attempt - 1);
-  delay = std::min(delay, opts_.backoff_cap_ms);
-  const auto until =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(delay));
-  // Sleep in small slices so cancellation (deadline, watchdog, drain)
-  // interrupts the backoff promptly.
-  while (Clock::now() < until) {
-    if (job->token.cancelled()) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return !job->token.cancelled();
 }
 
 void Supervisor::complete(const JobPtr& job, JobResult result) {

@@ -26,8 +26,8 @@ namespace raidsim::svc {
 ///  - Deadlines: the watchdog cancels over-deadline running jobs through
 ///    their CancelToken (polled by the engines at event-batch
 ///    boundaries); queued jobs are rechecked at pickup.
-///  - Retries: TransientError is retried with capped exponential backoff
-///    (interruptible by cancellation); everything else fails fast.
+///  - One attempt per job: a run is a pure function of its request, so
+///    a job that throws is reported kFailed, never re-run.
 ///  - Result cache: canonical-key LRU serving byte-identical metrics.
 ///  - Watchdog: jobs running past `stuck_job_ms` are cancelled and
 ///    reported -- a wedged simulation cannot pin a worker forever.
@@ -45,11 +45,6 @@ class Supervisor {
     int workers = 2;
     std::size_t queue_capacity = 8;
     std::size_t cache_capacity = 128;
-    /// Hard cap on any job's max_retries request.
-    int retry_cap = 5;
-    /// Exponential backoff: base * 2^(attempt-1), capped.
-    double backoff_base_ms = 5.0;
-    double backoff_cap_ms = 250.0;
     /// Watchdog scan period.
     double watchdog_period_ms = 20.0;
     /// > 0: cancel jobs running longer than this (the stuck-job guard).
@@ -64,7 +59,7 @@ class Supervisor {
     double progress_interval_ms = 50.0;
     /// Non-empty: flight recorder. Every job traces into a small ring
     /// (`flight_events` capacity) and abnormal terminations (deadline,
-    /// watchdog, shutdown cancel, exhausted retries) dump it as a
+    /// watchdog, shutdown cancel, a run that threw) dump it as a
     /// Chrome-trace artifact under this directory; the result's
     /// `flight_out` carries the path.
     std::string flight_dir{};
@@ -124,12 +119,10 @@ class Supervisor {
     Clock::time_point deadline{};  // epoch when none
     bool has_deadline = false;
     Clock::time_point started{};
-    Clock::time_point attempt_started{};  // current simulation attempt
     /// Throttle state for progress frames, nanoseconds since the
     /// supervisor epoch; CAS-claimed so concurrent shard boundaries emit
     /// at most one frame per interval.
     std::atomic<std::int64_t> last_frame_ns{-1};
-    int attempt = 0;
     std::uint64_t queue_span = 0;
     std::uint64_t run_span = 0;
   };
@@ -141,10 +134,8 @@ class Supervisor {
   void complete(const JobPtr& job, JobResult result);
   /// Engine snapshot -> throttled JobProgress frame.
   void on_engine_progress(const JobPtr& job, const ProgressSnapshot& snap);
-  /// Flight artifact prefix for one attempt of a job (empty = disabled).
-  std::string flight_prefix(const JobPtr& job, int attempt) const;
-  /// Interruptible backoff sleep; returns false when cancelled.
-  bool backoff_sleep(const JobPtr& job, int attempt);
+  /// Flight artifact prefix for a job (empty = disabled).
+  std::string flight_prefix(const JobPtr& job) const;
 
   double now_ms() const;
   std::uint64_t span_begin(ObsPhase phase, int track);

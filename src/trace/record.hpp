@@ -45,12 +45,6 @@ class TraceStream {
   /// Next record, or nullopt at end of trace.
   virtual std::optional<TraceRecord> next() = 0;
 
-  /// True when every record this stream will yield has already been
-  /// bounds-checked against geometry() (e.g. at binary-trace conversion
-  /// time, stamped in the file header). Consumers may then skip their
-  /// per-record validation on the replay hot path.
-  virtual bool prevalidated() const { return false; }
-
   /// Number of records this stream will yield, when known up front
   /// (0 = unknown). Purely a pre-sizing hint for replay buffers.
   virtual std::uint64_t size_hint() const { return 0; }
@@ -66,8 +60,6 @@ class SpeedAdapter : public TraceStream {
     return inner_->geometry();
   }
   std::optional<TraceRecord> next() override;
-  // Scaling inter-arrival times never moves a block out of bounds.
-  bool prevalidated() const override { return inner_->prevalidated(); }
   std::uint64_t size_hint() const override { return inner_->size_hint(); }
 
  private:
@@ -85,7 +77,6 @@ class PrefixAdapter : public TraceStream {
     return inner_->geometry();
   }
   std::optional<TraceRecord> next() override;
-  bool prevalidated() const override { return inner_->prevalidated(); }
   std::uint64_t size_hint() const override;
 
  private:

@@ -140,7 +140,8 @@ void validate_against(const TraceGeometry& geo, const TraceRecord& rec,
     throw std::runtime_error("BinaryTraceWriter: " + what + " at record " +
                              std::to_string(index));
   };
-  if (rec.delta_ms < 0.0) fail("negative inter-arrival delta");
+  if (!std::isfinite(rec.delta_ms) || rec.delta_ms < 0.0)
+    fail("negative or non-finite inter-arrival delta");
   if (rec.block < 0) fail("negative block address");
   if (rec.block_count < 1) fail("non-positive block count");
   // Overflow-safe bounds check: block + block_count may wrap int64.
@@ -154,7 +155,6 @@ void validate_against(const TraceGeometry& geo, const TraceRecord& rec,
 std::uint64_t BinaryTraceWriter::write(TraceStream& stream, std::ostream& os) {
   const TraceGeometry& geo = stream.geometry();
   BinaryTraceHeader header;
-  header.flags = BinaryTraceHeader::kPrevalidated;
   header.data_disks = geo.data_disks;
   header.blocks_per_disk = geo.blocks_per_disk;
   const auto header_pos = os.tellp();
@@ -206,7 +206,6 @@ void BinaryTraceReader::parse(const unsigned char* data, std::size_t bytes) {
     throw std::runtime_error("BinaryTraceReader: truncated record section");
   geometry_.data_disks = header.data_disks;
   geometry_.blocks_per_disk = header.blocks_per_disk;
-  prevalidated_ = (header.flags & BinaryTraceHeader::kPrevalidated) != 0;
   count_ = header.record_count;
   records_ = data + sizeof(BinaryTraceHeader);
 }

@@ -60,14 +60,12 @@ class TraceReader : public TraceStream {
 ///           | i64 blocks_per_disk | u64 record_count
 ///   record: f64 delta_ms | i64 block | i32 block_count | u8 is_write | pad
 ///
-/// Flag bit 0 (`kPrevalidated`) records that every record was
-/// bounds-checked against the header geometry when the file was written;
-/// BinaryTraceReader then reports prevalidated() and the simulator skips
-/// its per-record bounds check.
+/// The writer stores 0 in `flags` and the reader ignores it, so files
+/// with any flag bits set (older writers stamped bit 0) still load. A
+/// file is outside input: the simulator checks every record it replays.
 struct BinaryTraceHeader {
   static constexpr char kMagic[4] = {'R', 'S', 'T', 'B'};
   static constexpr std::uint32_t kVersion = 1;
-  static constexpr std::uint32_t kPrevalidated = 1u << 0;
 
   char magic[4] = {'R', 'S', 'T', 'B'};
   std::uint32_t version = kVersion;
@@ -90,9 +88,9 @@ static_assert(sizeof(BinaryTraceRecord) == 24, "record layout is the format");
 class BinaryTraceWriter {
  public:
   /// Serialise everything remaining in `stream` to `os`, validating each
-  /// record against the stream geometry (malformed records throw
-  /// std::runtime_error) so the file can be stamped kPrevalidated. The
-  /// record count is back-patched, so `os` must be seekable.
+  /// record against the stream geometry (malformed records, non-finite
+  /// or negative deltas included, throw std::runtime_error). The record
+  /// count is back-patched, so `os` must be seekable.
   static std::uint64_t write(TraceStream& stream, std::ostream& os);
 
   /// Convenience: write to a file by path.
@@ -117,7 +115,6 @@ class BinaryTraceReader : public TraceStream {
 
   const TraceGeometry& geometry() const override { return geometry_; }
   std::optional<TraceRecord> next() override;
-  bool prevalidated() const override { return prevalidated_; }
   std::uint64_t size_hint() const override { return count_ - cursor_; }
 
   std::uint64_t record_count() const { return count_; }
@@ -128,7 +125,6 @@ class BinaryTraceReader : public TraceStream {
   void parse(const unsigned char* data, std::size_t bytes);
 
   TraceGeometry geometry_;
-  bool prevalidated_ = false;
   std::uint64_t count_ = 0;
   std::uint64_t cursor_ = 0;
   const unsigned char* records_ = nullptr;  // into mapped_ or owned_

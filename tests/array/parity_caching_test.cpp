@@ -110,13 +110,26 @@ TEST_F(ParityCachingTest, SpoolerDrainsInScanOrder) {
   auto cache_cfg = cache_config();
   cache_cfg.destage_period_ms = 400.0;
   CachedController c(eq, config(), cache_cfg);
-  // Writes to three different rows -> three distinct parity blocks.
-  run_write(c, eq, 0);    // row 0
-  run_write(c, eq, 40);   // row 10
-  run_write(c, eq, 80);   // row 20
+  // N=4: the parity disk is index 4. Log its service order, and hold
+  // the first parity op long enough for the next destage pass to queue
+  // blocks on both sides of it.
+  std::vector<std::int64_t> served;
+  c.disks()[4]->set_slowdown_hook(
+      [&served](const DiskRequest& req, SimTime, double) {
+        served.push_back(req.start_block);
+        return served.size() == 1 ? 1000.0 : 0.0;
+      });
+  run_write(c, eq, 80);  // row 20: destaged at t=600, served first
+  eq.run_until(450.0);
+  // Rows 40, 0, 30, 10, one per data disk, destage over t=800..1200
+  // while row 20 is still in service.
+  for (const std::int64_t block : {160, 1, 122, 43}) run_write(c, eq, block);
   drain(c, eq);
-  EXPECT_EQ(c.stats().parity_spools, 3u);
-  EXPECT_EQ(c.disks()[4]->stats().rmws, 3u);
+  EXPECT_EQ(c.stats().parity_spools, 5u);
+  EXPECT_EQ(c.disks()[4]->stats().rmws, 5u);
+  EXPECT_EQ(c.stats().parity_queue_peak, 4u);
+  // SCAN: ascending from the last served block, then wrap to the lowest.
+  EXPECT_EQ(served, (std::vector<std::int64_t>{20, 30, 40, 0, 10}));
 }
 
 TEST_F(ParityCachingTest, PeakQueueTracked) {

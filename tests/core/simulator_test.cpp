@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <deque>
+#include <limits>
+#include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/workloads.hpp"
+#include "trace/trace_io.hpp"
 
 namespace raidsim {
 namespace {
@@ -158,28 +164,67 @@ int first_window(int shards) {
   return static_cast<int>(Simulator::kWindowPerShard) * (shards == 0 ? 1 : 2);
 }
 
+/// BinaryTraceWriter's image of a clean SweepStream with record `index`
+/// patched afterwards, as a corrupt or crafted file would carry it.
+template <typename Patch>
+std::string patched_binary(TraceGeometry geo, int count, int index,
+                           Patch patch) {
+  SweepStream clean(geo, count, -1);
+  std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
+  BinaryTraceWriter::write(clean, out);
+  std::string bytes = out.str();
+  const std::size_t at = sizeof(BinaryTraceHeader) +
+                         static_cast<std::size_t>(index) *
+                             sizeof(BinaryTraceRecord);
+  BinaryTraceRecord rec;
+  std::memcpy(&rec, bytes.data() + at, sizeof(rec));
+  patch(rec);
+  std::memcpy(bytes.data() + at, &rec, sizeof(rec));
+  return bytes;
+}
+
 TEST(Simulator, OutOfRangeRecordMidTraceUnwindsShards) {
   // The reader meets the bad record in the first window (read before any
   // epoch), in the second (read while epoch 1 runs) or many windows into
   // the trace, while the shards have requests in flight and destage
   // timers pending. Each run must throw out_of_range from run() with
   // every worker joined -- not hang in a parked shard, not terminate on a
-  // joinable thread -- and tear down cleanly.
+  // joinable thread -- and tear down cleanly. Binary traces carrying a
+  // bad extent or a NaN delta at the same place are checked too: a file
+  // is outside input, whatever its header says.
   for (const int shards : {0, 2}) {
     const SimulationConfig config = two_cached_raid5(shards);
     for (const int bad : {100, first_window(shards) + 100, 40'000}) {
-      SCOPED_TRACE("shards " + std::to_string(shards) + ", bad record " +
-                   std::to_string(bad));
-      SweepStream trace(kTwoArrays, 50'000, bad);
-      Simulator sim(config, kTwoArrays);
-      ASSERT_EQ(sim.shards(), shards == 0 ? 1 : 2);
-      EXPECT_THROW(sim.run(trace), std::out_of_range);
-      if (bad == 100) {
-        // Nothing ran: the first window never reached a shard.
-        EXPECT_EQ(sim.event_queue(0).executed(), 0u);
-      } else {
-        EXPECT_GT(sim.event_queue(0).executed(), 0u);
-        EXPECT_GT(sim.event_queue(1).executed(), 0u);
+      const std::string bad_extent = patched_binary(
+          kTwoArrays, 50'000, bad, [](BinaryTraceRecord& rec) {
+            rec.block = kTwoArrays.total_blocks();
+          });
+      const std::string nan_delta = patched_binary(
+          kTwoArrays, 50'000, bad, [](BinaryTraceRecord& rec) {
+            rec.delta_ms = std::numeric_limits<double>::quiet_NaN();
+          });
+      const std::string* const no_image = nullptr;
+      for (const std::string* image : {no_image, &bad_extent, &nan_delta}) {
+        SCOPED_TRACE("shards " + std::to_string(shards) + ", bad record " +
+                     std::to_string(bad) + ", " +
+                     (image == no_image      ? "stream"
+                      : image == &bad_extent ? "binary extent"
+                                             : "binary NaN delta"));
+        std::unique_ptr<TraceStream> trace;
+        if (image == no_image)
+          trace = std::make_unique<SweepStream>(kTwoArrays, 50'000, bad);
+        else
+          trace = BinaryTraceReader::from_buffer(image->data(), image->size());
+        Simulator sim(config, kTwoArrays);
+        ASSERT_EQ(sim.shards(), shards == 0 ? 1 : 2);
+        EXPECT_THROW(sim.run(*trace), std::out_of_range);
+        if (bad == 100) {
+          // Nothing ran: the first window never reached a shard.
+          EXPECT_EQ(sim.event_queue(0).executed(), 0u);
+        } else {
+          EXPECT_GT(sim.event_queue(0).executed(), 0u);
+          EXPECT_GT(sim.event_queue(1).executed(), 0u);
+        }
       }
     }
   }

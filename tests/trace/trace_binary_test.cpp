@@ -1,11 +1,12 @@
 // Binary ("RSTB") trace format: round trips, header validation,
-// truncation detection, the prevalidated fast-path flag, and the
-// format-sniffing open_trace() entry point.
+// truncation detection, ignored header flags, and the format-sniffing
+// open_trace() entry point.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,18 +60,53 @@ TEST(TraceBinary, RoundTripPreservesRecordsExactly) {
   EXPECT_EQ(reader->size_hint(), 0u);
 }
 
-TEST(TraceBinary, WriterStampsPrevalidatedFlag) {
-  const std::string bytes = to_binary(kSmallText);
+TEST(TraceBinary, ReaderIgnoresHeaderFlags) {
+  std::string bytes = to_binary(kSmallText);
   BinaryTraceHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
-  EXPECT_TRUE(header.flags & BinaryTraceHeader::kPrevalidated);
+  EXPECT_EQ(header.flags, 0u);
 
+  // Older writers stamped bit 0; files with any flags set still load and
+  // yield the same records.
+  header.flags = ~0u;
+  std::memcpy(bytes.data(), &header, sizeof(header));
   auto reader = BinaryTraceReader::from_buffer(bytes.data(), bytes.size());
-  EXPECT_TRUE(reader->prevalidated());
+  TraceReader expect(text(kSmallText));
+  for (int i = 0; i < 3; ++i) {
+    auto want = expect.next();
+    auto got = reader->next();
+    ASSERT_TRUE(want && got) << "record " << i;
+    EXPECT_EQ(got->block, want->block);
+    EXPECT_EQ(got->block_count, want->block_count);
+  }
+  EXPECT_FALSE(reader->next().has_value());
+}
 
-  // The text reader (and streams generally) default to false.
-  TraceReader fresh(text(kSmallText));
-  EXPECT_FALSE(fresh.prevalidated());
+/// One record with the given delta over a 1x10 geometry.
+class OneRecordStream : public TraceStream {
+ public:
+  explicit OneRecordStream(double delta_ms) { record_.delta_ms = delta_ms; }
+  const TraceGeometry& geometry() const override { return geo_; }
+  std::optional<TraceRecord> next() override {
+    if (done_) return std::nullopt;
+    done_ = true;
+    return record_;
+  }
+
+ private:
+  TraceGeometry geo_{1, 10};
+  TraceRecord record_;
+  bool done_ = false;
+};
+
+TEST(TraceBinary, WriterRejectsNonFiniteOrNegativeDeltas) {
+  for (const double delta : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -1.0}) {
+    OneRecordStream stream(delta);
+    std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
+    EXPECT_THROW(BinaryTraceWriter::write(stream, out), std::runtime_error)
+        << delta;
+  }
 }
 
 TEST(TraceBinary, WriterRejectsOutOfBoundsRecords) {
@@ -132,8 +168,8 @@ TEST(TraceBinary, FileRoundTripAndSniffing) {
   // must replay to the same records.
   auto sniffed_binary = open_trace(binary_path);
   auto sniffed_text = open_trace(text_path);
-  EXPECT_TRUE(sniffed_binary->prevalidated());
-  EXPECT_FALSE(sniffed_text->prevalidated());
+  EXPECT_NE(dynamic_cast<BinaryTraceReader*>(sniffed_binary.get()), nullptr);
+  EXPECT_NE(dynamic_cast<TraceReader*>(sniffed_text.get()), nullptr);
   for (int i = 0; i < 3; ++i) {
     auto a = sniffed_binary->next();
     auto b = sniffed_text->next();

@@ -2,7 +2,7 @@
 //
 // Accepts newline-delimited JSON jobs over a local AF_UNIX socket and
 // runs them on a bounded worker pool with admission control, per-job
-// deadlines, transient-failure retries, a result cache, a stuck-job
+// deadlines, a result cache, a stuck-job
 // watchdog, and graceful drain on SIGTERM/SIGINT (stop admitting,
 // finish or cancel in-flight work inside the drain budget, flush final
 // stats). See docs/service.md for the protocol.
@@ -32,8 +32,6 @@ void usage() {
                "  --workers N        worker threads (default 2)\n"
                "  --queue N          admission queue capacity (default 8)\n"
                "  --cache N          result-cache entries (default 128)\n"
-               "  --retry-cap N      max transient retries per job (default 5)\n"
-               "  --backoff-ms X     retry backoff base (default 5)\n"
                "  --watchdog-ms X    watchdog scan period (default 20)\n"
                "  --stuck-ms X       cancel jobs running longer than X (default off)\n"
                "  --drain-ms X       drain budget on shutdown (default 5000)\n"
@@ -67,9 +65,6 @@ int main(int argc, char** argv) {
     else if (arg == "--cache")
       opts.supervisor.cache_capacity =
           static_cast<std::size_t>(std::atoll(value()));
-    else if (arg == "--retry-cap") opts.supervisor.retry_cap = std::atoi(value());
-    else if (arg == "--backoff-ms")
-      opts.supervisor.backoff_base_ms = std::atof(value());
     else if (arg == "--watchdog-ms")
       opts.supervisor.watchdog_period_ms = std::atof(value());
     else if (arg == "--stuck-ms") opts.supervisor.stuck_job_ms = std::atof(value());

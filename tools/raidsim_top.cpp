@@ -5,7 +5,7 @@
 // connection receives the progress-frame firehose ({"type":"progress"}
 // lines) that every running job streams from its engine's event-batch
 // boundaries. The screen shows queue depth, in-flight count, goodput /
-// shed / retry rates (derived from scrape deltas), and one progress bar
+// shed / deadline rates (derived from scrape deltas), and one progress bar
 // per active job.
 //
 // Usage: raidsim_top --socket PATH [--interval-ms N] [--once]
@@ -39,7 +39,6 @@ using raidsim::svc::JsonValue;
 
 struct JobRow {
   std::string id;
-  int attempt = 1;
   double percent = -1.0;
   std::uint64_t done = 0;
   std::uint64_t total = 0;
@@ -147,8 +146,6 @@ class Firehose {
       if (key.empty()) key = v->as_string();
       if (row.id.empty()) row.id = v->as_string().substr(0, 8);
     }
-    if (const JsonValue* v = frame.find("attempt"); v && v->is_number())
-      row.attempt = static_cast<int>(v->as_number());
     if (const JsonValue* v = frame.find("percent"); v && v->is_number())
       row.percent = v->as_number();
     if (const JsonValue* v = frame.find("done"); v && v->is_number())
@@ -222,11 +219,10 @@ void render(const std::map<std::string, double>& now,
   std::printf("raidsim_top -- what-if service\n");
   std::printf(
       "queue %3.0f  inflight %3.0f  | goodput %6.1f/s  shed %5.1f/s  "
-      "retry %5.1f/s  deadline %5.1f/s\n",
+      "deadline %5.1f/s\n",
       get(now, "raidsim_svc_queue_depth"), get(now, "raidsim_svc_inflight"),
       rate("raidsim_svc_jobs_ok_total"),
       rate("raidsim_svc_jobs_overloaded_total"),
-      rate("raidsim_svc_retries_total"),
       rate("raidsim_svc_jobs_deadline_total"));
   std::printf(
       "totals: ok %.0f (cached %.0f)  shed %.0f  failed %.0f  "
@@ -250,8 +246,7 @@ void render(const std::map<std::string, double>& now,
     for (const JobRow& job : jobs) {
       std::string label = job.id.empty() ? "(anon)" : job.id;
       if (label.size() > 16) label = label.substr(0, 16);
-      std::printf("%-16s a%-2d [%s]", label.c_str(), job.attempt,
-                  bar(job.percent, 30).c_str());
+      std::printf("%-16s [%s]", label.c_str(), bar(job.percent, 30).c_str());
       if (job.percent >= 0.0)
         std::printf(" %5.1f%%", job.percent);
       else
