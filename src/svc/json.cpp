@@ -70,7 +70,8 @@ std::string JsonValue::dump() const {
     case Type::kBool:
       return bool_ ? "true" : "false";
     case Type::kNumber: {
-      if (std::isfinite(number_) &&
+      // The integer form only where the cast to long long is defined.
+      if (std::fabs(number_) < 0x1p63 &&
           number_ == static_cast<double>(static_cast<long long>(number_))) {
         return std::to_string(static_cast<long long>(number_));
       }

@@ -80,6 +80,15 @@ TEST(Json, NumberOverflowIsAnError) {
   EXPECT_THROW(json_parse("1e999"), JsonError);
 }
 
+TEST(Json, LargeNumbersDumpWithoutIntegerCast) {
+  // Past the long long range dump() must not take the integer form: the
+  // cast is undefined there (float-cast-overflow in a sanitized build).
+  for (const char* text : {"1e19", "-1e19", "1e300", "-9223372036854775808"}) {
+    const double value = json_parse(text).as_number();
+    EXPECT_EQ(json_parse(JsonValue(value).dump()).as_number(), value) << text;
+  }
+}
+
 TEST(Json, DumpStableKeyOrder) {
   const JsonValue v = json_parse(R"({"zeta": 1, "alpha": 2})");
   EXPECT_EQ(v.dump(), R"({"alpha":2,"zeta":1})");
