@@ -209,15 +209,19 @@ BENCHMARK(BM_LruStackTouchAtDepth);
 // per touch, ~700k in all), the rest re-touching the block at a depth
 // drawn from trace1's read stack-distance distribution (a depth past the
 // bottom falls back to a fresh block, as in the generator). Each
-// iteration grows the stack from empty, so every index doubling and
-// compaction is inside the timing; the op list is drawn up front.
-void BM_LruStackInsertHeavy(benchmark::State& state) {
+// iteration builds its stack inside the timing; the op list is drawn up
+// front. BM_LruStackInsertHeavy grows the stack from empty, so every
+// index doubling and compaction is timed; BM_LruStackInsertHeavySized
+// first sizes it once as the generator does (the touches, and an index
+// for trace1 x0.25's 840,626 records), so neither happens.
+void lru_stack_insert_heavy(benchmark::State& state, bool sized) {
   struct Op {
     bool reuse;
     std::uint32_t depth;
     std::uint32_t fresh;
   };
   constexpr int kTouches = 1'120'000;
+  constexpr std::size_t kRecords = 840'626;
   static const std::vector<Op> ops = [] {
     Rng rng(6);
     const LognormalMixture depth = TraceProfile::trace1().read_depth;
@@ -235,6 +239,7 @@ void BM_LruStackInsertHeavy(benchmark::State& state) {
   std::size_t distinct = 0;
   for (auto _ : state) {
     LruStack stack;
+    if (sized) stack.reserve(kTouches, kRecords);
     for (const Op& op : ops) {
       std::optional<std::int64_t> block;
       if (op.reuse) block = stack.at_depth(op.depth);
@@ -247,7 +252,14 @@ void BM_LruStackInsertHeavy(benchmark::State& state) {
   state.counters["distinct_per_touch"] =
       static_cast<double>(distinct) / kTouches;
 }
+void BM_LruStackInsertHeavy(benchmark::State& state) {
+  lru_stack_insert_heavy(state, false);
+}
 BENCHMARK(BM_LruStackInsertHeavy)->Unit(benchmark::kMillisecond);
+void BM_LruStackInsertHeavySized(benchmark::State& state) {
+  lru_stack_insert_heavy(state, true);
+}
+BENCHMARK(BM_LruStackInsertHeavySized)->Unit(benchmark::kMillisecond);
 
 void BM_SyntheticTraceGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -46,7 +46,7 @@ int write_stream(raidsim::TraceStream& stream, const std::string& out_path) {
     const auto records = raidsim::BinaryTraceWriter::write_file(stream,
                                                                 out_path);
     std::cout << "wrote " << out_path << " (" << records
-              << " records, binary prevalidated)\n";
+              << " records, binary)\n";
     return 0;
   }
   std::ofstream out(out_path);

@@ -155,7 +155,7 @@ OpRef<Disk::Pending> Disk::pop_next() {
 double Disk::rotational_latency(SimTime t, int sector) const {
   const double rot = geometry_.rotation_ms();
   const double target = static_cast<double>(sector) * geometry_.sector_time_ms();
-  double angle = std::fmod(t, rot);
+  double angle = rotation_phase(t, rot);
   double lat = target - angle;
   if (lat < 0.0) lat += rot;
   return lat;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace raidsim {
@@ -10,6 +11,31 @@ struct BlockAddress {
   int track = 0;        // track (surface) within the cylinder
   int sector = 0;       // first sector within the track
 };
+
+/// Time `t` into the current revolution of `rot` ms: bit for bit
+/// std::fmod(t, rot), without glibc's bit-serial fmod loop. With the true
+/// quotient q = floor(t / rot) the remainder t - q * rot is representable,
+/// so one fma computes it exactly. The rounded t / rot can land one past
+/// the true quotient either way; the remainder then falls outside
+/// [0, rot) and is recomputed with the corrected quotient. A t that is
+/// not positive and finite (fmod keeps the sign of a zero), a rot that is
+/// not positive and finite, and quotients too large to be exact take
+/// std::fmod.
+inline double rotation_phase(double t, double rot) {
+  const double quotient = t / rot;
+  if (!(t > 0.0 && rot > 0.0 && std::isfinite(rot) && quotient < 0x1p52))
+    return std::fmod(t, rot);
+  double q = std::floor(quotient);
+  double r = std::fma(-q, rot, t);
+  if (r < 0.0) {
+    q -= 1.0;
+    r = std::fma(-q, rot, t);
+  } else if (r >= rot) {
+    q += 1.0;
+    r = std::fma(-q, rot, t);
+  }
+  return r;
+}
 
 /// Disk drive geometry. Defaults reproduce Table 1 of the paper:
 /// 5400 rpm, 1260 cylinders, 48 sectors/track, 512 B sectors, 15 platters

@@ -13,6 +13,17 @@ constexpr std::size_t kWordBits = 64;
 constexpr std::uint64_t kByteOnes = 0x0101010101010101ULL;
 constexpr std::uint64_t kByteHighs = 0x8080808080808080ULL;
 
+// Slots are 32-bit, and the slot array is indexed below its capacity.
+constexpr std::size_t kMaxSlots = std::size_t{1} << 32;
+
+/// Slots for `touches` touches: a whole number of 64-slot words, at
+/// least one and at most kMaxSlots.
+std::size_t slots_for(std::size_t touches) {
+  const std::size_t words =
+      (std::min(touches, kMaxSlots) + kWordBits - 1) / kWordBits;
+  return std::max<std::size_t>(words, 1) * kWordBits;
+}
+
 std::size_t index_size_for(std::size_t keys) {
   // Power of two holding `keys` at no more than 50% load.
   std::size_t size = 16;
@@ -60,13 +71,28 @@ std::size_t select_in_word(std::uint64_t x, std::size_t k) {
 
 }  // namespace
 
-LruStack::LruStack(std::size_t initial_slots)
-    : capacity_(std::bit_ceil(std::max(initial_slots, kWordBits))),
-      live_bits_(capacity_ / kWordBits, 0),
-      word_live_(capacity_ / kWordBits),
-      block_at_slot_(capacity_ + capacity_ / kWordBits),
-      index_(index_size_for(capacity_), Entry{kEmptyKey, 0}),
-      index_mask_(index_.size() - 1) {}
+LruStack::LruStack(std::size_t initial_slots) {
+  const std::size_t slots = slots_for(initial_slots);
+  allocate(slots, index_size_for(slots));
+}
+
+void LruStack::reserve(std::size_t touches, std::size_t blocks) {
+  if (next_slot_ != 0) return;
+  // No more than kBlockLimit distinct blocks exist.
+  allocate(slots_for(touches),
+           index_size_for(std::min<std::size_t>(blocks, kBlockLimit)));
+}
+
+void LruStack::allocate(std::size_t slots, std::size_t index_size) {
+  // Fresh vectors rather than assign(), so a reservation smaller than the
+  // constructor's arrays gives their memory back.
+  capacity_ = slots;
+  live_bits_ = std::vector<std::uint64_t>(slots / kWordBits, 0);
+  word_live_ = FenwickTree(slots / kWordBits);
+  block_at_slot_ = std::vector<std::uint32_t>(slots + slots / kWordBits);
+  index_ = std::vector<Entry>(index_size, Entry{kEmptyKey, 0});
+  index_mask_ = index_size - 1;
+}
 
 const LruStack::Entry* LruStack::find_entry(std::int64_t block) const {
   if (block < 0 || block >= kBlockLimit) return nullptr;
@@ -167,7 +193,7 @@ void LruStack::compact() {
   const std::size_t n = count_;
   std::size_t new_capacity = capacity_;
   while (new_capacity < 2 * n + 16) new_capacity *= 2;
-  if (new_capacity > (std::size_t{1} << 32))
+  if (new_capacity > kMaxSlots)
     throw std::length_error("LruStack: slot count exceeds 32 bits");
 
   const std::size_t words = capacity_ / kWordBits;

@@ -33,12 +33,17 @@ namespace raidsim {
 ///    fresh accesses), and a run then shares its cache lines. Keys are
 ///    never erased (touch only inserts or moves), so the table needs no
 ///    tombstones.
-///  * Compaction. When the cursor reaches the end of the slot array, the
-///    live slots are packed to the bottom in stack order: one sequential
-///    pass over the index maps each entry's slot to its rank (word prefix
-///    count + popcount), with no re-probe per block. The slot array
-///    doubles until it holds at least 2n + 16 slots, giving amortised
-///    O(log n) per operation.
+///  * Sizing. reserve() sizes an empty stack once for the touches and
+///    distinct blocks it will see: the slot array to a multiple of 64
+///    slots, the index to a power of two at no more than 50% load. A
+///    stack sized from a good estimate never compacts or grows its index.
+///  * Compaction (fallback). When the cursor reaches the end of the slot
+///    array, the live slots are packed to the bottom in stack order: one
+///    sequential pass over the index maps each entry's slot to its rank
+///    (word prefix count + popcount), with no re-probe per block. The
+///    slot array doubles until it holds at least 2n + 16 slots, giving
+///    amortised O(log n) per operation. Likewise the index doubles when
+///    it would pass 50% load.
 ///
 /// Blocks and slots are 32-bit: block numbers must lie in
 /// [0, kBlockLimit).
@@ -48,7 +53,14 @@ class LruStack {
   /// index entry).
   static constexpr std::int64_t kBlockLimit = 0xffffffff;
 
-  explicit LruStack(std::size_t initial_slots = 4096);
+  /// `initial_slots` is rounded up to a multiple of 64 (at least 64).
+  explicit LruStack(std::size_t initial_slots = 64);
+
+  /// Size an empty stack for `touches` touches of at most `blocks`
+  /// distinct blocks, replacing its arrays, so that it neither compacts
+  /// before the touch after the last reserved one nor grows its index
+  /// before block `blocks + 1`. A no-op once the stack has been touched.
+  void reserve(std::size_t touches, std::size_t blocks);
 
   /// Insert `block` at the top (most recently used), moving it if present.
   void touch(std::int64_t block);
@@ -88,13 +100,17 @@ class LruStack {
     return const_cast<Entry*>(
         static_cast<const LruStack*>(this)->find_entry(block));
   }
-  /// Insert an absent block (doubling the table at 50% load).
+  /// Insert an absent block (doubling the table past 50% load).
   void insert_slot(std::uint32_t block, std::uint32_t slot);
   void grow_table();
 
   void compact();
 
-  std::size_t capacity_;        // slots; a power of two >= 64
+  /// Allocate empty arrays for `slots` slots (a multiple of 64) and an
+  /// index of `index_size` entries (a power of two).
+  void allocate(std::size_t slots, std::size_t index_size);
+
+  std::size_t capacity_ = 0;    // slots; a multiple of 64, at least 64
   std::size_t next_slot_ = 0;   // cursor: the slot the next touch takes
   std::size_t open_live_ = 0;   // live slots in the cursor's word
   std::vector<std::uint64_t> live_bits_;  // bit s % 64 of word s / 64
@@ -105,7 +121,7 @@ class LruStack {
   std::vector<std::uint32_t> block_at_slot_;
 
   std::vector<Entry> index_;  // power-of-two size
-  std::size_t index_mask_;
+  std::size_t index_mask_ = 0;
   std::size_t count_ = 0;
 };
 

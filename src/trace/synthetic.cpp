@@ -2,9 +2,49 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 namespace raidsim {
+
+namespace {
+
+/// Touches the generator makes over a profile's records, for sizing its
+/// LRU stack: the expected count plus six standard deviations, so the
+/// stack practically never runs out of slots. A record touches one block,
+/// or with probability f a multiblock run of C = min(1 + G, cap) blocks
+/// (at least 2), G geometric on {1, 2, ...} with P(G > j) = q^j. Capped
+/// at 2 * total_blocks + 16 slots, past which a compaction frees at least
+/// half the slot array.
+std::size_t expected_touches(const TraceProfile& p) {
+  const double f = std::clamp(p.multiblock_fraction, 0.0, 1.0);
+  double c1 = 2.0;  // E[C]
+  double c2 = 4.0;  // E[C^2]
+  if (p.multiblock_max_blocks > 2) {
+    // C = 1 + Y with Y = min(G, m), m = cap - 1:
+    //   E[Y] = sum_{j<m} q^j = s0,  E[Y^2] = sum_{j<m} (2j + 1) q^j,
+    //   s1 = sum_{j<m} j q^j = q (1 - m q^(m-1) + (m-1) q^m) / (1-q)^2.
+    const double prob =
+        1.0 / std::max(1.0, p.multiblock_mean_blocks - 1.0);
+    const double q = 1.0 - prob;
+    const double m = p.multiblock_max_blocks - 1.0;
+    const double q_m1 = std::pow(q, m - 1.0);
+    const double s0 = (1.0 - q_m1 * q) / prob;
+    const double s1 =
+        q * (1.0 - m * q_m1 + (m - 1.0) * q_m1 * q) / (prob * prob);
+    c1 = 1.0 + s0;
+    c2 = 1.0 + 2.0 * s0 + (s0 + 2.0 * s1);
+  }
+  const double mean = 1.0 - f + f * c1;
+  const double var = std::max(0.0, 1.0 - f + f * c2 - mean * mean);
+  const auto n = static_cast<double>(p.requests);
+  const double touches = n * mean + 6.0 * std::sqrt(n * var);
+  const double limit =
+      2.0 * static_cast<double>(p.geometry.total_blocks()) + 16.0;
+  return static_cast<std::size_t>(std::ceil(std::min(touches, limit)));
+}
+
+}  // namespace
 
 TraceProfile TraceProfile::trace1() {
   TraceProfile p;
@@ -179,6 +219,15 @@ std::int64_t SyntheticTrace::pick_block(bool is_write, int count) {
 
 std::optional<TraceRecord> SyntheticTrace::next() {
   if (emitted_ >= profile_.requests) return std::nullopt;
+  if (emitted_ == 0) {
+    // Sized here rather than in the constructor, so building a trace
+    // stays cheap. Each record adds at most one block the stack has not
+    // seen, except multiblock ones.
+    const auto total_blocks =
+        static_cast<std::uint64_t>(profile_.geometry.total_blocks());
+    stack_.reserve(expected_touches(profile_),
+                   std::min(profile_.requests, total_blocks));
+  }
   ++emitted_;
 
   TraceRecord rec;

@@ -109,7 +109,7 @@ class SyntheticTrace : public TraceStream {
 
   TraceProfile profile_;
   Rng rng_;
-  LruStack stack_;
+  LruStack stack_;  // sized at the first record
   std::unique_ptr<AliasSampler> disk_weights_;
   std::unique_ptr<ZipfSampler> zone_sampler_;
   std::vector<std::int64_t> cursor_;       // per-disk sequential cursor

@@ -9,6 +9,9 @@
 //    callbacks without a single global allocation;
 //  - power_fail destroys every queued request's callbacks and delivers
 //    the kill callbacks in arrival order;
+//  - the trace generator, whose LRU stack is sized at the first record,
+//    draws every later record without a global allocation: neither the
+//    stack's index nor its slot array grows;
 //  - a simulator destroyed after a cancellation, with requests still
 //    queued at disks and channels, tears down cleanly (leak- and
 //    use-after-free-checked in the sanitizer build).
@@ -158,6 +161,27 @@ TEST(ChannelOwnership, WarmTransferStreamMakesNoGlobalAllocations) {
   EXPECT_EQ(global_allocations() - before, 0u);
   EXPECT_EQ(ch.queue_length(), 0u);
   EXPECT_EQ(sink, 4u * 64u);
+}
+
+TEST(GeneratorOwnership, SizedStackDrawsWithoutAllocating) {
+  struct Case {
+    const char* trace;
+    double scale;
+    std::uint64_t records;
+  };
+  for (const Case& c :
+       {Case{"trace2", 1.0, 69539}, Case{"trace1", 0.02, 67250}}) {
+    WorkloadOptions options;
+    options.scale = c.scale;
+    auto stream = make_workload(c.trace, options);
+    ASSERT_TRUE(stream->next().has_value());  // sizes the stack
+    const std::uint64_t before = global_allocations();
+    std::uint64_t records = 1;
+    while (stream->next()) ++records;
+    EXPECT_EQ(global_allocations() - before, 0u)
+        << c.trace << " x" << c.scale;
+    EXPECT_EQ(records, c.records) << c.trace << " x" << c.scale;
+  }
 }
 
 TEST(DiskPowerFail, DestroysQueuedCallbacksAndKillsInArrivalOrder) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -125,31 +127,72 @@ void expect_word_boundaries_agree(const LruStack& stack,
   }
 }
 
-/// Drives both stacks with the generator's access pattern: with
-/// probability `reuse_prob` re-touch the block at a random depth (heavy
-/// toward the top, like the sampled stack distances), otherwise touch a
-/// block drawn uniformly from [0, universe). Full sweeps run every 128
-/// ops and whenever the size reaches a power of two, where the index
-/// doubles; boundary probes run on every op.
-void run_differential(std::uint64_t seed, double reuse_prob,
-                      std::int64_t universe, int ops) {
-  LruStack stack(16);  // small initial capacity to force compactions
+/// How run_differential sizes its LruStack before the first touch.
+enum class Sizing {
+  kGrow,        // LruStack(16), no reserve(): compacts and grows throughout
+  kExact,       // reserve(touches, distinct blocks) of the run itself
+  kUndersized,  // reserve() a quarter of both: falls back to growing
+};
+
+/// The touch sequence run_differential replays for (seed, reuse_prob,
+/// universe, ops): with probability `reuse_prob` re-touch the block at a
+/// random depth (heavy toward the top, like the sampled stack
+/// distances), otherwise touch a block drawn uniformly from [0,
+/// universe). Each reuse also records the depth it was drawn from.
+struct TouchPlan {
+  struct Touch {
+    std::int64_t block;
+    std::optional<std::size_t> reuse_depth;
+  };
+  std::vector<Touch> touches;
+  std::size_t distinct = 0;
+};
+
+TouchPlan plan_touches(std::uint64_t seed, double reuse_prob,
+                       std::int64_t universe, int ops) {
+  TouchPlan plan;
   NaiveStack naive;
   Rng rng(seed);
   for (int op = 0; op < ops; ++op) {
-    std::int64_t block;
+    TouchPlan::Touch touch{0, std::nullopt};
     if (naive.size() > 0 && rng.bernoulli(reuse_prob)) {
       const double u = rng.uniform();
       const auto d = static_cast<std::size_t>(
           u * u * u * static_cast<double>(naive.size()));
-      block = *naive.at_depth(d);
-      ASSERT_EQ(stack.at_depth(d), block) << "op " << op;
+      touch = {*naive.at_depth(d), d};
     } else {
-      block = rng.uniform_i64(0, universe - 1);
+      touch.block = rng.uniform_i64(0, universe - 1);
+    }
+    naive.touch(touch.block);
+    plan.touches.push_back(touch);
+  }
+  plan.distinct = naive.size();
+  return plan;
+}
+
+/// Drives LruStack and NaiveStack with one TouchPlan. Full sweeps run
+/// every 128 ops and whenever the size reaches a power of two, where a
+/// growing index doubles; boundary probes run on every op.
+void run_differential(std::uint64_t seed, double reuse_prob,
+                      std::int64_t universe, int ops,
+                      Sizing sizing = Sizing::kGrow) {
+  const TouchPlan plan = plan_touches(seed, reuse_prob, universe, ops);
+  LruStack stack(16);  // small initial capacity to force compactions
+  if (sizing == Sizing::kExact) {
+    stack.reserve(plan.touches.size(), plan.distinct);
+  } else if (sizing == Sizing::kUndersized) {
+    stack.reserve(plan.touches.size() / 4, plan.distinct / 4);
+  }
+  NaiveStack naive;
+  for (int op = 0; op < ops; ++op) {
+    const TouchPlan::Touch& touch = plan.touches[op];
+    if (touch.reuse_depth) {
+      ASSERT_EQ(stack.at_depth(*touch.reuse_depth), touch.block)
+          << "op " << op;
     }
     const std::size_t before = naive.size();
-    stack.touch(block);
-    naive.touch(block);
+    stack.touch(touch.block);
+    naive.touch(touch.block);
     ASSERT_NO_FATAL_FAILURE(expect_word_boundaries_agree(stack, naive, op));
     const bool grew_to_power_of_two =
         naive.size() != before && std::has_single_bit(naive.size());
@@ -171,6 +214,55 @@ TEST(LruStack, MatchesNaiveReuseHeavy) {
   // A small, hot working set: nearly every touch moves a live block, so
   // compaction reclaims almost the whole slot array each time.
   run_differential(12, 0.9, 500, 12000);
+}
+
+TEST(LruStack, MatchesNaiveWithExactReservation) {
+  // Sized for exactly the run, as the generator sizes its stack: no
+  // compaction and no index growth. 12032 touches (188 words) fill the
+  // slot array to its last slot.
+  run_differential(11, 0.4, std::int64_t{1} << 30, 12032, Sizing::kExact);
+  run_differential(12, 0.9, 500, 12032, Sizing::kExact);
+  run_differential(13, 0.0, std::int64_t{1} << 30, 4096, Sizing::kExact);
+}
+
+TEST(LruStack, MatchesNaiveWithUndersizedReservation) {
+  // A quarter of the touches and of the distinct blocks: the stack falls
+  // back to compacting and to growing its index, starting from a slot
+  // array that is not a power of two.
+  run_differential(11, 0.4, std::int64_t{1} << 30, 12000,
+                   Sizing::kUndersized);
+  run_differential(12, 0.9, 500, 12000, Sizing::kUndersized);
+}
+
+TEST(LruStack, ReserveAfterTouchIsNoOp) {
+  LruStack stack;
+  for (std::int64_t b = 0; b < 100; ++b) stack.touch(b);
+  stack.reserve(1 << 20, 1 << 20);
+  stack.reserve(0, 0);
+  EXPECT_EQ(stack.size(), 100u);
+  for (std::size_t d = 0; d < 100; ++d) {
+    EXPECT_EQ(stack.at_depth(d), static_cast<std::int64_t>(99 - d));
+  }
+  // The stack goes on compacting and growing its own arrays.
+  for (std::int64_t b = 0; b < 1000; ++b) stack.touch(b % 300);
+  EXPECT_EQ(stack.size(), 300u);
+  EXPECT_EQ(stack.at_depth(0), 99);     // touched at b = 999
+  EXPECT_EQ(stack.at_depth(299), 100);  // touched at b = 700
+  EXPECT_EQ(stack.depth_of(0), 99u);    // touched at b = 900
+}
+
+TEST(LruStack, ReserveSmallerThanConstructed) {
+  // A reservation replaces the constructor's arrays even when it is the
+  // smaller, and the stack still grows past it.
+  LruStack stack(1 << 16);
+  stack.reserve(10, 3);
+  NaiveStack naive;
+  for (std::int64_t i = 0; i < 3000; ++i) {
+    const std::int64_t block = (i * 7919) % 401;
+    stack.touch(block);
+    naive.touch(block);
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_full_agreement(stack, naive, 3000));
 }
 
 TEST(LruStack, ExtremeBlockNumbers) {
