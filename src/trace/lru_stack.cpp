@@ -13,8 +13,10 @@ constexpr std::size_t kWordBits = 64;
 constexpr std::uint64_t kByteOnes = 0x0101010101010101ULL;
 constexpr std::uint64_t kByteHighs = 0x8080808080808080ULL;
 
-// Slots are 32-bit, and the slot array is indexed below its capacity.
-constexpr std::size_t kMaxSlots = std::size_t{1} << 32;
+// Slots are 32-bit and lie below the slot array's capacity. The cap
+// stops a whole word short of 2^32, so no live slot equals the index's
+// empty mark (0xffffffff).
+constexpr std::size_t kMaxSlots = (std::size_t{1} << 32) - kWordBits;
 
 /// Slots for `touches` touches: a whole number of 64-slot words, at
 /// least one and at most kMaxSlots.
@@ -90,16 +92,16 @@ void LruStack::allocate(std::size_t slots, std::size_t index_size) {
   live_bits_ = std::vector<std::uint64_t>(slots / kWordBits, 0);
   word_live_ = FenwickTree(slots / kWordBits);
   block_at_slot_ = std::vector<std::uint32_t>(slots + slots / kWordBits);
-  index_ = std::vector<Entry>(index_size, Entry{kEmptyKey, 0});
+  index_ = std::vector<std::uint32_t>(index_size, kEmptySlot);
   index_mask_ = index_size - 1;
 }
 
-const LruStack::Entry* LruStack::find_entry(std::int64_t block) const {
+const std::uint32_t* LruStack::find_entry(std::int64_t block) const {
   if (block < 0 || block >= kBlockLimit) return nullptr;
   const auto key = static_cast<std::uint32_t>(block);
   std::size_t i = hash_block(key) & index_mask_;
-  while (index_[i].key != kEmptyKey) {
-    if (index_[i].key == key) return &index_[i];
+  while (index_[i] != kEmptySlot) {
+    if (block_at_slot_[index_[i]] == key) return &index_[i];
     i = (i + 1) & index_mask_;
   }
   return nullptr;
@@ -108,20 +110,20 @@ const LruStack::Entry* LruStack::find_entry(std::int64_t block) const {
 void LruStack::insert_slot(std::uint32_t block, std::uint32_t slot) {
   if (2 * (count_ + 1) > index_.size()) grow_table();
   std::size_t i = hash_block(block) & index_mask_;
-  while (index_[i].key != kEmptyKey) i = (i + 1) & index_mask_;
-  index_[i] = Entry{block, slot};
+  while (index_[i] != kEmptySlot) i = (i + 1) & index_mask_;
+  index_[i] = slot;
   ++count_;
 }
 
 void LruStack::grow_table() {
-  std::vector<Entry> old = std::move(index_);
-  index_.assign(old.size() * 2, Entry{kEmptyKey, 0});
+  std::vector<std::uint32_t> old = std::move(index_);
+  index_.assign(old.size() * 2, kEmptySlot);
   index_mask_ = index_.size() - 1;
-  for (const Entry& e : old) {
-    if (e.key == kEmptyKey) continue;
-    std::size_t i = hash_block(e.key) & index_mask_;
-    while (index_[i].key != kEmptyKey) i = (i + 1) & index_mask_;
-    index_[i] = e;
+  for (const std::uint32_t slot : old) {
+    if (slot == kEmptySlot) continue;
+    std::size_t i = hash_block(block_at_slot_[slot]) & index_mask_;
+    while (index_[i] != kEmptySlot) i = (i + 1) & index_mask_;
+    index_[i] = slot;
   }
 }
 
@@ -129,16 +131,16 @@ void LruStack::touch(std::int64_t block) {
   assert(block >= 0 && block < kBlockLimit);
   if (next_slot_ == capacity_) compact();
   const auto slot = static_cast<std::uint32_t>(next_slot_);
-  if (Entry* e = find_entry(block)) {
+  if (std::uint32_t* e = find_entry(block)) {
     // The block moves up: clear its old slot.
-    const std::size_t word = e->slot / kWordBits;
-    live_bits_[word] &= ~(std::uint64_t{1} << (e->slot % kWordBits));
+    const std::size_t word = *e / kWordBits;
+    live_bits_[word] &= ~(std::uint64_t{1} << (*e % kWordBits));
     if (word == next_slot_ / kWordBits) {
       --open_live_;
     } else {
       word_live_.add(word, -1);
     }
-    e->slot = slot;
+    *e = slot;
   } else {
     insert_slot(static_cast<std::uint32_t>(block), slot);
   }
@@ -174,12 +176,11 @@ std::optional<std::int64_t> LruStack::at_depth(std::size_t d) const {
 }
 
 std::optional<std::size_t> LruStack::depth_of(std::int64_t block) const {
-  const Entry* e = find_entry(block);
+  const std::uint32_t* e = find_entry(block);
   if (!e) return std::nullopt;
   // Live slots strictly below (older than) this one; the rest are newer.
-  const std::size_t word = e->slot / kWordBits;
-  std::size_t older =
-      popcount64(bits_below(live_bits_[word], e->slot % kWordBits));
+  const std::size_t word = *e / kWordBits;
+  std::size_t older = popcount64(bits_below(live_bits_[word], *e % kWordBits));
   older += word == next_slot_ / kWordBits
                ? count_ - open_live_
                : static_cast<std::size_t>(
@@ -194,7 +195,7 @@ void LruStack::compact() {
   std::size_t new_capacity = capacity_;
   while (new_capacity < 2 * n + 16) new_capacity *= 2;
   if (new_capacity > kMaxSlots)
-    throw std::length_error("LruStack: slot count exceeds 32 bits");
+    throw std::length_error("LruStack: slot count exceeds its 32-bit cap");
 
   const std::size_t words = capacity_ / kWordBits;
   std::uint32_t* word_rank = block_at_slot_.data() + capacity_;
@@ -205,12 +206,12 @@ void LruStack::compact() {
   }
   assert(live == n);
 
-  for (Entry& e : index_) {
-    if (e.key == kEmptyKey) continue;
-    const std::size_t word = e.slot / kWordBits;
-    e.slot = word_rank[word] + static_cast<std::uint32_t>(popcount64(
-                                    bits_below(live_bits_[word],
-                                               e.slot % kWordBits)));
+  for (std::uint32_t& slot : index_) {
+    if (slot == kEmptySlot) continue;
+    const std::size_t word = slot / kWordBits;
+    slot = word_rank[word] + static_cast<std::uint32_t>(popcount64(
+                                 bits_below(live_bits_[word],
+                                            slot % kWordBits)));
   }
   std::size_t rank = 0;
   for (std::size_t w = 0; w < words; ++w) {

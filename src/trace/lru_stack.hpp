@@ -24,15 +24,18 @@ namespace raidsim {
 ///    word the slot cursor is filling is counted apart and enters the
 ///    tree when the cursor leaves it, so an insert never updates the
 ///    tree.
-///  * Index. block -> slot is an open-addressed table of interleaved
-///    8-byte {key, slot} entries (linear probing, grown at 50% load), so
-///    a lookup costs one cache miss. The hash mixes block / 8 (splitmix64
-///    finalizer) and keeps the low three bits, so each aligned run of 8
-///    consecutive blocks lands in one 64-byte stretch of the table: the
-///    generator touches sequential runs (multiblock requests, sequential
-///    fresh accesses), and a run then shares its cache lines. Keys are
-///    never erased (touch only inserts or moves), so the table needs no
-///    tombstones.
+///  * Index. block -> slot is an open-addressed table of bare 4-byte
+///    slots (linear probing, grown at 50% load). An entry stores no key:
+///    block_at_slot_ already holds the block its slot names, so a probe
+///    compares that block with the wanted one. A reuse touch finds it in
+///    cache (at_depth has just read it); only a probe for a fresh block
+///    pays a second miss per live entry it passes. The hash mixes
+///    block / 8 (splitmix64 finalizer) and keeps the low three bits, so
+///    each aligned run of 8 consecutive blocks lands in one 32-byte
+///    stretch of the table: the generator touches sequential runs
+///    (multiblock requests, sequential fresh accesses), and a run then
+///    shares its cache lines. Entries are never erased (touch only
+///    inserts or moves), so the table needs no tombstones.
 ///  * Sizing. reserve() sizes an empty stack once for the touches and
 ///    distinct blocks it will see: the slot array to a multiple of 64
 ///    slots, the index to a power of two at no more than 50% load. A
@@ -46,11 +49,11 @@ namespace raidsim {
 ///    it would pass 50% load.
 ///
 /// Blocks and slots are 32-bit: block numbers must lie in
-/// [0, kBlockLimit).
+/// [0, kBlockLimit), and the slot array stops short of the all-ones
+/// slot, which marks an empty index entry.
 class LruStack {
  public:
-  /// Exclusive bound on block numbers (the all-ones key marks an empty
-  /// index entry).
+  /// Exclusive bound on block numbers (32-bit, all-ones excluded).
   static constexpr std::int64_t kBlockLimit = 0xffffffff;
 
   /// `initial_slots` is rounded up to a multiple of 64 (at least 64).
@@ -78,11 +81,8 @@ class LruStack {
   std::size_t size() const { return count_; }
 
  private:
-  struct Entry {
-    std::uint32_t key;
-    std::uint32_t slot;
-  };
-  static constexpr std::uint32_t kEmptyKey = 0xffffffff;
+  /// An index entry is the slot of its block; no live slot is all-ones.
+  static constexpr std::uint32_t kEmptySlot = 0xffffffff;
 
   static std::uint64_t hash_block(std::uint32_t block) {
     // splitmix64 finalizer (full avalanche) of the 8-block group, with
@@ -94,13 +94,13 @@ class LruStack {
     return ((x ^ (x >> 31)) << 3) | (block & 7);
   }
 
-  /// Index entry of `block`, or nullptr when absent.
-  const Entry* find_entry(std::int64_t block) const;
-  Entry* find_entry(std::int64_t block) {
-    return const_cast<Entry*>(
+  /// Index entry (the slot) of `block`, or nullptr when absent.
+  const std::uint32_t* find_entry(std::int64_t block) const;
+  std::uint32_t* find_entry(std::int64_t block) {
+    return const_cast<std::uint32_t*>(
         static_cast<const LruStack*>(this)->find_entry(block));
   }
-  /// Insert an absent block (doubling the table past 50% load).
+  /// Index an absent block at `slot` (doubling the table past 50% load).
   void insert_slot(std::uint32_t block, std::uint32_t slot);
   void grow_table();
 
@@ -120,7 +120,7 @@ class LruStack {
   // does not grow the slot array allocates nothing.
   std::vector<std::uint32_t> block_at_slot_;
 
-  std::vector<Entry> index_;  // power-of-two size
+  std::vector<std::uint32_t> index_;  // slots; power-of-two size
   std::size_t index_mask_ = 0;
   std::size_t count_ = 0;
 };

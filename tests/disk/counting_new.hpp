@@ -10,4 +10,7 @@ namespace raidsim::test_support {
 /// are never inlined into callers.
 std::uint64_t global_allocations();
 
+/// Bytes those calls asked for so far (frees are not subtracted).
+std::uint64_t global_allocated_bytes();
+
 }  // namespace raidsim::test_support

@@ -11,7 +11,8 @@
 //    the kill callbacks in arrival order;
 //  - the trace generator, whose LRU stack is sized at the first record,
 //    draws every later record without a global allocation: neither the
-//    stack's index nor its slot array grows;
+//    stack's index nor its slot array grows; and the stack it sizes for
+//    trace1 x0.25 stays within its memory budget;
 //  - a simulator destroyed after a cancellation, with requests still
 //    queued at disks and channels, tears down cleanly (leak- and
 //    use-after-free-checked in the sanitizer build).
@@ -32,6 +33,7 @@
 namespace raidsim {
 namespace {
 
+using raidsim::test_support::global_allocated_bytes;
 using raidsim::test_support::global_allocations;
 
 /// A controller-sized continuation: 64 bytes of captured state plus a
@@ -182,6 +184,19 @@ TEST(GeneratorOwnership, SizedStackDrawsWithoutAllocating) {
         << c.trace << " x" << c.scale;
     EXPECT_EQ(records, c.records) << c.trace << " x" << c.scale;
   }
+}
+
+TEST(GeneratorOwnership, SizedStackFitsItsMemoryBudget) {
+  // trace1 x0.25's first record sizes the LRU stack for ~1.12M touches
+  // (4.5 MiB of slots plus the live-slot bitmap and word tree) and an
+  // index of 2^21 entries at 4 bytes each: ~12.6 MiB in all. The index
+  // is the part that scales with the record count.
+  WorkloadOptions options;
+  options.scale = 0.25;
+  auto stream = make_workload("trace1", options);
+  const std::uint64_t before = global_allocated_bytes();
+  ASSERT_TRUE(stream->next().has_value());
+  EXPECT_LT(global_allocated_bytes() - before, std::uint64_t{14} << 20);
 }
 
 TEST(DiskPowerFail, DestroysQueuedCallbacksAndKillsInArrivalOrder) {

@@ -279,6 +279,137 @@ TEST(LruStack, ExtremeBlockNumbers) {
   EXPECT_FALSE(stack.depth_of(LruStack::kBlockLimit + 1).has_value());
 }
 
+/// LruStack's index hash of an 8-block group (block / 8), before it is
+/// shifted past the block's position in the group. Two groups whose
+/// hashes agree in their low k bits start their 8-entry runs at the same
+/// place in every index of up to 2^(k + 3) entries. The tests below use
+/// it only to pick colliding groups; they check against NaiveStack.
+std::uint64_t group_hash(std::uint64_t group) {
+  std::uint64_t x = group + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Touches `block` on both stacks.
+void touch_both(LruStack& stack, NaiveStack& naive, std::int64_t block) {
+  stack.touch(block);
+  naive.touch(block);
+}
+
+/// contains() and depth_of() agree with the reference for every member of
+/// the 8-block group holding `block`, present or absent.
+void expect_group_lookups_agree(const LruStack& stack,
+                                const NaiveStack& naive, std::int64_t block,
+                                int op) {
+  const std::int64_t first = block - block % 8;
+  for (std::int64_t b = first; b < first + 8; ++b) {
+    const auto depth = naive.depth_of(b);
+    ASSERT_EQ(stack.contains(b), depth.has_value())
+        << "op " << op << " block " << b;
+    ASSERT_EQ(stack.depth_of(b), depth) << "op " << op << " block " << b;
+  }
+}
+
+TEST(LruStack, MatchesNaiveThroughInterleavedGrowthAndCompaction) {
+  // From one 64-slot word and a 128-entry index, each round adds an
+  // aligned group of 8 fresh blocks and re-touches 24 live blocks at
+  // random depths. The index doubles five times (past 64, 128, ..., 1024
+  // blocks), and between two doublings the slot array fills and compacts
+  // at least once, so entries are remapped by compactions and rehashed
+  // through their slots by doublings, turn about.
+  LruStack stack(16);
+  NaiveStack naive;
+  Rng rng(21);
+  for (int round = 0; round < 256; ++round) {
+    const std::int64_t group = 8 * rng.uniform_i64(0, (1 << 26) - 1);
+    for (std::int64_t j = 0; j < 8; ++j) touch_both(stack, naive, group + j);
+    for (int k = 0; k < 24; ++k) {
+      const auto d = static_cast<std::size_t>(rng.uniform_u64(naive.size()));
+      const std::int64_t block = *naive.at_depth(d);
+      ASSERT_EQ(stack.at_depth(d), block) << "round " << round;
+      touch_both(stack, naive, block);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_full_agreement(stack, naive, round));
+    // Lookups in two groups near the fresh one, almost always absent.
+    ASSERT_NO_FATAL_FAILURE(
+        expect_group_lookups_agree(stack, naive, group + 8, round));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_group_lookups_agree(stack, naive, group + 1024, round));
+  }
+}
+
+TEST(LruStack, AbsentLookupsCrossLiveEntriesOfTheirGroup) {
+  // Three groups whose runs start at the same index position in every
+  // index up to 8192 entries. Group a is stored whole, then six members
+  // of b, whose entries land past a's run. A probe for b's absent
+  // members crosses a's entries and then b's own live ones, comparing
+  // each through its slot, before it reaches an empty entry; a probe
+  // for c (all absent) crosses both runs.
+  const std::uint64_t a = 1000;
+  std::vector<std::int64_t> groups{static_cast<std::int64_t>(a)};
+  for (std::uint64_t g = a + 1; groups.size() < 3; ++g) {
+    if (((group_hash(g) ^ group_hash(a)) & 1023) == 0)
+      groups.push_back(static_cast<std::int64_t>(g));
+  }
+  LruStack stack(16);
+  NaiveStack naive;
+  const auto check = [&](int op) {
+    for (const std::int64_t g : groups)
+      ASSERT_NO_FATAL_FAILURE(
+          expect_group_lookups_agree(stack, naive, 8 * g, op));
+  };
+  for (std::int64_t j = 0; j < 8; ++j)
+    touch_both(stack, naive, 8 * groups[0] + j);
+  for (std::int64_t j = 0; j < 6; ++j)
+    touch_both(stack, naive, 8 * groups[1] + j);
+  ASSERT_NO_FATAL_FAILURE(check(0));
+  ASSERT_NO_FATAL_FAILURE(expect_full_agreement(stack, naive, 0));
+
+  // Move b's members to fresh slots and grow the stack through index
+  // doublings and compactions with other blocks: the three groups keep
+  // sharing their start, so the chains stay crossed.
+  for (int op = 1; op <= 3000; ++op) {
+    touch_both(stack, naive, 8 * groups[1] + op % 6);
+    touch_both(stack, naive, 8 * (1 << 20) + 3 * op);
+    if (op % 100 == 0) {
+      ASSERT_NO_FATAL_FAILURE(check(op));
+      ASSERT_NO_FATAL_FAILURE(expect_full_agreement(stack, naive, op));
+    }
+  }
+}
+
+TEST(LruStack, BlockAtSlotZero) {
+  // The first touch takes slot 0, and each compaction packs the oldest
+  // live block into slot 0: an index entry of 0 names a real block.
+  for (const std::int64_t first : {std::int64_t{0}, std::int64_t{12345}}) {
+    LruStack stack(16);
+    NaiveStack naive;
+    touch_both(stack, naive, first);
+    EXPECT_TRUE(stack.contains(first));
+    EXPECT_EQ(stack.depth_of(first), 0u);
+    EXPECT_EQ(stack.at_depth(0), first);
+    ASSERT_NO_FATAL_FAILURE(expect_group_lookups_agree(stack, naive, first, 0));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_group_lookups_agree(stack, naive, first + 8, 0));
+    // Fill the first word, then re-touch the others so each compaction
+    // leaves `first` oldest, at slot 0, until it moves up at op 700 and
+    // another block takes slot 0.
+    for (std::int64_t b = 1; b < 64; ++b)
+      touch_both(stack, naive, first + b);
+    for (int op = 0; op < 1000; ++op) {
+      touch_both(stack, naive, op == 700 ? first : first + 1 + op % 63);
+      const std::int64_t oldest = *naive.at_depth(naive.size() - 1);
+      ASSERT_EQ(stack.depth_of(oldest), naive.size() - 1) << "op " << op;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_group_lookups_agree(stack, naive, oldest, op));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_group_lookups_agree(stack, naive, first + 64, op));
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_full_agreement(stack, naive, 1000));
+  }
+}
+
 TEST(LruStack, StackDistanceInclusionProperty) {
   // An access at stack distance d hits an LRU cache of size > d: verify
   // the hit counts derived from depth_of are monotone in cache size.
