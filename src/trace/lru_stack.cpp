@@ -26,10 +26,15 @@ std::size_t slots_for(std::size_t touches) {
   return std::max<std::size_t>(words, 1) * kWordBits;
 }
 
+/// Whether `keys` entries fit a table of `size` at no more than 7/8 load.
+bool within_load(std::size_t keys, std::size_t size) {
+  return 8 * keys <= 7 * size;
+}
+
 std::size_t index_size_for(std::size_t keys) {
-  // Power of two holding `keys` at no more than 50% load.
+  // Power of two holding `keys` at no more than 7/8 load.
   std::size_t size = 16;
-  while (size < 2 * keys) size *= 2;
+  while (!within_load(keys, size)) size *= 2;
   return size;
 }
 
@@ -108,7 +113,7 @@ const std::uint32_t* LruStack::find_entry(std::int64_t block) const {
 }
 
 void LruStack::insert_slot(std::uint32_t block, std::uint32_t slot) {
-  if (2 * (count_ + 1) > index_.size()) grow_table();
+  if (!within_load(count_ + 1, index_.size())) grow_table();
   std::size_t i = hash_block(block) & index_mask_;
   while (index_[i] != kEmptySlot) i = (i + 1) & index_mask_;
   index_[i] = slot;

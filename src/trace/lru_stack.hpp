@@ -25,11 +25,13 @@ namespace raidsim {
 ///    tree when the cursor leaves it, so an insert never updates the
 ///    tree.
 ///  * Index. block -> slot is an open-addressed table of bare 4-byte
-///    slots (linear probing, grown at 50% load). An entry stores no key:
+///    slots (linear probing, grown at 7/8 load). An entry stores no key:
 ///    block_at_slot_ already holds the block its slot names, so a probe
 ///    compares that block with the wanted one. A reuse touch finds it in
 ///    cache (at_depth has just read it); only a probe for a fresh block
-///    pays a second miss per live entry it passes. The hash mixes
+///    pays a second miss per live entry it passes, more of them at 7/8
+///    load than at 50%. The generator's traces end at 51-77% load, where
+///    the half-size table drains them about as fast. The hash mixes
 ///    block / 8 (splitmix64 finalizer) and keeps the low three bits, so
 ///    each aligned run of 8 consecutive blocks lands in one 32-byte
 ///    stretch of the table: the generator touches sequential runs
@@ -38,7 +40,7 @@ namespace raidsim {
 ///    inserts or moves), so the table needs no tombstones.
 ///  * Sizing. reserve() sizes an empty stack once for the touches and
 ///    distinct blocks it will see: the slot array to a multiple of 64
-///    slots, the index to a power of two at no more than 50% load. A
+///    slots, the index to a power of two at no more than 7/8 load. A
 ///    stack sized from a good estimate never compacts or grows its index.
 ///  * Compaction (fallback). When the cursor reaches the end of the slot
 ///    array, the live slots are packed to the bottom in stack order: one
@@ -46,7 +48,7 @@ namespace raidsim {
 ///    (word prefix count + popcount), with no re-probe per block. The
 ///    slot array doubles until it holds at least 2n + 16 slots, giving
 ///    amortised O(log n) per operation. Likewise the index doubles when
-///    it would pass 50% load.
+///    it would pass 7/8 load.
 ///
 /// Blocks and slots are 32-bit: block numbers must lie in
 /// [0, kBlockLimit), and the slot array stops short of the all-ones
@@ -100,7 +102,7 @@ class LruStack {
     return const_cast<std::uint32_t*>(
         static_cast<const LruStack*>(this)->find_entry(block));
   }
-  /// Index an absent block at `slot` (doubling the table past 50% load).
+  /// Index an absent block at `slot` (doubling the table past 7/8 load).
   void insert_slot(std::uint32_t block, std::uint32_t slot);
   void grow_table();
 

@@ -11,8 +11,9 @@
 //    the kill callbacks in arrival order;
 //  - the trace generator, whose LRU stack is sized at the first record,
 //    draws every later record without a global allocation: neither the
-//    stack's index nor its slot array grows; and the stack it sizes for
-//    trace1 x0.25 stays within its memory budget;
+//    stack's index nor its slot array grows; the stack it sizes for
+//    trace1 x0.25 stays within its memory budget; and a stack's index
+//    grows only past 7/8 load;
 //  - a simulator destroyed after a cancellation, with requests still
 //    queued at disks and channels, tears down cleanly (leak- and
 //    use-after-free-checked in the sanitizer build).
@@ -29,6 +30,7 @@
 #include "core/workloads.hpp"
 #include "disk/disk.hpp"
 #include "sim/cancellation.hpp"
+#include "trace/lru_stack.hpp"
 
 namespace raidsim {
 namespace {
@@ -188,15 +190,31 @@ TEST(GeneratorOwnership, SizedStackDrawsWithoutAllocating) {
 
 TEST(GeneratorOwnership, SizedStackFitsItsMemoryBudget) {
   // trace1 x0.25's first record sizes the LRU stack for ~1.12M touches
-  // (4.5 MiB of slots plus the live-slot bitmap and word tree) and an
-  // index of 2^21 entries at 4 bytes each: ~12.6 MiB in all. The index
-  // is the part that scales with the record count.
+  // (4,868,096 B of slots, live-slot bitmap and word tree) and an index
+  // for its 840,626 records: 2^20 entries of 4 bytes at 7/8 load, ~8.6
+  // MiB in all. The index is the part that scales with the record count;
+  // sized at 50% load it would take 2^21 entries, ~12.6 MiB in all.
   WorkloadOptions options;
   options.scale = 0.25;
   auto stream = make_workload("trace1", options);
   const std::uint64_t before = global_allocated_bytes();
   ASSERT_TRUE(stream->next().has_value());
-  EXPECT_LT(global_allocated_bytes() - before, std::uint64_t{14} << 20);
+  EXPECT_LT(global_allocated_bytes() - before, std::uint64_t{10} << 20);
+}
+
+TEST(GeneratorOwnership, StackIndexGrowsPastSevenEighthsLoad) {
+  // A stack reserved for 896 blocks has a 1024-entry index, filled to
+  // exactly 7/8 by the 896th block; the 897th doubles it. The reserved
+  // slot array holds every touch, so nothing else allocates.
+  LruStack stack;
+  stack.reserve(4096, 896);
+  const std::uint64_t before = global_allocations();
+  for (std::int64_t b = 0; b < 896; ++b) stack.touch(7 * b);
+  for (std::int64_t b = 0; b < 896; b += 3) stack.touch(7 * b);
+  EXPECT_EQ(global_allocations() - before, 0u);
+  stack.touch(7 * 896);
+  EXPECT_EQ(global_allocations() - before, 1u);
+  EXPECT_EQ(stack.size(), 897u);
 }
 
 TEST(DiskPowerFail, DestroysQueuedCallbacksAndKillsInArrivalOrder) {

@@ -194,9 +194,11 @@ void run_differential(std::uint64_t seed, double reuse_prob,
     stack.touch(touch.block);
     naive.touch(touch.block);
     ASSERT_NO_FATAL_FAILURE(expect_word_boundaries_agree(stack, naive, op));
-    const bool grew_to_power_of_two =
-        naive.size() != before && std::has_single_bit(naive.size());
-    if (op % 128 == 0 || grew_to_power_of_two) {
+    // The index doubles as it passes 7/8 load: at 7 * 2^k + 1 blocks.
+    const bool index_grew = naive.size() != before &&
+                            (naive.size() - 1) % 7 == 0 &&
+                            std::has_single_bit((naive.size() - 1) / 7);
+    if (op % 128 == 0 || index_grew) {
       ASSERT_NO_FATAL_FAILURE(expect_full_agreement(stack, naive, op));
     }
   }
@@ -314,7 +316,7 @@ void expect_group_lookups_agree(const LruStack& stack,
 TEST(LruStack, MatchesNaiveThroughInterleavedGrowthAndCompaction) {
   // From one 64-slot word and a 128-entry index, each round adds an
   // aligned group of 8 fresh blocks and re-touches 24 live blocks at
-  // random depths. The index doubles five times (past 64, 128, ..., 1024
+  // random depths. The index doubles five times (past 112, 224, ..., 1792
   // blocks), and between two doublings the slot array fills and compacts
   // at least once, so entries are remapped by compactions and rehashed
   // through their slots by doublings, turn about.
