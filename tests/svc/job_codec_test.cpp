@@ -68,6 +68,139 @@ TEST(JobCodec, EncodeDecodeRoundTripPreservesIdentity) {
             job_canonical_key(back.config, back.trace, back.workload));
 }
 
+/// A request with every wire field away from its default (and a config
+/// SimulationConfig::validate() accepts: RAID4 parity caching needs a
+/// cached RAID4, and SI is avoided because it needs FIFO).
+JobRequest every_wire_field_set() {
+  JobRequest job;
+  job.id = "golden";
+  job.trace = "trace1";
+  job.workload.scale = 0.125;
+  job.workload.speed = 1.5;
+  job.workload.seed = 99;
+  job.deadline_ms = 2500.5;
+  job.no_cache = true;
+  SimulationConfig& c = job.config;
+  c.organization = Organization::kRaid4;
+  c.array_data_disks = 16;
+  c.striping_unit_blocks = 4;
+  c.sync = SyncPolicy::kReadFirstPriority;
+  c.parity_placement = ParityPlacement::kEndCylinders;
+  c.parity_fine_grain_chunk_blocks = 8;
+  c.disk_scheduling = DiskScheduling::kSstf;
+  c.channel_mb_per_second = 20.5;
+  c.track_buffers_per_disk = 7;
+  c.cached = true;
+  c.cache_bytes = 33ll << 19;  // 16.5 MB
+  c.destage_period_ms = 150.25;
+  c.retain_old_data = false;
+  c.parity_caching = true;
+  c.periodic_destage = false;
+  c.intent_journal = true;
+  c.shards = 2;
+  c.shard_threads = 3;
+  c.obs.sample_interval_ms = 12.5;
+  c.tail.enabled = true;
+  c.tail.read_deadline_ms = 80.0;
+  c.tail.hedge_delay_ms = 4.5;
+  c.tail.hedge_ewma_factor = 2.5;
+  c.tail.redirect_on_slow = true;
+  c.tail.reconstruct_on_slow = true;
+  c.tail.slow_ewma_factor = 0.1;
+  return job;
+}
+
+TEST(JobCodec, EncodeDefaultRequestGolden) {
+  EXPECT_EQ(
+      encode_job_request(JobRequest{}),
+      R"({"op":"run","trace":"trace2","scale":1,"speed":1,"seed":0,)"
+      R"("config":{"org":"raid5","n":10,"su":1,"sync":"df",)"
+      R"("parity_placement":"middle","parity_fine_chunk":0,"sched":"fifo",)"
+      R"("channel_mb_per_s":10,"track_buffers":5,"cached":false,)"
+      R"("cache_mb":16,"destage_period_ms":300,"retain_old_data":true,)"
+      R"("parity_caching":false,"periodic_destage":true,)"
+      R"("intent_journal":false,"shards":0,"shard_threads":0,)"
+      R"("tail":{"enabled":false,"read_deadline_ms":0,"hedge_delay_ms":0,)"
+      R"("hedge_ewma_factor":0,"redirect_on_slow":false,)"
+      R"("reconstruct_on_slow":false,"slow_ewma_factor":3}}})");
+}
+
+TEST(JobCodec, EncodeEveryWireFieldGolden) {
+  EXPECT_EQ(
+      encode_job_request(every_wire_field_set()),
+      R"({"op":"run","id":"golden","trace":"trace1","scale":0.125,)"
+      R"("speed":1.5,"seed":99,"deadline_ms":2500.5,"no_cache":true,)"
+      R"("config":{"org":"raid4","n":16,"su":4,"sync":"rfpr",)"
+      R"("parity_placement":"end","parity_fine_chunk":8,"sched":"sstf",)"
+      R"("channel_mb_per_s":20.5,"track_buffers":7,"cached":true,)"
+      R"("cache_mb":16.5,"destage_period_ms":150.25,)"
+      R"("retain_old_data":false,"parity_caching":true,)"
+      R"("periodic_destage":false,"intent_journal":true,"shards":2,)"
+      R"("shard_threads":3,"sample_interval_ms":12.5,)"
+      R"("tail":{"enabled":true,"read_deadline_ms":80,"hedge_delay_ms":4.5,)"
+      R"("hedge_ewma_factor":2.5,"redirect_on_slow":true,)"
+      R"("reconstruct_on_slow":true,"slow_ewma_factor":0.10000000000000001}}})");
+}
+
+TEST(JobCodec, DecodeOfEncodeReproducesEveryWireField) {
+  const JobRequest job = every_wire_field_set();
+  const JobRequest back =
+      decode_job_request(json_parse(encode_job_request(job)));
+  EXPECT_EQ(back.id, job.id);
+  EXPECT_EQ(back.trace, job.trace);
+  EXPECT_EQ(back.workload.scale, job.workload.scale);
+  EXPECT_EQ(back.workload.speed, job.workload.speed);
+  EXPECT_EQ(back.workload.seed, job.workload.seed);
+  EXPECT_EQ(back.deadline_ms, job.deadline_ms);
+  EXPECT_EQ(back.no_cache, job.no_cache);
+  const SimulationConfig& a = job.config;
+  const SimulationConfig& b = back.config;
+  EXPECT_EQ(b.organization, a.organization);
+  EXPECT_EQ(b.array_data_disks, a.array_data_disks);
+  EXPECT_EQ(b.striping_unit_blocks, a.striping_unit_blocks);
+  EXPECT_EQ(b.sync, a.sync);
+  EXPECT_EQ(b.parity_placement, a.parity_placement);
+  EXPECT_EQ(b.parity_fine_grain_chunk_blocks,
+            a.parity_fine_grain_chunk_blocks);
+  EXPECT_EQ(b.disk_scheduling, a.disk_scheduling);
+  EXPECT_EQ(b.channel_mb_per_second, a.channel_mb_per_second);
+  EXPECT_EQ(b.track_buffers_per_disk, a.track_buffers_per_disk);
+  EXPECT_EQ(b.cached, a.cached);
+  EXPECT_EQ(b.cache_bytes, a.cache_bytes);
+  EXPECT_EQ(b.destage_period_ms, a.destage_period_ms);
+  EXPECT_EQ(b.retain_old_data, a.retain_old_data);
+  EXPECT_EQ(b.parity_caching, a.parity_caching);
+  EXPECT_EQ(b.periodic_destage, a.periodic_destage);
+  EXPECT_EQ(b.intent_journal, a.intent_journal);
+  EXPECT_EQ(b.shards, a.shards);
+  EXPECT_EQ(b.shard_threads, a.shard_threads);
+  EXPECT_EQ(b.obs.sample_interval_ms, a.obs.sample_interval_ms);
+  EXPECT_EQ(b.tail.enabled, a.tail.enabled);
+  EXPECT_EQ(b.tail.read_deadline_ms, a.tail.read_deadline_ms);
+  EXPECT_EQ(b.tail.hedge_delay_ms, a.tail.hedge_delay_ms);
+  EXPECT_EQ(b.tail.hedge_ewma_factor, a.tail.hedge_ewma_factor);
+  EXPECT_EQ(b.tail.redirect_on_slow, a.tail.redirect_on_slow);
+  EXPECT_EQ(b.tail.reconstruct_on_slow, a.tail.reconstruct_on_slow);
+  EXPECT_EQ(b.tail.slow_ewma_factor, a.tail.slow_ewma_factor);
+  EXPECT_EQ(job_canonical_key(a, job.trace, job.workload),
+            job_canonical_key(b, back.trace, back.workload));
+}
+
+TEST(JobCodec, NonWireFieldsRejectedByName) {
+  // Disk geometry, seek, retry policy and sampler capacity are model
+  // constants, not protocol knobs.
+  for (const std::string key : {"disk_geometry", "seek", "disk_retry_budget",
+                                "sampler_capacity", "tracing"}) {
+    try {
+      decode_job_request(
+          json_parse(R"({"op":"run","config":{")" + key + R"(":1}})"));
+      ADD_FAILURE() << "expected invalid_argument for " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << key;
+    }
+  }
+}
+
 TEST(JobCodec, UnknownKeysRejectedByName) {
   // max_retries and fail_first are retired keys: a job runs once.
   for (const std::string key : {"turbo", "max_retries", "fail_first"}) {
