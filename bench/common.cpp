@@ -97,24 +97,18 @@ SimulationConfig BenchOptions::engine_config(SimulationConfig config) const {
 
 Metrics run_config(const SimulationConfig& config, const std::string& trace,
                    const BenchOptions& options, double speed) {
-  Metrics metrics;
-  if (options.trace_out.empty() && options.shards <= 0) {
-    auto stream = make_workload(trace, options.workload_options(trace, speed));
-    metrics = run_simulation(config, *stream);
-  } else {
-    // Each traced run of this process gets its own artifact prefix.
-    static int run_seq = 0;
-    SweepJob job;
-    job.config = options.engine_config(config);
-    job.trace = trace;
-    job.workload = options.workload_options(trace, speed);
-    job.label = config.describe() + " " + trace;
-    if (!options.trace_out.empty()) {
-      job.trace_out = options.trace_out + "_run" + std::to_string(run_seq++);
-      job.sample_interval_ms = options.sample_interval_ms;
-    }
-    metrics = run_sweep_job(job);
+  // Each traced run of this process gets its own artifact prefix.
+  static int run_seq = 0;
+  SweepJob job;
+  job.config = options.engine_config(config);
+  job.trace = trace;
+  job.workload = options.workload_options(trace, speed);
+  job.label = config.describe() + " " + trace;
+  if (!options.trace_out.empty()) {
+    job.trace_out = options.trace_out + "_run" + std::to_string(run_seq++);
+    job.sample_interval_ms = options.sample_interval_ms;
   }
+  const Metrics metrics = run_sweep_job(job);
   if (options.verbose)
     std::cout << "[" << config.describe() << " " << trace
               << ": events_executed=" << metrics.events_executed

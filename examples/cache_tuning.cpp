@@ -4,40 +4,32 @@
 // SimulationConfig.
 //
 // Usage: cache_tuning [trace1|trace2] [org] [scale]
-//   org: base | mirror | raid5 | parstrip | raid4pc
+//   org: any organization name (base, mirror, raid5, raid4, parstrip,
+//   raid10), or raid4pc for RAID4 with parity caching
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-raidsim::Organization parse_org(const std::string& name, bool& parity_caching) {
-  using raidsim::Organization;
-  parity_caching = false;
-  if (name == "base") return Organization::kBase;
-  if (name == "mirror") return Organization::kMirror;
-  if (name == "raid5") return Organization::kRaid5;
-  if (name == "parstrip") return Organization::kParityStriping;
-  if (name == "raid4pc") {
-    parity_caching = true;
-    return Organization::kRaid4;
-  }
-  throw std::invalid_argument("unknown organization: " + name);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace raidsim;
 
   const std::string trace_name = argc > 1 ? argv[1] : "trace2";
-  bool parity_caching = false;
-  const Organization org =
-      parse_org(argc > 2 ? argv[2] : "raid5", parity_caching);
+  const std::string org_arg = argc > 2 ? argv[2] : "raid5";
+  // raid4pc is this example's alias for RAID4 with parity caching.
+  const bool parity_caching = org_arg == "raid4pc";
+  Organization org;
+  try {
+    org = parity_caching ? Organization::kRaid4
+                         : parse_wire_name<Organization>(org_arg);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "cache_tuning: " << e.what() << " or raid4pc\n";
+    return 2;
+  }
   WorkloadOptions options;
   options.scale = argc > 3 ? std::atof(argv[3]) : 0.25;
 

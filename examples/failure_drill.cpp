@@ -7,8 +7,11 @@
 // epilogue: a planted latent sector error found and repaired by the
 // patrol read.
 //
-// Usage: failure_drill [raid5|parstrip|mirror|raid10] [N]
+// Usage: failure_drill [org] [N]
+//   org: default raid5; not base (no redundancy to recover with) nor
+//   raid4 (modelled only with a cache)
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/closed_loop.hpp"
@@ -24,14 +27,6 @@
 namespace {
 
 using namespace raidsim;
-
-Organization parse_org(const std::string& name) {
-  if (name == "raid5") return Organization::kRaid5;
-  if (name == "parstrip") return Organization::kParityStriping;
-  if (name == "mirror") return Organization::kMirror;
-  if (name == "raid10") return Organization::kRaid10;
-  throw std::invalid_argument("unknown organization: " + name);
-}
 
 std::string to_string(HealthMonitor::EventKind kind) {
   switch (kind) {
@@ -114,13 +109,24 @@ StageResult drive(Simulator& sim, SyntheticTrace& addresses, Rng& rng,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Organization org = parse_org(argc > 1 ? argv[1] : "raid5");
   const int n = argc > 2 ? std::atoi(argv[2]) : 10;
   const int kStageRequests = 4000;
 
   SimulationConfig config;
-  config.organization = org;
   config.array_data_disks = n;
+  try {
+    config.organization =
+        parse_wire_name<Organization>(argc > 1 ? argv[1] : "raid5");
+    config.validate();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "failure_drill: " << e.what() << "\n";
+    return 2;
+  }
+  if (config.organization == Organization::kBase) {
+    std::cerr << "failure_drill: base has no redundancy to recover with\n";
+    return 2;
+  }
+  const Organization org = config.organization;
 
   TraceProfile profile = TraceProfile::trace2();
   profile.geometry.data_disks = n;  // one array

@@ -50,6 +50,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "sim/progress.hpp"
@@ -70,30 +71,14 @@ using namespace raidsim;
   std::exit(2);
 }
 
-Organization parse_org(const std::string& v) {
-  if (v == "base") return Organization::kBase;
-  if (v == "mirror") return Organization::kMirror;
-  if (v == "raid5") return Organization::kRaid5;
-  if (v == "raid4") return Organization::kRaid4;
-  if (v == "raid10") return Organization::kRaid10;
-  if (v == "parstrip") return Organization::kParityStriping;
-  fail("unknown organization: " + v);
-}
-
-SyncPolicy parse_sync(const std::string& v) {
-  if (v == "si") return SyncPolicy::kSimultaneousIssue;
-  if (v == "rf") return SyncPolicy::kReadFirst;
-  if (v == "rfpr") return SyncPolicy::kReadFirstPriority;
-  if (v == "df") return SyncPolicy::kDiskFirst;
-  if (v == "dfpr") return SyncPolicy::kDiskFirstPriority;
-  fail("unknown sync policy: " + v);
-}
-
-DiskScheduling parse_sched(const std::string& v) {
-  if (v == "fifo") return DiskScheduling::kFifo;
-  if (v == "sstf") return DiskScheduling::kSstf;
-  if (v == "scan") return DiskScheduling::kScan;
-  fail("unknown scheduling policy: " + v);
+/// An enum flag value by wire name; an unknown one exits 2 naming it.
+template <class E>
+E named(const char* v) {
+  try {
+    return parse_wire_name<E>(v);
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
+  }
 }
 
 /// --progress: wall-clock-throttled heartbeat to stderr. Shard threads
@@ -174,21 +159,19 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--seed=")) {
       workload.seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--org=")) {
-      config.organization = parse_org(v);
+      config.organization = named<Organization>(v);
     } else if (const char* v = value("--n=")) {
       config.array_data_disks = std::atoi(v);
     } else if (const char* v = value("--su=")) {
       config.striping_unit_blocks = std::atoi(v);
     } else if (const char* v = value("--sync=")) {
-      config.sync = parse_sync(v);
+      config.sync = named<SyncPolicy>(v);
     } else if (const char* v = value("--parity-placement=")) {
-      config.parity_placement = std::string(v) == "end"
-                                    ? ParityPlacement::kEndCylinders
-                                    : ParityPlacement::kMiddleCylinders;
+      config.parity_placement = named<ParityPlacement>(v);
     } else if (const char* v = value("--parity-fine-chunk=")) {
       config.parity_fine_grain_chunk_blocks = std::atoi(v);
     } else if (const char* v = value("--sched=")) {
-      config.disk_scheduling = parse_sched(v);
+      config.disk_scheduling = named<DiskScheduling>(v);
     } else if (const char* v = value("--cache=")) {
       config.cached = true;
       config.cache_bytes = static_cast<std::int64_t>(std::atoi(v)) << 20;

@@ -11,9 +11,11 @@
 //   trace_tools generate <trace1|trace2> <scale> <out.trace|out.btrace>
 //   trace_tools convert <in.trace> <out.trace|out.btrace>
 //   trace_tools analyze <file.trace>
-//   trace_tools replay <file.trace> <base|mirror|raid5|parstrip>
+//   trace_tools replay <file.trace> <org> [--cached]
+//     org: base|mirror|raid5|raid4|parstrip|raid10 (raid4 needs --cached)
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/simulator.hpp"
@@ -30,8 +32,9 @@ int usage() {
                "<out.trace|out.btrace>\n"
                "  trace_tools convert <in.trace> <out.trace|out.btrace>\n"
                "  trace_tools analyze <file.trace>\n"
-               "  trace_tools replay <file.trace> "
-               "<base|mirror|raid5|parstrip> [--cached]\n";
+               "  trace_tools replay <file.trace> <"
+            << raidsim::wire_names<raidsim::Organization>()
+            << "> [--cached]\n";
   return 2;
 }
 
@@ -90,14 +93,14 @@ int main(int argc, char** argv) {
   if (command == "replay") {
     if (argc < 4) return usage();
     SimulationConfig config;
-    const std::string org = argv[3];
-    if (org == "base") config.organization = Organization::kBase;
-    else if (org == "mirror") config.organization = Organization::kMirror;
-    else if (org == "raid5") config.organization = Organization::kRaid5;
-    else if (org == "parstrip")
-      config.organization = Organization::kParityStriping;
-    else return usage();
     config.cached = argc > 4 && std::string(argv[4]) == "--cached";
+    try {
+      config.organization = parse_wire_name<Organization>(argv[3]);
+      config.validate();
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "trace_tools: " << e.what() << "\n";
+      return usage();
+    }
 
     auto reader = open_trace(argv[2]);
     const Metrics m = run_simulation(config, *reader);

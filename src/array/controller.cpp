@@ -10,17 +10,6 @@
 
 namespace raidsim {
 
-std::string to_string(SyncPolicy policy) {
-  switch (policy) {
-    case SyncPolicy::kSimultaneousIssue: return "SI";
-    case SyncPolicy::kReadFirst: return "RF";
-    case SyncPolicy::kReadFirstPriority: return "RF/PR";
-    case SyncPolicy::kDiskFirst: return "DF";
-    case SyncPolicy::kDiskFirstPriority: return "DF/PR";
-  }
-  return "?";
-}
-
 OpRef<Barrier> Barrier::create(OpArena& arena, int count, Fire fire) {
   assert(count >= 0);
   return make_op<Barrier>(arena, Key{}, count, std::move(fire));

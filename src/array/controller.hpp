@@ -15,6 +15,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/small_function.hpp"
 #include "util/arena.hpp"
+#include "util/enum_names.hpp"
 #include "util/inline_vec.hpp"
 
 namespace raidsim {
@@ -29,7 +30,16 @@ enum class SyncPolicy {
   kDiskFirstPriority,      // DF/PR
 };
 
-std::string to_string(SyncPolicy policy);
+template <>
+struct EnumNames<SyncPolicy> {
+  static constexpr const char* noun = "sync policy";
+  static constexpr EnumName<SyncPolicy> names[] = {
+      {SyncPolicy::kSimultaneousIssue, "SI"},
+      {SyncPolicy::kReadFirst, "RF"},
+      {SyncPolicy::kReadFirstPriority, "RF/PR"},
+      {SyncPolicy::kDiskFirst, "DF"},
+      {SyncPolicy::kDiskFirstPriority, "DF/PR"}};
+};
 
 /// One request addressed to a single array (array-local logical blocks).
 struct ArrayRequest {

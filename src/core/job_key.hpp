@@ -8,19 +8,14 @@
 
 namespace raidsim {
 
-/// Canonical text form of one simulation point: every
-/// result-determining knob of (SimulationConfig, trace, WorkloadOptions)
-/// serialized in a fixed field order, doubles printed round-trip exact
-/// (%.17g). Two jobs produce byte-identical metrics if and only if their
-/// canonical keys are equal, so this string is the result-cache key of
-/// the what-if service.
-///
-/// Deliberately excluded, because they cannot change the result:
-///   * shard_threads (thread count never changes sharded results),
-///   * obs.tracing / obs.max_trace_events (tracing is passive).
-/// Deliberately included although it looks like plumbing:
-///   * shards (0 and >= 1 stop destage timers at different times),
-///   * obs.sample_interval_ms (the sampler ticks the event queue).
+/// Canonical text form of one simulation point: every in-key field of
+/// for_each_config_field (core/config_fields.hpp), then the trace and
+/// WorkloadOptions, as name=value pairs in a fixed order, doubles printed
+/// round-trip exact (%.17g). Two jobs produce byte-identical metrics if
+/// and only if their canonical keys are equal, so this string is the
+/// result-cache key of the what-if service. The "raidsim-job-v2" prefix
+/// versions the format; keys and fingerprints are correlation ids within
+/// one process and are never stored across processes.
 std::string job_canonical_key(const SimulationConfig& config,
                               const std::string& trace,
                               const WorkloadOptions& workload);

@@ -25,15 +25,6 @@ void WriteGate::open(SimTime now) {
   }
 }
 
-std::string to_string(DiskScheduling scheduling) {
-  switch (scheduling) {
-    case DiskScheduling::kFifo: return "FIFO";
-    case DiskScheduling::kSstf: return "SSTF";
-    case DiskScheduling::kScan: return "SCAN";
-  }
-  return "?";
-}
-
 std::string to_string(DiskError error) {
   switch (error) {
     case DiskError::kNone: return "none";

@@ -13,6 +13,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/small_function.hpp"
 #include "util/arena.hpp"
+#include "util/enum_names.hpp"
 #include "util/stats.hpp"
 
 namespace raidsim {
@@ -36,7 +37,14 @@ enum class DiskScheduling {
   kScan,  // elevator: sweep up, reverse at the top
 };
 
-std::string to_string(DiskScheduling scheduling);
+template <>
+struct EnumNames<DiskScheduling> {
+  static constexpr const char* noun = "disk scheduling";
+  static constexpr EnumName<DiskScheduling> names[] = {
+      {DiskScheduling::kFifo, "FIFO"},
+      {DiskScheduling::kSstf, "SSTF"},
+      {DiskScheduling::kScan, "SCAN"}};
+};
 
 enum class DiskOpKind {
   kRead,

@@ -6,26 +6,6 @@
 
 namespace raidsim {
 
-std::string to_string(Organization org) {
-  switch (org) {
-    case Organization::kBase: return "Base";
-    case Organization::kMirror: return "Mirror";
-    case Organization::kRaid5: return "RAID5";
-    case Organization::kRaid4: return "RAID4";
-    case Organization::kParityStriping: return "ParStrip";
-    case Organization::kRaid10: return "RAID10";
-  }
-  return "?";
-}
-
-std::string to_string(ParityPlacement placement) {
-  switch (placement) {
-    case ParityPlacement::kMiddleCylinders: return "middle";
-    case ParityPlacement::kEndCylinders: return "end";
-  }
-  return "?";
-}
-
 Layout::Layout(int data_disks, std::int64_t data_blocks_per_disk,
                std::int64_t physical_blocks_per_disk)
     : data_disks_(data_disks),

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "util/enum_names.hpp"
 #include "util/inline_vec.hpp"
 
 namespace raidsim {
@@ -19,7 +20,15 @@ enum class Organization {
   kRaid10,          // extension: data striped over mirrored pairs
 };
 
-std::string to_string(Organization org);
+template <>
+struct EnumNames<Organization> {
+  static constexpr const char* noun = "organization";
+  static constexpr EnumName<Organization> names[] = {
+      {Organization::kBase, "Base"},     {Organization::kMirror, "Mirror"},
+      {Organization::kRaid5, "RAID5"},   {Organization::kRaid4, "RAID4"},
+      {Organization::kParityStriping, "ParStrip"},
+      {Organization::kRaid10, "RAID10"}};
+};
 
 /// Placement of the parity areas within each disk for Parity Striping
 /// (Section 4.2.3).
@@ -28,7 +37,13 @@ enum class ParityPlacement {
   kEndCylinders,
 };
 
-std::string to_string(ParityPlacement placement);
+template <>
+struct EnumNames<ParityPlacement> {
+  static constexpr const char* noun = "parity placement";
+  static constexpr EnumName<ParityPlacement> names[] = {
+      {ParityPlacement::kMiddleCylinders, "middle"},
+      {ParityPlacement::kEndCylinders, "end"}};
+};
 
 /// A contiguous physical extent on one disk of the array.
 struct PhysicalExtent {

@@ -5,8 +5,11 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
-#include "core/job_key.hpp"
+#include "core/config_fields.hpp"
 
 namespace raidsim::svc {
 
@@ -35,144 +38,86 @@ int int_field(const JsonValue& v, const std::string& key) {
   return static_cast<int>(n);
 }
 
-Organization parse_org(const std::string& v) {
-  if (v == "base") return Organization::kBase;
-  if (v == "mirror") return Organization::kMirror;
-  if (v == "raid5") return Organization::kRaid5;
-  if (v == "raid4") return Organization::kRaid4;
-  if (v == "raid10") return Organization::kRaid10;
-  if (v == "parstrip") return Organization::kParityStriping;
-  bad("unknown organization '" + v + "'");
-}
-
-SyncPolicy parse_sync(const std::string& v) {
-  if (v == "si") return SyncPolicy::kSimultaneousIssue;
-  if (v == "rf") return SyncPolicy::kReadFirst;
-  if (v == "rfpr") return SyncPolicy::kReadFirstPriority;
-  if (v == "df") return SyncPolicy::kDiskFirst;
-  if (v == "dfpr") return SyncPolicy::kDiskFirstPriority;
-  bad("unknown sync policy '" + v + "'");
-}
-
-DiskScheduling parse_sched(const std::string& v) {
-  if (v == "fifo") return DiskScheduling::kFifo;
-  if (v == "sstf") return DiskScheduling::kSstf;
-  if (v == "scan") return DiskScheduling::kScan;
-  bad("unknown disk scheduling '" + v + "'");
-}
-
-ParityPlacement parse_placement(const std::string& v) {
-  if (v == "middle") return ParityPlacement::kMiddleCylinders;
-  if (v == "end") return ParityPlacement::kEndCylinders;
-  bad("unknown parity placement '" + v + "'");
-}
-
-const char* org_name(Organization org) {
-  switch (org) {
-    case Organization::kBase: return "base";
-    case Organization::kMirror: return "mirror";
-    case Organization::kRaid5: return "raid5";
-    case Organization::kRaid4: return "raid4";
-    case Organization::kRaid10: return "raid10";
-    case Organization::kParityStriping: return "parstrip";
-  }
-  return "raid5";
-}
-
-const char* sync_name(SyncPolicy sync) {
-  switch (sync) {
-    case SyncPolicy::kSimultaneousIssue: return "si";
-    case SyncPolicy::kReadFirst: return "rf";
-    case SyncPolicy::kReadFirstPriority: return "rfpr";
-    case SyncPolicy::kDiskFirst: return "df";
-    case SyncPolicy::kDiskFirstPriority: return "dfpr";
-  }
-  return "df";
-}
-
-const char* sched_name(DiskScheduling sched) {
-  switch (sched) {
-    case DiskScheduling::kFifo: return "fifo";
-    case DiskScheduling::kSstf: return "sstf";
-    case DiskScheduling::kScan: return "scan";
-  }
-  return "fifo";
-}
-
-void apply_tail(SimulationConfig& config, const JsonValue& tail) {
-  if (!tail.is_object()) bad("'tail' must be an object");
-  for (const auto& [key, value] : tail.as_object()) {
-    if (key == "enabled") config.tail.enabled = bool_field(value, key);
-    else if (key == "read_deadline_ms")
-      config.tail.read_deadline_ms = number_field(value, key);
-    else if (key == "hedge_delay_ms")
-      config.tail.hedge_delay_ms = number_field(value, key);
-    else if (key == "hedge_ewma_factor")
-      config.tail.hedge_ewma_factor = number_field(value, key);
-    else if (key == "redirect_on_slow")
-      config.tail.redirect_on_slow = bool_field(value, key);
-    else if (key == "reconstruct_on_slow")
-      config.tail.reconstruct_on_slow = bool_field(value, key);
-    else if (key == "slow_ewma_factor")
-      config.tail.slow_ewma_factor = number_field(value, key);
-    else bad("unknown tail key '" + key + "'");
-  }
-}
-
-void apply_config(SimulationConfig& config, const JsonValue& json) {
-  if (!json.is_object()) bad("'config' must be an object");
-  for (const auto& [key, value] : json.as_object()) {
-    if (key == "org") {
-      if (!value.is_string()) bad("'org' must be a string");
-      config.organization = parse_org(value.as_string());
-    } else if (key == "n") {
-      config.array_data_disks = int_field(value, key);
-    } else if (key == "su") {
-      config.striping_unit_blocks = int_field(value, key);
-    } else if (key == "sync") {
-      if (!value.is_string()) bad("'sync' must be a string");
-      config.sync = parse_sync(value.as_string());
-    } else if (key == "parity_placement") {
-      if (!value.is_string()) bad("'parity_placement' must be a string");
-      config.parity_placement = parse_placement(value.as_string());
-    } else if (key == "parity_fine_chunk") {
-      config.parity_fine_grain_chunk_blocks = int_field(value, key);
-    } else if (key == "sched") {
-      if (!value.is_string()) bad("'sched' must be a string");
-      config.disk_scheduling = parse_sched(value.as_string());
-    } else if (key == "channel_mb_per_s") {
-      config.channel_mb_per_second = number_field(value, key);
-    } else if (key == "track_buffers") {
-      config.track_buffers_per_disk = int_field(value, key);
-    } else if (key == "cached") {
-      config.cached = bool_field(value, key);
-    } else if (key == "cache_mb") {
-      const double mb = number_field(value, key);
-      if (!std::isfinite(mb) || mb < 0.0 || mb > 1 << 20)
-        bad("'cache_mb' out of range");
-      config.cache_bytes = static_cast<std::int64_t>(mb * (1 << 20));
-    } else if (key == "destage_period_ms") {
-      config.destage_period_ms = number_field(value, key);
-    } else if (key == "retain_old_data") {
-      config.retain_old_data = bool_field(value, key);
-    } else if (key == "parity_caching") {
-      config.parity_caching = bool_field(value, key);
-    } else if (key == "periodic_destage") {
-      config.periodic_destage = bool_field(value, key);
-    } else if (key == "intent_journal") {
-      config.intent_journal = bool_field(value, key);
-    } else if (key == "shards") {
-      config.shards = int_field(value, key);
-    } else if (key == "shard_threads") {
-      config.shard_threads = int_field(value, key);
-    } else if (key == "sample_interval_ms") {
-      config.obs.sample_interval_ms = number_field(value, key);
-    } else if (key == "tail") {
-      apply_tail(config, value);
-    } else {
-      bad("unknown config key '" + key + "'");
+template <class T>
+void decode_field(const std::string& key, const JsonValue& v, T& field) {
+  if constexpr (std::is_enum_v<T>) {
+    if (!v.is_string()) bad("'" + key + "' must be a string");
+    try {
+      field = parse_wire_name<T>(v.as_string());
+    } catch (const std::invalid_argument& e) {
+      bad(e.what());
     }
+  } else if constexpr (std::is_same_v<T, bool>) {
+    field = bool_field(v, key);
+  } else if constexpr (std::is_same_v<T, int>) {
+    field = int_field(v, key);
+  } else if constexpr (std::is_same_v<T, double>) {
+    field = number_field(v, key);
+  } else {  // a byte count carried in MiB (ConfigField::kMebibytes)
+    const double mb = number_field(v, key);
+    if (!std::isfinite(mb) || mb < 0.0 || mb > 1 << 20)
+      bad("'" + key + "' out of range");
+    field = static_cast<T>(mb * (1 << 20));
   }
+}
+
+/// Where a field sits on the wire: {"tail", "enabled"} for "tail.enabled"
+/// and {"", "n"} for the top-level "n".
+std::pair<std::string_view, std::string_view> wire_path(const ConfigField& f) {
+  const std::string_view name = f.name;
+  const std::size_t dot = name.find('.');
+  if (dot == name.npos) return {{}, name};
+  return {name.substr(0, dot), name.substr(dot + 1)};
+}
+
+/// Applies the wire object `json` to `config`. `group` is "" for the
+/// "config" object itself and the name of a nested object ("tail") else.
+void apply_config(SimulationConfig& config, const JsonValue& json,
+                  const std::string& group) {
+  const std::string what = group.empty() ? "config" : group;
+  if (!json.is_object()) bad("'" + what + "' must be an object");
+  for (const auto& [key, value] : json.as_object()) {
+    bool found = false, nested = false;
+    for_each_config_field(config, [&](const ConfigField& f, auto& field) {
+      if (!f.on_wire()) return;
+      const auto [g, k] = wire_path(f);
+      if (g == group && k == key) {
+        decode_field(key, value, field);
+        found = true;
+      }
+      nested |= group.empty() && !g.empty() && g == key;
+    });
+    if (nested) apply_config(config, value, key);
+    else if (!found) bad("unknown " + what + " key '" + key + "'");
+  }
+}
+
+/// The wire "config" object: the on-wire fields in list order, "x.y"
+/// fields as key "y" of a nested object "x".
+std::string encode_config(const SimulationConfig& config) {
+  std::string out = "{";
+  std::string_view group;  // nested object being written; "" = top level
+  for_each_config_field(config, [&](const ConfigField& f, const auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if (!f.on_wire() || ((f.flags & ConfigField::kOmitZero) && v == T{}))
+      return;
+    const auto [g, key] = wire_path(f);
+    if (g != group) {  // nested objects follow the top-level fields
+      out += group.empty() ? ",\"" : "},\"";
+      out.append(g) += "\":{";
+      group = g;
+    } else if (out.back() != '{') {
+      out += ',';
+    }
+    out.append("\"").append(key) += "\":";
+    if constexpr (std::is_enum_v<T>)
+      out += '"' + wire_name(v) + '"';
+    else if (f.flags & ConfigField::kMebibytes)
+      append_field_value(out, static_cast<double>(v) / (1 << 20));
+    else
+      append_field_value(out, v);
+  });
+  return out + (group.empty() ? "}" : "}}");
 }
 
 }  // namespace
@@ -207,7 +152,7 @@ JobRequest decode_job_request(const JsonValue& request) {
     } else if (key == "no_cache") {
       job.no_cache = bool_field(value, key);
     } else if (key == "config") {
-      apply_config(job.config, value);
+      apply_config(job.config, value, "");
     } else {
       bad("unknown request key '" + key + "'");
     }
@@ -228,10 +173,10 @@ std::string encode_job_request(const JobRequest& request) {
   os << "{\"op\":\"run\"";
   if (!request.id.empty()) os << ",\"id\":" << json_quote(request.id);
   os << ",\"trace\":" << json_quote(request.trace);
-  char buf[40];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
+  const auto num = [](double v) {
+    std::string text;
+    append_field_value(text, v);
+    return text;
   };
   os << ",\"scale\":" << num(request.workload.scale)
      << ",\"speed\":" << num(request.workload.speed)
@@ -240,40 +185,7 @@ std::string encode_job_request(const JobRequest& request) {
     os << ",\"deadline_ms\":" << num(request.deadline_ms);
   if (request.no_cache) os << ",\"no_cache\":true";
 
-  const SimulationConfig& c = request.config;
-  const SimulationConfig defaults;
-  os << ",\"config\":{\"org\":\"" << org_name(c.organization) << "\""
-     << ",\"n\":" << c.array_data_disks
-     << ",\"su\":" << c.striping_unit_blocks
-     << ",\"sync\":\"" << sync_name(c.sync) << "\""
-     << ",\"parity_placement\":\""
-     << (c.parity_placement == ParityPlacement::kMiddleCylinders ? "middle"
-                                                                 : "end")
-     << "\""
-     << ",\"parity_fine_chunk\":" << c.parity_fine_grain_chunk_blocks
-     << ",\"sched\":\"" << sched_name(c.disk_scheduling) << "\""
-     << ",\"channel_mb_per_s\":" << num(c.channel_mb_per_second)
-     << ",\"track_buffers\":" << c.track_buffers_per_disk
-     << ",\"cached\":" << (c.cached ? "true" : "false")
-     << ",\"cache_mb\":"
-     << num(static_cast<double>(c.cache_bytes) / (1 << 20))
-     << ",\"destage_period_ms\":" << num(c.destage_period_ms)
-     << ",\"retain_old_data\":" << (c.retain_old_data ? "true" : "false")
-     << ",\"parity_caching\":" << (c.parity_caching ? "true" : "false")
-     << ",\"periodic_destage\":" << (c.periodic_destage ? "true" : "false")
-     << ",\"intent_journal\":" << (c.intent_journal ? "true" : "false")
-     << ",\"shards\":" << c.shards
-     << ",\"shard_threads\":" << c.shard_threads;
-  if (c.obs.sample_interval_ms != defaults.obs.sample_interval_ms)
-    os << ",\"sample_interval_ms\":" << num(c.obs.sample_interval_ms);
-  os << ",\"tail\":{\"enabled\":" << (c.tail.enabled ? "true" : "false")
-     << ",\"read_deadline_ms\":" << num(c.tail.read_deadline_ms)
-     << ",\"hedge_delay_ms\":" << num(c.tail.hedge_delay_ms)
-     << ",\"hedge_ewma_factor\":" << num(c.tail.hedge_ewma_factor)
-     << ",\"redirect_on_slow\":" << (c.tail.redirect_on_slow ? "true" : "false")
-     << ",\"reconstruct_on_slow\":"
-     << (c.tail.reconstruct_on_slow ? "true" : "false")
-     << ",\"slow_ewma_factor\":" << num(c.tail.slow_ewma_factor) << "}}}";
+  os << ",\"config\":" << encode_config(request.config) << '}';
   return os.str();
 }
 

@@ -1,0 +1,37 @@
+# The examples name organizations, sync policies, disk scheduling and
+# parity placement through one shared lookup: an unknown or unsupported
+# value must exit non-zero with a message naming it, never run a default
+# in its place or die on an uncaught exception.
+#
+# Invoked as:
+#   cmake -DEXAMPLES_DIR=<dir> -DWORK_DIR=<dir> -P example_bad_names_test.cmake
+
+if(NOT EXAMPLES_DIR OR NOT WORK_DIR)
+  message(FATAL_ERROR "usage: cmake -DEXAMPLES_DIR=... -DWORK_DIR=... -P ...")
+endif()
+file(MAKE_DIRECTORY "${WORK_DIR}")
+
+# expect_rejected(<stderr regex> <program> <args>...): exit code 2 and a
+# stderr line matching the regex.
+function(expect_rejected pattern program)
+  execute_process(COMMAND "${EXAMPLES_DIR}/${program}" ${ARGN}
+    WORKING_DIRECTORY "${WORK_DIR}"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${program} ${ARGN}: expected exit 2, got ${rc}\n${out}${err}")
+  endif()
+  if(NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR "${program} ${ARGN}: stderr lacks '${pattern}':\n${err}")
+  endif()
+endfunction()
+
+expect_rejected("unknown parity placement 'ends'" raidsim_cli --parity-placement=ends)
+expect_rejected("unknown organization 'raid9'" raidsim_cli --org=raid9)
+expect_rejected("unknown sync policy 'rf/pr'" raidsim_cli --sync=rf/pr)
+expect_rejected("unknown disk scheduling 'lifo'" raidsim_cli --sched=lifo)
+expect_rejected("unknown organization 'raid9'" cache_tuning trace2 raid9)
+expect_rejected("unknown organization 'raid9'" failure_drill raid9)
+expect_rejected("no redundancy" failure_drill base)
+expect_rejected("RAID4 with a cache" failure_drill raid4)
+
+message(STATUS "examples reject unknown names with exit 2")
