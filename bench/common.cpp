@@ -1,10 +1,13 @@
 #include "common.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+
+#include "core/job_key.hpp"
 
 namespace raidsim::bench {
 
@@ -26,11 +29,18 @@ std::string slugify(const std::string& text) {
   while (!slug.empty() && slug.back() == '_') slug.pop_back();
   return slug.empty() ? std::string("experiment") : slug;
 }
-}  // namespace
 
-BenchOptions BenchOptions::parse(int argc, char** argv) {
-  return parse(argc, argv, BenchOptions{});
+// The whole of `text` as a number, or std::invalid_argument naming `arg`.
+template <typename T>
+T number(const std::string& arg, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end)
+    throw std::invalid_argument("bad number in option: " + arg);
+  return value;
 }
+}  // namespace
 
 BenchOptions BenchOptions::parse(int argc, char** argv,
                                  BenchOptions defaults) {
@@ -48,34 +58,48 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
       options.scale1 = 0.05;
       options.scale2 = 0.25;
     } else if (const char* v = value_of("--scale1=")) {
-      options.scale1 = std::atof(v);
+      options.scale1 = number<double>(arg, v);
     } else if (const char* v = value_of("--scale2=")) {
-      options.scale2 = std::atof(v);
+      options.scale2 = number<double>(arg, v);
     } else if (const char* v = value_of("--seed=")) {
-      options.seed = std::strtoull(v, nullptr, 10);
+      options.seed = number<std::uint64_t>(arg, v);
     } else if (const char* v = value_of("--threads=")) {
-      options.threads = std::atoi(v);
+      options.threads = number<int>(arg, v);
     } else if (const char* v = value_of("--shards=")) {
-      options.shards = std::atoi(v);
+      options.shards = number<int>(arg, v);
     } else if (const char* v = value_of("--shard-threads=")) {
-      options.shard_threads = std::atoi(v);
+      options.shard_threads = number<int>(arg, v);
     } else if (const char* v = value_of("--trace-out=")) {
       options.trace_out = v;
     } else if (const char* v = value_of("--sample-interval-ms=")) {
-      options.sample_interval_ms = std::atof(v);
+      options.sample_interval_ms = number<double>(arg, v);
     } else if (arg == "--verbose") {
       options.verbose = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "options: --full --quick --scale1=<f> --scale2=<f> "
                    "--seed=<n> --threads=<n> --shards=<n> "
                    "--shard-threads=<n> --trace-out=<prefix> "
-                   "--sample-interval-ms=<t> --verbose\n";
+                   "--sample-interval-ms=<t> --verbose\n"
+                   "--quick replays trace 1 at 0.05 and trace 2 at 0.25 "
+                   "whatever the defaults; --full replays both in full\n";
       std::exit(0);
     } else {
       throw std::invalid_argument("unknown option: " + arg);
     }
   }
+  for (const double scale : {options.scale1, options.scale2})
+    if (!(scale > 0.0 && scale <= 1.0))
+      throw std::invalid_argument("--scale1 and --scale2 must be in (0, 1]");
   return options;
+}
+
+BenchOptions parse_or_exit(int argc, char** argv, BenchOptions defaults) {
+  try {
+    return BenchOptions::parse(argc, argv, defaults);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 WorkloadOptions BenchOptions::workload_options(const std::string& trace,
@@ -95,27 +119,6 @@ SimulationConfig BenchOptions::engine_config(SimulationConfig config) const {
   return config;
 }
 
-Metrics run_config(const SimulationConfig& config, const std::string& trace,
-                   const BenchOptions& options, double speed) {
-  // Each traced run of this process gets its own artifact prefix.
-  static int run_seq = 0;
-  SweepJob job;
-  job.config = options.engine_config(config);
-  job.trace = trace;
-  job.workload = options.workload_options(trace, speed);
-  job.label = config.describe() + " " + trace;
-  if (!options.trace_out.empty()) {
-    job.trace_out = options.trace_out + "_run" + std::to_string(run_seq++);
-    job.sample_interval_ms = options.sample_interval_ms;
-  }
-  const Metrics metrics = run_sweep_job(job);
-  if (options.verbose)
-    std::cout << "[" << config.describe() << " " << trace
-              << ": events_executed=" << metrics.events_executed
-              << " requests=" << metrics.requests << "]\n";
-  return metrics;
-}
-
 Sweep::Sweep(const BenchOptions& options)
     : options_(options), runner_(options.threads) {}
 
@@ -127,6 +130,9 @@ std::size_t Sweep::add(const SimulationConfig& config,
   job.config = options_.engine_config(config);
   job.trace = trace;
   job.workload = options_.workload_options(trace, speed);
+  const auto [it, fresh] = queued_.try_emplace(
+      job_canonical_key(job.config, trace, job.workload), runner_.queued());
+  if (!fresh) return it->second;
   job.label = config.describe() + " " + trace;
   if (!options_.trace_out.empty()) {
     // One artifact prefix per sweep point, so parallel workers never
@@ -136,6 +142,12 @@ std::size_t Sweep::add(const SimulationConfig& config,
     job.sample_interval_ms = options_.sample_interval_ms;
   }
   return runner_.submit(std::move(job));
+}
+
+std::size_t Sweep::add(std::string label, std::function<Metrics()> run) {
+  if (ran_)
+    throw std::logic_error("Sweep: add() after results were consumed");
+  return runner_.submit(std::move(label), std::move(run));
 }
 
 const Metrics& Sweep::result(std::size_t i) {

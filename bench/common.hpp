@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,8 @@ namespace raidsim::bench {
 ///   --scale2=<f>   fraction of trace 2 to replay (default 1.0)
 ///   --full         replay both traces in full
 ///   --seed=<n>     override the workload RNG seed
-///   --quick        quarter the default scales (CI smoke)
+///   --quick        replay trace 1 at 0.05 and trace 2 at 0.25, whatever
+///                  the bench's defaults (smoke runs)
 ///   --threads=<n>  sweep worker threads (default: hardware concurrency)
 ///   --shards=<n>   run every simulation on n per-array-group event
 ///                  kernels (0 = one kernel streaming the trace)
@@ -40,9 +42,10 @@ struct BenchOptions {
   bool verbose = false;
 
   /// Parse argv over per-bench defaults (heavier sweeps ship smaller
-  /// default scales so the whole suite stays fast).
+  /// default scales so the whole suite stays fast). Numbers must parse
+  /// whole; an unknown option or a bad number throws
+  /// std::invalid_argument naming it.
   static BenchOptions parse(int argc, char** argv, BenchOptions defaults);
-  static BenchOptions parse(int argc, char** argv);
 
   WorkloadOptions workload_options(const std::string& trace,
                                    double speed = 1.0) const;
@@ -52,15 +55,16 @@ struct BenchOptions {
   SimulationConfig engine_config(SimulationConfig config) const;
 };
 
-/// Run one configuration against one of the paper's workloads.
-Metrics run_config(const SimulationConfig& config, const std::string& trace,
-                   const BenchOptions& options, double speed = 1.0);
+/// BenchOptions::parse for a bench's main: an option error prints
+/// `<program>: <message>` on stderr and exits 2.
+BenchOptions parse_or_exit(int argc, char** argv, BenchOptions defaults = {});
 
-/// Deferred-execution sweep over simulation points. Figure programs queue
-/// every (config, trace) point up front, then read results back in the
-/// order the points were queued; the first result() call runs the whole
-/// batch across options.threads workers (SweepRunner), so tables print
-/// byte-identically at any thread count.
+/// Deferred-execution sweep over simulation points. A bench queues every
+/// (config, trace) point up front, then reads results back by the index
+/// add() returned; the first result() call runs the whole batch across
+/// options.threads workers (SweepRunner), so tables print byte-identically
+/// at any thread count. A point equal to one already queued (same
+/// job_canonical_key) shares its run.
 class Sweep {
  public:
   explicit Sweep(const BenchOptions& options);
@@ -69,15 +73,17 @@ class Sweep {
   std::size_t add(const SimulationConfig& config, const std::string& trace,
                   double speed = 1.0);
 
+  /// Queue a point that is not one of the paper's workloads (`run` builds
+  /// its own trace); never shared with another point.
+  std::size_t add(std::string label, std::function<Metrics()> run);
+
   /// Result of the i-th add(). Runs the batch on first call.
   const Metrics& result(std::size_t i);
-
-  /// Mean response time of the i-th point, the quantity most figures plot.
-  double response_ms(std::size_t i) { return result(i).mean_response_ms(); }
 
  private:
   BenchOptions options_;
   SweepRunner runner_;
+  std::map<std::string, std::size_t> queued_;  // job key -> index
   std::vector<SweepResult> results_;
   bool ran_ = false;
 };

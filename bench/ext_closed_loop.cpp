@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   using namespace raidsim;
   using namespace raidsim::bench;
-  const auto options = BenchOptions::parse(argc, argv);
+  const auto options = parse_or_exit(argc, argv);
   banner("Extension: closed-loop load scaling (MPL sweep)",
          "load scaled by multiprogramming level instead of trace speedup; "
          "RAID5's balancing shows as higher sustained throughput",

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   BenchOptions defaults;
   defaults.scale1 = 0.05;
   defaults.scale2 = 0.5;
-  const auto options = BenchOptions::parse(argc, argv, defaults);
+  const auto options = parse_or_exit(argc, argv, defaults);
   banner("Extension: degraded-mode and rebuild performance",
          "degraded reads fan out to all N survivors, so larger arrays pay "
          "more per reconstruction and rebuild interferes longer",

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   BenchOptions defaults;
   defaults.scale1 = 0.05;
   defaults.scale2 = 0.5;
-  const auto options = BenchOptions::parse(argc, argv, defaults);
+  const auto options = parse_or_exit(argc, argv, defaults);
   banner("Extension: fail-slow disks and tail-tolerance policies",
          "mirrors can redirect reads to the faster copy and RAID5 can "
          "reconstruct around a straggler, so redundancy buys tail latency, "

@@ -37,7 +37,7 @@ void add_row(TablePrinter& table, const std::string& label,
 
 int main(int argc, char** argv) {
   using namespace raidsim::bench;
-  const auto options = BenchOptions::parse(argc, argv);
+  const auto options = parse_or_exit(argc, argv);
   banner("Extension: Monte-Carlo MTTDL vs the analytic model",
          "Section 1: redundant organizations only lose data when a second "
          "failure strikes a group inside the first's repair window",

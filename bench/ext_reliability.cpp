@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace raidsim;
   using namespace raidsim::bench;
-  const auto options = BenchOptions::parse(argc, argv);
+  const auto options = parse_or_exit(argc, argv);
   banner("Extension: reliability (MTTDL) of the organizations",
          "Section 1: >150 non-redundant disks -> storage MTTF under 28 "
          "days; redundancy recovers orders of magnitude",

@@ -32,6 +32,12 @@ int main(int argc, char** argv) {
   }
   WorkloadOptions options;
   options.scale = argc > 3 ? std::atof(argv[3]) : 0.25;
+  try {
+    workload_profile(trace_name, options);  // an unknown trace or bad scale
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "cache_tuning: " << e.what() << "\n";
+    return 2;
+  }
 
   std::cout << "Cache tuning for " << to_string(org) << " on " << trace_name
             << " (scale " << options.scale << ")\n\n";

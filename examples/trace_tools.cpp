@@ -62,9 +62,7 @@ int write_stream(raidsim::TraceStream& stream, const std::string& out_path) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace raidsim;
   if (argc < 3) return usage();
   const std::string command = argv[1];
@@ -117,4 +115,17 @@ int main(int argc, char** argv) {
   }
 
   return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A missing file, an unknown trace name or a malformed trace is a
+  // message and exit 1, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "trace_tools: " << e.what() << "\n";
+    return 1;
+  }
 }

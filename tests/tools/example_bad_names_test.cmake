@@ -25,6 +25,21 @@ function(expect_rejected pattern program)
   endif()
 endfunction()
 
+# expect_failed(<stderr regex> <program> <args>...): a non-zero exit code
+# that is not an abort (134) or a signal, and a stderr line matching the
+# regex.
+function(expect_failed pattern program)
+  execute_process(COMMAND "${EXAMPLES_DIR}/${program}" ${ARGN}
+    WORKING_DIRECTORY "${WORK_DIR}"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc MATCHES "^[0-9]+$" OR rc EQUAL 0 OR rc EQUAL 134)
+    message(FATAL_ERROR "${program} ${ARGN}: expected a non-zero exit, got ${rc}\n${out}${err}")
+  endif()
+  if(NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR "${program} ${ARGN}: stderr lacks '${pattern}':\n${err}")
+  endif()
+endfunction()
+
 expect_rejected("unknown parity placement 'ends'" raidsim_cli --parity-placement=ends)
 expect_rejected("unknown organization 'raid9'" raidsim_cli --org=raid9)
 expect_rejected("unknown sync policy 'rf/pr'" raidsim_cli --sync=rf/pr)
@@ -33,5 +48,8 @@ expect_rejected("unknown organization 'raid9'" cache_tuning trace2 raid9)
 expect_rejected("unknown organization 'raid9'" failure_drill raid9)
 expect_rejected("no redundancy" failure_drill base)
 expect_rejected("RAID4 with a cache" failure_drill raid4)
+expect_failed("cannot open '/nonexistent.trace'" trace_tools analyze /nonexistent.trace)
+expect_failed("unknown preset 'trace3'" trace_tools generate trace3 0.01 y.trace)
+expect_failed("unknown preset 'trace3'" cache_tuning trace3)
 
-message(STATUS "examples reject unknown names with exit 2")
+message(STATUS "examples reject unknown names with exit 2 and bad inputs without aborting")
