@@ -1,13 +1,13 @@
 #include "common.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 
 #include "core/job_key.hpp"
+#include "util/parse_number.hpp"
 
 namespace raidsim::bench {
 
@@ -29,17 +29,6 @@ std::string slugify(const std::string& text) {
   while (!slug.empty() && slug.back() == '_') slug.pop_back();
   return slug.empty() ? std::string("experiment") : slug;
 }
-
-// The whole of `text` as a number, or std::invalid_argument naming `arg`.
-template <typename T>
-T number(const std::string& arg, const char* text) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end)
-    throw std::invalid_argument("bad number in option: " + arg);
-  return value;
-}
 }  // namespace
 
 BenchOptions BenchOptions::parse(int argc, char** argv,
@@ -47,6 +36,7 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
   BenchOptions options = defaults;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const std::string what = "option: " + arg;  // for a bad number
     auto value_of = [&arg](const char* prefix) -> const char* {
       const std::size_t len = std::strlen(prefix);
       return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
@@ -58,21 +48,21 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
       options.scale1 = 0.05;
       options.scale2 = 0.25;
     } else if (const char* v = value_of("--scale1=")) {
-      options.scale1 = number<double>(arg, v);
+      options.scale1 = parse_number<double>(v, what);
     } else if (const char* v = value_of("--scale2=")) {
-      options.scale2 = number<double>(arg, v);
+      options.scale2 = parse_number<double>(v, what);
     } else if (const char* v = value_of("--seed=")) {
-      options.seed = number<std::uint64_t>(arg, v);
+      options.seed = parse_number<std::uint64_t>(v, what);
     } else if (const char* v = value_of("--threads=")) {
-      options.threads = number<int>(arg, v);
+      options.threads = parse_number<int>(v, what);
     } else if (const char* v = value_of("--shards=")) {
-      options.shards = number<int>(arg, v);
+      options.shards = parse_number<int>(v, what);
     } else if (const char* v = value_of("--shard-threads=")) {
-      options.shard_threads = number<int>(arg, v);
+      options.shard_threads = parse_number<int>(v, what);
     } else if (const char* v = value_of("--trace-out=")) {
       options.trace_out = v;
     } else if (const char* v = value_of("--sample-interval-ms=")) {
-      options.sample_interval_ms = number<double>(arg, v);
+      options.sample_interval_ms = parse_number<double>(v, what);
     } else if (arg == "--verbose") {
       options.verbose = true;
     } else if (arg == "--help" || arg == "-h") {

@@ -1,6 +1,7 @@
-// The paper's tables, figures and design-choice ablations as rows of one
-// table. Each row holds its banner, its default scales, the simulation
-// points it queues, how it prints them, and its claims.
+// The paper's tables, figures and design-choice ablations, and the
+// extensions beyond its evaluation, as rows of one table. Each row holds
+// its banner, its default scales, the simulation points it queues, how it
+// prints them, and its claims.
 //
 //   paper_claims [<row>] [options]
 //
@@ -31,9 +32,14 @@
 #include <map>
 #include <stdexcept>
 
+#include "array/rebuild.hpp"
 #include "common.hpp"
+#include "core/closed_loop.hpp"
+#include "core/reliability.hpp"
 #include "disk/geometry.hpp"
 #include "disk/seek_model.hpp"
+#include "fault/mttdl_sim.hpp"
+#include "fault/slowdown_injector.hpp"
 #include "layout/placement_model.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_stats.hpp"
@@ -147,15 +153,22 @@ class Report {
   std::map<std::string, double> values_;
 };
 
+/// Records every value of `series` in `report` under `table`.
+void record(Report& report, const std::string& table,
+            const std::vector<std::string>& xs,
+            const std::vector<Series>& series) {
+  for (const auto& s : series)
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      report.set(table, s.name, xs[i], s.values[i]);
+}
+
 /// print_series_table, recording every value in `report`.
 void print_table(Report& report, const std::string& x_name,
                  const std::vector<std::string>& xs, const std::string& title,
                  const std::vector<Series>& series,
                  const std::string& value_name = "response (ms)") {
   print_series_table(x_name, xs, title, series, value_name);
-  for (const auto& s : series)
-    for (std::size_t i = 0; i < xs.size(); ++i)
-      report.set(title, s.name, xs[i], s.values[i]);
+  record(report, title, xs, series);
 }
 
 /// The simulation behind one table cell: a configuration replaying the
@@ -182,7 +195,7 @@ struct Table {
       [](std::size_t, const Metrics& m) { return m.mean_response_ms(); };
   std::string value_name = "response (ms)";
   std::function<void(const Cells&)> footer{};          // after the table
-  std::function<void(const Cells&, Report&)> print{};  // replaces the table
+  std::function<void(const Cells&, Report&)> print{};  // prints the table
 };
 using Tables = std::function<std::vector<Table>(const BenchOptions&)>;
 
@@ -358,6 +371,213 @@ double max_over_mean(const Metrics& m) {
   }
   mean /= static_cast<double>(m.disk_accesses.size());
   return static_cast<double>(max) / mean;
+}
+
+// ---- extensions beyond the paper's evaluation ----------------------------
+
+constexpr double kHoursPerYear = 24.0 * 365.0;
+
+/// The Section 1 footnote (system MTTF of non-redundant disks at 100,000 h
+/// each) and MTTDL, disk count and storage overhead of every organization
+/// on the trace 1 database (130 data disks).
+void print_reliability(Report& report) {
+  TablePrinter footnote({"non-redundant disks", "system MTTF (days)"});
+  for (int disks : {50, 100, 130, 150, 151, 200}) {
+    const double days =
+        system_mttdl_hours(Organization::kBase, disks, 10) / 24.0;
+    footnote.add_row({std::to_string(disks), TablePrinter::num(days, 1)});
+    report.set("footnote", "system MTTF (days)", std::to_string(disks), days);
+  }
+  footnote.print(std::cout);
+  std::cout << "\n";
+
+  const ReliabilityParams params;  // 100,000 h MTTF, 24 h repair
+  TablePrinter table({"organization", "N", "disks", "overhead",
+                      "group MTTDL (yr)", "system MTTDL (yr)"});
+  const int database = 130;  // trace 1
+  for (auto org : kOrgs) {
+    for (int n : {5, 10, 20}) {
+      if (org == Organization::kBase && n != 10) continue;
+      if (org == Organization::kMirror && n != 10) continue;
+      const double years =
+          system_mttdl_hours(org, database, n, params) / kHoursPerYear;
+      table.add_row(
+          {to_string(org), std::to_string(n),
+           std::to_string(disks_required(org, database, n)),
+           TablePrinter::num(100.0 * storage_overhead(org, n), 0) + "%",
+           TablePrinter::num(group_mttdl_hours(org, n, params) / kHoursPerYear,
+                             1),
+           TablePrinter::num(years, 1)});
+      report.set("system MTTDL (yr)", to_string(org),
+                 "N=" + std::to_string(n), years);
+    }
+  }
+  table.print(std::cout);
+  std::cout << "\nLarger parity groups trade MTTDL (and rebuild time; see "
+               "degraded_rebuild) for fewer parity disks.\n";
+}
+
+/// Simulated whole failure/repair lifetimes per organization against the
+/// closed-form MTTDL of core/reliability.hpp.
+void print_mttdl_montecarlo(const BenchOptions& options, Report& report) {
+  const int lifetimes = 1000;
+  MttdlConfig base;  // paper parameters: 100,000 h MTTF, 24 h MTTR
+  if (options.seed) base.seed = options.seed;
+  TablePrinter table({"organization", "D", "N", "analytic (yr)",
+                      "simulated (yr)", "95% CI (yr)", "sim/analytic",
+                      "within 2x"});
+  const auto add = [&](const std::string& label, Organization org, int d,
+                       int n) {
+    MttdlConfig config = base;
+    config.organization = org;
+    config.total_data_disks = d;
+    config.array_data_disks = n;
+    const MttdlEstimate est = simulate_mttdl(config, lifetimes);
+    table.add_row(
+        {label, std::to_string(d), std::to_string(n),
+         TablePrinter::num(est.analytic_hours / kHoursPerYear, 2),
+         TablePrinter::num(est.mean_hours / kHoursPerYear, 2),
+         TablePrinter::num(est.ci_low_hours / kHoursPerYear, 2) + ".." +
+             TablePrinter::num(est.ci_high_hours / kHoursPerYear, 2),
+         TablePrinter::num(est.ratio(), 3),
+         est.agrees_within(2.0) ? "yes" : "NO"});
+    const std::string x =
+        label + " D=" + std::to_string(d) + " N=" + std::to_string(n);
+    report.set("MTTDL", "analytic (yr)", x, est.analytic_hours / kHoursPerYear);
+    report.set("MTTDL", "simulated (yr)", x, est.mean_hours / kHoursPerYear);
+    report.set("MTTDL", "sim/analytic", x, est.ratio());
+  };
+  // Base: no redundancy, MTTDL = MTTF / D.
+  for (int d : {50, 100, 200}) add("Base", Organization::kBase, d, 10);
+  for (int n : {4, 10}) add("Mirrored", Organization::kMirror, n, n);
+  for (int n : {4, 10, 20}) add("RAID5", Organization::kRaid5, n, n);
+  add("Parity Striping", Organization::kParityStriping, 10, 10);
+  table.print(std::cout);
+  std::cout
+      << "\nEach row is " << lifetimes
+      << " independent simulated lifetimes (exponential failures and "
+         "repairs, only the failure/repair epochs are drawn).\n"
+         "Base scales as MTTF/D; the redundant organizations sit orders "
+         "of magnitude higher and shrink as group size grows, matching "
+         "Section 4.2.1's large-array reliability caveat.\n";
+}
+
+/// Load scaled by multiprogramming level: response and throughput per
+/// organization on the trace 2 profile.
+void print_closed_loop(const BenchOptions& options, Report& report) {
+  const std::vector<int> mpls{1, 4, 16, 64};
+  std::vector<Series> response, throughput;
+  for (auto org : {Organization::kBase, Organization::kMirror,
+                   Organization::kRaid5, Organization::kRaid10,
+                   Organization::kParityStriping}) {
+    response.push_back({to_string(org), {}});
+    throughput.push_back({to_string(org), {}});
+    for (int mpl : mpls) {
+      SimulationConfig config;
+      config.organization = org;
+      ClosedLoopOptions loop;
+      loop.clients = mpl;
+      loop.think_time_ms = 20.0;
+      loop.requests = std::max<std::uint64_t>(
+          200, static_cast<std::uint64_t>(8000 * options.scale2));
+      loop.seed = options.seed;
+      const auto result = run_closed_loop(config, loop);
+      response.back().values.push_back(result.mean_response_ms());
+      throughput.back().values.push_back(result.throughput_io_per_s);
+    }
+  }
+  const auto xs =
+      labels(mpls, [](int mpl) { return "MPL=" + std::to_string(mpl); });
+  print_series_table("clients", xs, "trace2 profile", response);
+  print_series_table("clients", xs, "trace2 profile", throughput, "IO/s");
+  record(report, "response (ms)", xs, response);
+  record(report, "IO/s", xs, throughput);
+}
+
+/// Disk 0 of array 0: healthy, failed, or failed and rebuilding online.
+enum class DiskState { kHealthy, kDegraded, kRebuilding };
+
+/// Uncached `org` with N data disks per array replaying `trace`, disk 0 of
+/// array 0 in `state` (every array sees statistically similar load, so
+/// which one fails does not matter for the shape).
+Metrics run_failed_disk(Organization org, int n, DiskState state,
+                        const std::string& trace,
+                        const BenchOptions& options) {
+  SimulationConfig config = uncached(org);
+  config.array_data_disks = n;
+  auto stream = make_workload(trace, options.workload_options(trace));
+  Simulator sim(config, stream->geometry());
+  std::unique_ptr<RebuildProcess> rebuild;
+  if (state != DiskState::kHealthy) sim.mutable_controller(0).fail_disk(0);
+  if (state == DiskState::kRebuilding) {
+    RebuildProcess::Options ro;
+    ro.blocks_per_pass = 18;     // three tracks per pass
+    ro.inter_pass_gap_ms = 2.0;  // mildly throttled sweep
+    rebuild = std::make_unique<RebuildProcess>(sim.event_queue(),
+                                               sim.mutable_controller(0), ro);
+    rebuild->start(nullptr);
+  }
+  return sim.run(*stream);
+}
+
+/// Uncached `org` (N=10) replaying `trace` with disk 1 of array 0
+/// sticky-slow by `factor` (1 = none), the tail-tolerance policies on or
+/// off: mirror redirect-on-slow, parity reconstruct-on-slow, both hedged.
+Metrics run_sticky_slow(Organization org, double factor, bool policies,
+                        const std::string& trace,
+                        const BenchOptions& options) {
+  SimulationConfig config = uncached(org);
+  config.array_data_disks = 10;
+  if (policies) {
+    config.tail.enabled = true;
+    config.tail.read_deadline_ms = 120.0;
+    config.tail.hedge_ewma_factor = 3.0;
+    config.tail.redirect_on_slow = true;
+    config.tail.reconstruct_on_slow = true;
+  }
+  auto stream = make_workload(trace, options.workload_options(trace));
+  Simulator sim(config, stream->geometry());
+  std::vector<ArrayController*> arrays;
+  for (int a = 0; a < sim.arrays(); ++a)
+    arrays.push_back(&sim.mutable_controller(a));
+  SlowdownConfig slow;
+  slow.manual_sticky = true;  // hooks installed, straggler placed by hand
+  slow.sticky_factor = factor;
+  SlowdownInjector injector(sim.event_queue(), arrays, slow);
+  if (factor > 1.0) {
+    injector.arm();
+    injector.force_sticky(/*array=*/0, /*disk=*/1);
+  }
+  return sim.run(*stream);
+}
+
+/// Percentiles of one fail-slow table, policies off (cells[0]) against on
+/// (cells[1]) per severity.
+void print_tail_table(const std::string& trace, Organization org,
+                      const std::vector<std::string>& xs, const Cells& cells,
+                      Report& report) {
+  static const std::vector<std::pair<std::string, double>> kQuantiles{
+      {"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}, {"p999", 0.999}};
+  std::vector<std::string> header{"slowdown"};
+  for (const auto& [name, q] : kQuantiles)
+    for (const char* policies : {" off", " on"})
+      header.push_back(name + policies);
+  TablePrinter table(header);
+  for (std::size_t x = 0; x < xs.size(); ++x) {
+    std::vector<std::string> row{xs[x]};
+    for (const auto& [name, q] : kQuantiles)
+      for (std::size_t on = 0; on < 2; ++on) {
+        const double ms = cells[on][x]->response_all.histogram().quantile(q);
+        report.set(trace + " / " + to_string(org), header[row.size()], xs[x],
+                   ms);
+        row.push_back(TablePrinter::num(ms));
+      }
+    table.add_row(row);
+  }
+  std::cout << trace << " -- " << to_string(org)
+            << " (response ms, policies off vs on)\n";
+  table.print(std::cout);
+  std::cout << "\n";
 }
 
 // ---- the rows ---------------------------------------------------------
@@ -883,6 +1103,193 @@ const std::vector<Row>& rows() {
         {"Base FIFO < RAID5 FIFO < ParStrip FIFO and Base SSTF < RAID5 SSTF < "
          "ParStrip SSTF and Base SCAN < RAID5 SCAN < ParStrip SCAN",
          0}}},
+
+      // ---- extensions beyond the paper's evaluation ----
+
+      {"reliability", "Extension: reliability (MTTDL) of the organizations",
+       "Section 1: >150 non-redundant disks -> storage MTTF under 28 "
+       "days; redundancy recovers orders of magnitude",
+       0.2, 1.0,  // analytic: the scales are not used
+       [](const BenchOptions&) {
+         return std::vector<Table>{{.print = [](const Cells&, Report& report) {
+           print_reliability(report);
+         }}};
+       },
+       {{"footnote: [150], [151], [200] < 28 < [130] @ system MTTF (days) -- "
+         "Section 1: over 150 disks, under 28 days",
+         3},
+        {"system MTTDL (yr): RAID5[N=20] < RAID5[N=10] < RAID5[N=5] and "
+         "ParStrip[N=20] < ParStrip[N=10] < ParStrip[N=5] -- Section 4.2.1: "
+         "large arrays are less reliable",
+         3},
+        {"system MTTDL (yr): 100 * Base[N=10] < RAID5[N=20], ParStrip[N=20], "
+         "Mirror[N=10] -- redundancy recovers orders of magnitude",
+         3}}},
+
+      {"mttdl_montecarlo", "Extension: Monte-Carlo MTTDL vs the analytic model",
+       "Section 1: redundant organizations only lose data when a second "
+       "failure strikes a group inside the first's repair window",
+       0.2, 1.0,  // no trace: the scales are not used
+       [](const BenchOptions& options) {
+         return std::vector<Table>{
+             {.print = [options](const Cells&, Report& report) {
+               print_mttdl_montecarlo(options, report);
+             }}};
+       },
+       {{"0.5 < sim/analytic < 2 -- every row within 2x of the analytic model",
+         3},
+        {"[RAID5 D=20 N=20] < [RAID5 D=10 N=10] < [RAID5 D=4 N=4] @ "
+         "analytic (yr), simulated (yr) -- MTTDL falls with N",
+         3},
+        {"[Base D=200 N=10] < [Base D=100 N=10] < [Base D=50 N=10] @ "
+         "analytic (yr), simulated (yr) -- Base scales as MTTF/D",
+         3},
+        {"100 * [Base D=50 N=10] < [Mirrored D=4 N=4], [Mirrored D=10 N=10], "
+         "[RAID5 D=20 N=20], [Parity Striping D=10 N=10] @ simulated (yr)",
+         3}}},
+
+      {"closed_loop", "Extension: closed-loop load scaling (MPL sweep)",
+       "load scaled by multiprogramming level instead of trace speedup; "
+       "RAID5's balancing shows as higher sustained throughput",
+       0.2, 1.0,  // the request count scales with --scale2
+       [](const BenchOptions& options) {
+         return std::vector<Table>{
+             {.print = [options](const Cells&, Report& report) {
+               print_closed_loop(options, report);
+             }}};
+       },
+       {{"IO/s: Base, Mirror, RAID5, ParStrip < RAID10 @ MPL=64", 3},
+        {"IO/s: ParStrip < Base, Mirror, RAID5, RAID10 @ MPL=64", 3},
+        {"response (ms): [MPL=1] < [MPL=4] < [MPL=16] < [MPL=64] @ Base, "
+         "Mirror, RAID5, RAID10, ParStrip",
+         3},
+        {"IO/s: ParStrip < Base < RAID5 < Mirror < RAID10 @ MPL=64", 1},
+        {"IO/s: Base < RAID5 @ MPL=16, MPL=64 -- load balancing", 2},
+        {"IO/s: [MPL=1] < [MPL=4] < [MPL=16] < [MPL=64] @ Base, Mirror, "
+         "RAID5, RAID10, ParStrip",
+         2}}},
+
+      {"degraded_rebuild", "Extension: degraded-mode and rebuild performance",
+       "degraded reads fan out to all N survivors, so larger arrays pay "
+       "more per reconstruction and rebuild interferes longer",
+       0.05, 0.5,
+       [](const BenchOptions& options) {
+         static const std::vector<int> sizes{5, 10, 20};
+         static const std::vector<Organization> orgs{
+             Organization::kMirror, Organization::kRaid5,
+             Organization::kParityStriping};
+         std::vector<std::string> series;
+         for (auto org : orgs)
+           for (const char* state : {" ok", " degr", " rebld"})
+             series.push_back(to_string(org) + state);
+         std::vector<Table> tables;
+         for (const auto& trace : kTraces)
+           tables.push_back(
+               {.trace = trace,
+                .x_name = "array size",
+                .xs = labels(sizes,
+                             [](int n) { return "N=" + std::to_string(n); }),
+                .series = series,
+                .point = [options, trace](std::size_t s, std::size_t x) {
+                  Point p;
+                  p.run = [options, trace, s, x] {
+                    return run_failed_disk(orgs[s / 3], sizes[x],
+                                           static_cast<DiskState>(s % 3),
+                                           trace, options);
+                  };
+                  return p;
+                }});
+         return tables;
+       },
+       {{"trace1: RAID5 degr[N=5] - RAID5 ok[N=5] < RAID5 degr[N=10] - RAID5 "
+         "ok[N=10] < RAID5 degr[N=20] - RAID5 ok[N=20] -- Section 4.2.1: the "
+         "degraded penalty grows with N",
+         3},
+        {"trace1: ParStrip degr[N=5] - ParStrip ok[N=5] < ParStrip degr[N=10] "
+         "- ParStrip ok[N=10] < ParStrip degr[N=20] - ParStrip ok[N=20]",
+         3},
+        {"trace2: RAID5 degr[N=5] - RAID5 ok[N=5] < RAID5 degr[N=10] - RAID5 "
+         "ok[N=10] and ParStrip degr[N=5] - ParStrip ok[N=5] < ParStrip "
+         "degr[N=10] - ParStrip ok[N=10] -- trace 2 stops at N=10 (next claim)",
+         3},
+        {"trace2: [N=20] <= [N=10] <= [N=20] @ Mirror ok, Mirror degr, Mirror "
+         "rebld, RAID5 ok, RAID5 degr, RAID5 rebld, ParStrip ok, ParStrip "
+         "degr, ParStrip rebld -- trace 2 has 10 data disks, so its N=20 "
+         "column runs the N=10 array",
+         3},
+        {"trace1: 1.05 * RAID5 ok < RAID5 degr @ N=20 -- a degraded read "
+         "reads all N survivors",
+         3},
+        {"trace2: 2 * RAID5 ok < RAID5 degr @ N=10", 3},
+        {"RAID5 ok < RAID5 degr and ParStrip ok < ParStrip degr", 3},
+        {"Mirror degr <= 1.05 * Mirror ok -- the twin serves a failed disk's "
+         "reads",
+         3},
+        {"trace2: RAID5 ok < RAID5 rebld < RAID5 degr and ParStrip ok < "
+         "ParStrip rebld < ParStrip degr @ N=5, N=10 -- the rebuild restores "
+         "service as it sweeps",
+         3}}},
+
+      {"fail_slow", "Extension: fail-slow disks and tail-tolerance policies",
+       "mirrors can redirect reads to the faster copy and RAID5 can "
+       "reconstruct around a straggler, so redundancy buys tail latency, "
+       "not just availability",
+       0.05, 0.5,
+       [](const BenchOptions& options) {
+         static const std::vector<Organization> orgs{
+             Organization::kMirror, Organization::kRaid5,
+             Organization::kParityStriping};
+         static const std::vector<double> severities{1.0, 3.0, 6.0, 10.0};
+         const auto xs = labels(severities, [](double factor) {
+           return factor == 1.0 ? std::string("none")
+                                : TablePrinter::num(factor, 0) + "x sticky";
+         });
+         std::vector<Table> tables;
+         for (const auto& trace : kTraces)
+           for (auto org : orgs)
+             tables.push_back(
+                 {.xs = xs,
+                  .series = {"off", "on"},
+                  .point = [options, trace, org](std::size_t s,
+                                                 std::size_t x) {
+                    Point p;
+                    p.run = [options, trace, org, s, x] {
+                      return run_sticky_slow(org, severities[x], s == 1,
+                                             trace, options);
+                    };
+                    return p;
+                  },
+                  .print = [trace, org, xs](const Cells& cells,
+                                            Report& report) {
+                    print_tail_table(trace, org, xs, cells, report);
+                  }});
+         tables.back().footer = [](const Cells&) {
+           std::cout << "One disk of array 0 is sticky-slow at the stated "
+                        "factor; the policies are deadline=120ms + hedge at "
+                        "3x the primary's EWMA, with mirror redirect-on-slow "
+                        "and parity reconstruct-on-slow.\n";
+         };
+         return tables;
+       },
+       {{"p99 off[none] < p99 off[10x sticky] -- a slow disk costs tail "
+         "latency",
+         3},
+        {"trace2 / RAID5: p99 on < p99 off @ 3x sticky, 6x sticky, 10x sticky",
+         3},
+        {"trace1 / ParStrip: p99 on < p99 off @ 10x sticky", 3},
+        {"trace2 / ParStrip: p99 off < p99 on @ 3x sticky, 6x sticky, 10x "
+         "sticky -- reconstructing around the straggler loads its survivors",
+         3},
+        {"trace1 / Mirror, trace1 / RAID5, trace1 / ParStrip: p50 on <= 1.05 * "
+         "p50 off -- the policies leave trace 1's median alone",
+         3},
+        {"trace1 / ParStrip: p99 on < p99 off @ 6x sticky", 2},
+        {"trace2 / Mirror: p99 on < p99 off @ 6x sticky, 10x sticky", 2},
+        {"trace1 / Mirror, trace1 / RAID5: p99 on < p99 off @ 10x sticky", 2},
+        {"p99 on < p99 off @ 3x sticky", 0},
+        {"p99 on < p99 off @ 6x sticky", 0},
+        {"p99 on < p99 off @ 10x sticky", 0},
+        {"p50 on <= 1.05 * p50 off", 0}}},
   };
   return all;
 }
@@ -915,16 +1322,16 @@ bool run_row(const Row& row, const BenchOptions& options) {
       for (std::size_t j : queued[i][s]) cells[s].push_back(&sweep.result(j));
     if (t.print) {
       t.print(cells, report);
-      continue;
+    } else {
+      std::vector<Series> series;
+      for (std::size_t s = 0; s < t.series.size(); ++s) {
+        series.push_back({t.series[s], {}});
+        for (const Metrics* m : cells[s])
+          series.back().values.push_back(t.value(s, *m));
+      }
+      print_table(report, t.x_name, t.xs,
+                  t.title.empty() ? t.trace : t.title, series, t.value_name);
     }
-    std::vector<Series> series;
-    for (std::size_t s = 0; s < t.series.size(); ++s) {
-      series.push_back({t.series[s], {}});
-      for (const Metrics* m : cells[s])
-        series.back().values.push_back(t.value(s, *m));
-    }
-    print_table(report, t.x_name, t.xs, t.title.empty() ? t.trace : t.title,
-                series, t.value_name);
     if (t.footer) t.footer(cells);
   }
   std::cout.flush();

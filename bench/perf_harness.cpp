@@ -240,9 +240,8 @@ HistogramBench histogram_bench(std::uint64_t total_adds) {
   return r;
 }
 
-/// Service saturation in-process (the socketless core of
-/// ext_service_saturation): a burst of distinct jobs against a small
-/// admission queue. Goodput and shed counts come from the supervisor's
+/// Service saturation in-process, without the socket: a burst of
+/// distinct jobs against a small admission queue. Goodput and shed counts come from the supervisor's
 /// own terminal statuses, so these are the numbers the daemon would
 /// report.
 struct ServiceBench {
@@ -424,9 +423,8 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------- service saturation
-  // The overload regime ext_service_saturation studies, reduced to the
-  // two numbers worth guarding: goodput under a shedding burst and the
-  // shed rate itself.
+  // The overload regime reduced to the two numbers worth guarding:
+  // goodput under a shedding burst and the shed rate itself.
   const ServiceBench svc = service_bench(48, 0.05);
   TablePrinter svc_table({"service saturation", "value"});
   svc_table.add_row({"offered jobs", std::to_string(svc.offered)});

@@ -6,13 +6,13 @@
 // Usage: cache_tuning [trace1|trace2] [org] [scale]
 //   org: any organization name (base, mirror, raid5, raid4, parstrip,
 //   raid10), or raid4pc for RAID4 with parity caching
-#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 #include <string>
 
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -31,8 +31,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   WorkloadOptions options;
-  options.scale = argc > 3 ? std::atof(argv[3]) : 0.25;
+  options.scale = 0.25;
   try {
+    if (argc > 3)
+      options.scale =
+          parse_number<double>(argv[3], std::string("scale: ") + argv[3]);
     workload_profile(trace_name, options);  // an unknown trace or bad scale
   } catch (const std::invalid_argument& e) {
     std::cerr << "cache_tuning: " << e.what() << "\n";

@@ -137,8 +137,8 @@ int main(int argc, char** argv) {
   Simulator sim(config, profile.geometry);
 
   // Reliability context: the analytic MTTDL of this group, cross-checked
-  // by a quick Monte-Carlo run (see bench/ext_mttdl_montecarlo for the
-  // full validation).
+  // by a quick Monte-Carlo run (see `paper_claims mttdl_montecarlo` for
+  // the full validation).
   MttdlConfig mttdl;
   mttdl.organization = org;
   mttdl.total_data_disks = n;

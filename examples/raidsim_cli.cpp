@@ -60,6 +60,7 @@
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
 #include "trace/trace_io.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -76,6 +77,16 @@ template <class E>
 E named(const char* v) {
   try {
     return parse_wire_name<E>(v);
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
+  }
+}
+
+/// A numeric flag value parsed whole; a bad one exits 2 naming the flag.
+template <class T>
+T number(const std::string& flag, const char* v) {
+  try {
+    return parse_number<T>(v, "flag: " + flag);
   } catch (const std::invalid_argument& e) {
     fail(e.what());
   }
@@ -153,51 +164,51 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--trace-file=")) {
       trace_file = v;
     } else if (const char* v = value("--scale=")) {
-      workload.scale = std::atof(v);
+      workload.scale = number<double>(arg, v);
     } else if (const char* v = value("--speed=")) {
-      workload.speed = std::atof(v);
+      workload.speed = number<double>(arg, v);
     } else if (const char* v = value("--seed=")) {
-      workload.seed = std::strtoull(v, nullptr, 10);
+      workload.seed = number<std::uint64_t>(arg, v);
     } else if (const char* v = value("--org=")) {
       config.organization = named<Organization>(v);
     } else if (const char* v = value("--n=")) {
-      config.array_data_disks = std::atoi(v);
+      config.array_data_disks = number<int>(arg, v);
     } else if (const char* v = value("--su=")) {
-      config.striping_unit_blocks = std::atoi(v);
+      config.striping_unit_blocks = number<int>(arg, v);
     } else if (const char* v = value("--sync=")) {
       config.sync = named<SyncPolicy>(v);
     } else if (const char* v = value("--parity-placement=")) {
       config.parity_placement = named<ParityPlacement>(v);
     } else if (const char* v = value("--parity-fine-chunk=")) {
-      config.parity_fine_grain_chunk_blocks = std::atoi(v);
+      config.parity_fine_grain_chunk_blocks = number<int>(arg, v);
     } else if (const char* v = value("--sched=")) {
       config.disk_scheduling = named<DiskScheduling>(v);
     } else if (const char* v = value("--cache=")) {
       config.cached = true;
-      config.cache_bytes = static_cast<std::int64_t>(std::atoi(v)) << 20;
+      config.cache_bytes = number<std::int64_t>(arg, v) << 20;
     } else if (const char* v = value("--destage-period=")) {
-      config.destage_period_ms = std::atof(v);
+      config.destage_period_ms = number<double>(arg, v);
     } else if (arg == "--no-old-data") {
       config.retain_old_data = false;
     } else if (arg == "--parity-caching") {
       config.parity_caching = true;
     } else if (const char* v = value("--fail-disk=")) {
-      fail_disk = std::atoi(v);
+      fail_disk = number<int>(arg, v);
     } else if (arg == "--rebuild") {
       rebuild = true;
     } else if (const char* v = value("--shards=")) {
-      config.shards = std::atoi(v);
+      config.shards = number<int>(arg, v);
     } else if (const char* v = value("--shard-threads=")) {
-      config.shard_threads = std::atoi(v);
+      config.shard_threads = number<int>(arg, v);
     } else if (const char* v = value("--tail-deadline=")) {
       config.tail.enabled = true;
-      config.tail.read_deadline_ms = std::atof(v);
+      config.tail.read_deadline_ms = number<double>(arg, v);
     } else if (const char* v = value("--hedge-delay=")) {
       config.tail.enabled = true;
-      config.tail.hedge_delay_ms = std::atof(v);
+      config.tail.hedge_delay_ms = number<double>(arg, v);
     } else if (const char* v = value("--hedge-ewma=")) {
       config.tail.enabled = true;
-      config.tail.hedge_ewma_factor = std::atof(v);
+      config.tail.hedge_ewma_factor = number<double>(arg, v);
     } else if (arg == "--redirect-on-slow") {
       config.tail.enabled = true;
       config.tail.redirect_on_slow = true;

@@ -22,6 +22,7 @@
 #include "core/workloads.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_stats.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -70,7 +71,13 @@ int run(int argc, char** argv) {
   if (command == "generate") {
     if (argc < 5) return usage();
     WorkloadOptions options;
-    options.scale = std::atof(argv[3]);
+    try {
+      options.scale =
+          parse_number<double>(argv[3], std::string("scale: ") + argv[3]);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "trace_tools: " << e.what() << "\n";
+      return usage();
+    }
     auto trace = make_workload(argv[2], options);
     return write_stream(*trace, argv[4]);
   }

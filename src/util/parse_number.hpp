@@ -1,0 +1,23 @@
+#pragma once
+
+#include <charconv>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+
+namespace raidsim {
+
+/// The whole of `text` as a number: a sign, trailing characters or an
+/// out-of-range value throws std::invalid_argument "bad number in <what>"
+/// (`what` names the option or argument, e.g. "option: --scale=0.5x").
+template <typename T>
+T parse_number(const char* text, const std::string& what) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end)
+    throw std::invalid_argument("bad number in " + what);
+  return value;
+}
+
+}  // namespace raidsim

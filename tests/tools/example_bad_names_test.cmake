@@ -1,7 +1,8 @@
 # The examples name organizations, sync policies, disk scheduling and
-# parity placement through one shared lookup: an unknown or unsupported
-# value must exit non-zero with a message naming it, never run a default
-# in its place or die on an uncaught exception.
+# parity placement through one shared lookup, and parse numbers whole: an
+# unknown or unsupported value or a malformed number must exit non-zero
+# with a message naming it, never run a default in its place or die on an
+# uncaught exception.
 #
 # Invoked as:
 #   cmake -DEXAMPLES_DIR=<dir> -DWORK_DIR=<dir> -P example_bad_names_test.cmake
@@ -48,8 +49,11 @@ expect_rejected("unknown organization 'raid9'" cache_tuning trace2 raid9)
 expect_rejected("unknown organization 'raid9'" failure_drill raid9)
 expect_rejected("no redundancy" failure_drill base)
 expect_rejected("RAID4 with a cache" failure_drill raid4)
+expect_rejected("bad number in flag: --scale=0.01x" raidsim_cli --trace=trace2 --scale=0.01x --org=raid5 --json)
+expect_rejected("bad number in scale: 0.01x" trace_tools generate trace2 0.01x x.trace)
+expect_rejected("bad number in scale: abc" cache_tuning trace2 raid5 abc)
 expect_failed("cannot open '/nonexistent.trace'" trace_tools analyze /nonexistent.trace)
 expect_failed("unknown preset 'trace3'" trace_tools generate trace3 0.01 y.trace)
 expect_failed("unknown preset 'trace3'" cache_tuning trace3)
 
-message(STATUS "examples reject unknown names with exit 2 and bad inputs without aborting")
+message(STATUS "examples reject unknown names and bad numbers with exit 2 and bad inputs without aborting")
