@@ -422,7 +422,9 @@ void print_reliability(Report& report) {
 void print_mttdl_montecarlo(const BenchOptions& options, Report& report) {
   const int lifetimes = 1000;
   MttdlConfig base;  // paper parameters: 100,000 h MTTF, 24 h MTTR
-  if (options.seed) base.seed = options.seed;
+  // --seed=k draws with seed k + 1: the default 0 keeps the preset seed 1,
+  // and every k draws its own lifetimes.
+  base.seed = options.seed + 1;
   TablePrinter table({"organization", "D", "N", "analytic (yr)",
                       "simulated (yr)", "95% CI (yr)", "sim/analytic",
                       "within 2x"});

@@ -28,6 +28,7 @@
 #include "array/cached_controller.hpp"
 #include "crash/auditor.hpp"
 #include "crash/crash_injector.hpp"
+#include "util/parse_number.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -124,7 +125,8 @@ Outcome run_variant(const Variant& v, int writes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int writes = argc > 1 ? std::atoi(argv[1]) : 256;
+  const int writes =
+      argc > 1 ? parse_number_arg<int>("crash_drill", "writes", argv[1]) : 256;
 
   const std::vector<Variant> variants = {
       {"A  unprotected", false, true, false, false},

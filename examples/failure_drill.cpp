@@ -22,6 +22,7 @@
 #include "fault/mttdl_sim.hpp"
 #include "fault/scrub.hpp"
 #include "trace/synthetic.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -109,7 +110,8 @@ StageResult drive(Simulator& sim, SyntheticTrace& addresses, Rng& rng,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = argc > 2 ? std::atoi(argv[2]) : 10;
+  const int n =
+      argc > 2 ? parse_number_arg<int>("failure_drill", "N", argv[2]) : 10;
   const int kStageRequests = 4000;
 
   SimulationConfig config;

@@ -6,11 +6,11 @@
 // Usage: hot_spot_analysis [trace1|trace2] [scale]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -48,7 +48,9 @@ int main(int argc, char** argv) {
 
   const std::string trace_name = argc > 1 ? argv[1] : "trace2";
   WorkloadOptions options;
-  options.scale = argc > 2 ? std::atof(argv[2]) : 0.25;
+  options.scale =
+      argc > 2 ? parse_number_arg<double>("hot_spot_analysis", "scale", argv[2])
+               : 0.25;
 
   std::printf("Hot-spot analysis on %s (scale %.2f)\n\n", trace_name.c_str(),
               options.scale);

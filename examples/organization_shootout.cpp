@@ -11,7 +11,6 @@
 // lifecycle and writes `<prefix>_<i>.trace.json` (Chrome trace-event
 // format, load in Perfetto) plus, with --sample-interval-ms,
 // `<prefix>_<i>.timeseries.csv`.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
 #include "runner/sweep_runner.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
     if (arg.rfind("--trace-out=", 0) == 0) {
       trace_out = arg.substr(12);
     } else if (arg.rfind("--sample-interval-ms=", 0) == 0) {
-      sample_interval_ms = std::atof(arg.c_str() + 21);
+      sample_interval_ms = parse_number_arg<double>(
+          "organization_shootout", "--sample-interval-ms", arg.c_str() + 21);
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: organization_shootout [trace1|trace2] [scale] [N] "
                    "[threads] [--trace-out=<prefix>] "
@@ -46,11 +47,17 @@ int main(int argc, char** argv) {
   const std::string trace_name =
       positional.size() > 0 ? positional[0] : "trace2";
   WorkloadOptions options;
-  options.scale = positional.size() > 1 ? std::atof(positional[1].c_str())
-                                        : 0.25;
-  const int n = positional.size() > 2 ? std::atoi(positional[2].c_str()) : 10;
-  const int threads =
-      positional.size() > 3 ? std::atoi(positional[3].c_str()) : 0;
+  // The positional number at `index` parsed whole, or `fallback`.
+  auto number = [&]<class T>(std::size_t index, const char* name,
+                             T fallback) {
+    return positional.size() > index
+               ? parse_number_arg<T>("organization_shootout", name,
+                                     positional[index].c_str())
+               : fallback;
+  };
+  options.scale = number(1, "scale", 0.25);
+  const int n = number(2, "N", 10);
+  const int threads = number(3, "threads", 0);
 
   std::cout << "Organization shootout on " << trace_name << " (scale "
             << options.scale << ", N=" << n << ")\n\n";

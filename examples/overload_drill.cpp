@@ -10,8 +10,8 @@
 //      the queue never exceeds its bound, and nothing crashes or hangs.
 //   2. Deadlines: a job with a deadline far shorter than its runtime is
 //      cancelled cooperatively and reported as `deadline` promptly --
-//      within the watchdog period plus one cancellation-check batch,
-//      not after the full simulation.
+//      within the deadline plus one cancellation-check batch, not after
+//      the full simulation.
 //   3. Cache byte-identity: the same config served fresh (no_cache) and
 //      from the cache returns byte-identical metrics JSON.
 //   4. Invalid configs: typed `invalid` rejections, never a crash.
@@ -75,7 +75,6 @@ int main() {
   opts.supervisor.workers = 2;
   opts.supervisor.queue_capacity = 3;
   opts.supervisor.cache_capacity = 64;
-  opts.supervisor.watchdog_period_ms = 5.0;
   opts.supervisor.drain_budget_ms = 30000.0;
   opts.log_final_stats = false;
 
@@ -143,10 +142,13 @@ int main() {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
+    std::printf("  deadline job answered after %.1f ms\n", elapsed_ms);
     check(field_string(response, "status") == "deadline",
           "over-deadline job reported as `deadline`");
-    // Tolerance: deadline (50) + watchdog period (5) + one cancellation
-    // batch + scheduling slack. Far below the multi-second full run.
+    // Tolerance: deadline (50) + one cancellation batch (the token
+    // expires at the engine's next poll) + scheduling slack. The status
+    // check above, not this bound, tells a cancelled run from a
+    // finished one.
     check(elapsed_ms < 2000.0,
           "cancellation was prompt (" + std::to_string(elapsed_ms) + " ms)");
   }

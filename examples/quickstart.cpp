@@ -8,18 +8,20 @@
 //
 // Usage: quickstart [scale]   (default scale 0.1 of trace2)
 
-#include <cstdlib>
 #include <iostream>
 
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace raidsim;
 
   WorkloadOptions options;
-  options.scale = argc > 1 ? std::atof(argv[1]) : 0.1;
+  options.scale =
+      argc > 1 ? parse_number_arg<double>("quickstart", "scale", argv[1])
+               : 0.1;
 
   SimulationConfig config;
   config.organization = Organization::kRaid5;

@@ -10,7 +10,6 @@
 // nonzero on any violated invariant, so CI can run it as a smoke test.
 //
 // Usage: tail_drill [sticky_factor] [scale]
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "core/simulator.hpp"
 #include "core/workloads.hpp"
 #include "fault/slowdown_injector.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -128,8 +128,13 @@ void drill(Organization org, double sticky_factor, double scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double sticky_factor = argc > 1 ? std::atof(argv[1]) : 8.0;
-  const double scale = argc > 2 ? std::atof(argv[2]) : 0.3;
+  const double sticky_factor =
+      argc > 1
+          ? parse_number_arg<double>("tail_drill", "sticky factor", argv[1])
+          : 8.0;
+  const double scale =
+      argc > 2 ? parse_number_arg<double>("tail_drill", "scale", argv[2])
+               : 0.3;
   std::cout << "Tail drill: sticky factor " << sticky_factor << ", scale "
             << scale << "\n";
 

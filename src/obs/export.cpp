@@ -245,35 +245,6 @@ void write_timeseries_csv(std::ostream& out,
   }
 }
 
-void write_timeseries_json(std::ostream& out,
-                           const TimeSeriesSampler& sampler) {
-  out.setf(std::ios::fixed);
-  out.precision(6);
-  const auto& samples = sampler.samples();
-  out << "{\n  \"interval_ms\": " << sampler.interval_ms()
-      << ",\n  \"samples\": [";
-  for (std::size_t s = 0; s < samples.size(); ++s) {
-    const TelemetrySample& sample = samples[s];
-    out << (s ? ",\n    {" : "\n    {") << "\"t\": " << sample.t
-        << ", \"outstanding\": " << sample.outstanding
-        << ", \"events_executed\": " << sample.events_executed
-        << ", \"queue_depth\": [";
-    for (std::size_t d = 0; d < sample.queue_depth.size(); ++d)
-      out << (d ? "," : "") << sample.queue_depth[d];
-    out << "], \"busy_ms\": [";
-    for (std::size_t d = 0; d < sample.busy_ms.size(); ++d)
-      out << (d ? "," : "") << sample.busy_ms[d];
-    out << "], \"cache_used\": [";
-    for (std::size_t a = 0; a < sample.cache_blocks.size(); ++a)
-      out << (a ? "," : "") << sample.cache_blocks[a];
-    out << "], \"cache_dirty\": [";
-    for (std::size_t a = 0; a < sample.cache_dirty.size(); ++a)
-      out << (a ? "," : "") << sample.cache_dirty[a];
-    out << "]}";
-  }
-  out << "\n  ]\n}\n";
-}
-
 std::vector<std::string> export_run_artifacts(
     const std::string& prefix, const Tracer& tracer,
     const TimeSeriesSampler* sampler) {

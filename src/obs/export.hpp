@@ -24,7 +24,6 @@ void write_chrome_trace(std::ostream& out, const Tracer& tracer,
 /// windowed utilization, per-array cache occupancy/dirty ratio, and
 /// outstanding host requests.
 void write_timeseries_csv(std::ostream& out, const TimeSeriesSampler& sampler);
-void write_timeseries_json(std::ostream& out, const TimeSeriesSampler& sampler);
 
 /// Convenience: write `<prefix>.trace.json` (and, with a sampler,
 /// `<prefix>.timeseries.csv`). Returns the paths written; throws

@@ -17,7 +17,7 @@ enum class JobStatus : std::uint8_t {
   kOverloaded,  // admission control shed the job (queue full)
   kDraining,    // server is draining; not admitting new work
   kFailed,      // the run threw
-  kCancelled,   // cancelled by shutdown drain or the stuck-job watchdog
+  kCancelled,   // stopped by the drain budget or the stuck-job guard
   kDeadline,    // per-job deadline expired (queued or mid-run)
 };
 

@@ -41,15 +41,6 @@ class BoundedQueue {
     return item;
   }
 
-  /// Non-blocking pop -- used by drain to fail queued jobs immediately.
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   /// Stop admitting; consumers drain the backlog then see nullopt.
   void close() {
     {

@@ -22,6 +22,7 @@ struct ServiceStats {
   std::atomic<std::uint64_t> failed{0};
   std::atomic<std::uint64_t> cancelled{0};
   std::atomic<std::uint64_t> deadline_expired{0};
+  /// Jobs that ended on the stuck-job guard (`stuck_job_ms`).
   std::atomic<std::uint64_t> watchdog_kills{0};
   std::atomic<std::uint64_t> peak_queue_depth{0};
 

@@ -20,6 +20,11 @@ double elapsed_ms(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+std::chrono::steady_clock::duration from_ms(double ms) {
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double, std::milli>(ms));
+}
+
 bool file_exists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
@@ -86,7 +91,6 @@ Supervisor::Supervisor(Options options)
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
-  watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
 Supervisor::~Supervisor() { drain(); }
@@ -149,10 +153,13 @@ void Supervisor::submit(JobRequest request, Completion done,
       job_canonical_key(request.config, request.trace, request.workload);
   const std::uint64_t fingerprint = fnv1a64(key);
 
-  if (draining_.load(std::memory_order_acquire)) {
+  auto reject_draining = [&] {
     stats_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
     svc_metrics().draining.add(1);
     reject(JobStatus::kDraining, "server is draining", fingerprint);
+  };
+  if (draining_.load(std::memory_order_acquire)) {
+    reject_draining();
     return;
   }
 
@@ -186,27 +193,26 @@ void Supervisor::submit(JobRequest request, Completion done,
   job->fingerprint = fingerprint;
   job->seq = job_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   job->admitted = Clock::now();
-  if (job->request.deadline_ms > 0.0) {
-    job->has_deadline = true;
-    job->deadline =
-        job->admitted + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double, std::milli>(
-                                job->request.deadline_ms));
-  }
+  if (job->request.deadline_ms > 0.0)
+    job->token.expire_at(job->admitted + from_ms(job->request.deadline_ms),
+                         CancelReason::kDeadline);
   job->queue_span = span_begin(ObsPhase::kJobQueue, 0);
 
   if (!queue_.try_push(job)) {
+    span_end(job->queue_span, ObsPhase::kJobQueue, 0);
+    done = std::move(job->done);  // the job was never shared
+    // Drain closes the queue before anything else, so a closed queue
+    // answers draining, never overloaded.
+    if (draining_.load(std::memory_order_acquire)) {
+      reject_draining();
+      return;
+    }
     stats_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
     svc_metrics().overloaded.add(1);
-    span_end(job->queue_span, ObsPhase::kJobQueue, 0);
-    JobResult result;
-    result.status = JobStatus::kOverloaded;
-    result.error = "queue full (" + std::to_string(queue_.capacity()) +
-                   " jobs); retry later";
-    result.fingerprint = fingerprint;
-    span_instant(ObsPhase::kJobRejected,
-                 static_cast<int>(JobStatus::kOverloaded));
-    job->done(result);
+    reject(JobStatus::kOverloaded,
+           "queue full (" + std::to_string(queue_.capacity()) +
+               " jobs); retry later",
+           fingerprint);
     return;
   }
   stats_.note_queue_depth(queue_.size());
@@ -214,13 +220,7 @@ void Supervisor::submit(JobRequest request, Completion done,
 }
 
 void Supervisor::worker_loop() {
-  for (;;) {
-    std::optional<JobPtr> item = queue_.pop();
-    if (!item) return;
-    active_.fetch_add(1, std::memory_order_acq_rel);
-    run_job(*item);
-    active_.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  while (std::optional<JobPtr> job = queue_.pop()) run_job(*job);
 }
 
 void Supervisor::run_job(const JobPtr& job) {
@@ -234,24 +234,22 @@ void Supervisor::run_job(const JobPtr& job) {
   svc_metrics().queue_ms.observe(result.queue_ms);
 
   // Jobs that died in the queue never burn a simulation.
-  if (shutdown_.load(std::memory_order_acquire)) {
-    result.status = JobStatus::kCancelled;
-    result.error = "cancelled by shutdown drain";
-    complete(job, std::move(result));
-    return;
-  }
-  if (job->has_deadline && Clock::now() >= job->deadline) {
-    result.status = JobStatus::kDeadline;
-    result.error = "deadline expired while queued";
-    span_instant(ObsPhase::kJobDeadline, 0);
-    complete(job, std::move(result));
-    return;
-  }
-
+  bool expired = false;
   {
     std::lock_guard<std::mutex> lock(running_mu_);
-    running_.push_back(job);
+    if (drain_end_)
+      job->token.expire_at(*drain_end_, CancelReason::kShutdown);
+    expired = job->token.cancelled();
+    if (!expired) running_.push_back(job);
   }
+  if (expired) {
+    stopped(result, job->token.reason(), true);
+    complete(job, std::move(result));
+    return;
+  }
+  if (opts_.stuck_job_ms > 0.0)
+    job->token.expire_at(job->started + from_ms(opts_.stuck_job_ms),
+                         CancelReason::kWatchdog);
   svc_metrics().inflight.add(1.0);
   job->run_span = span_begin(ObsPhase::kJobRun, 0);
 
@@ -282,20 +280,7 @@ void Supervisor::run_job(const JobPtr& job) {
     // still primes the cache for the byte-identity check.
     cache_.insert(job->key, result.metrics_json);
   } catch (const CancelledError& e) {
-    switch (e.reason()) {
-      case CancelReason::kDeadline:
-        result.status = JobStatus::kDeadline;
-        result.error = "deadline expired mid-run";
-        break;
-      case CancelReason::kWatchdog:
-        result.status = JobStatus::kCancelled;
-        result.error = "watchdog cancelled a stuck job";
-        break;
-      default:
-        result.status = JobStatus::kCancelled;
-        result.error = "cancelled by shutdown drain";
-        break;
-    }
+    stopped(result, e.reason(), false);
   } catch (const std::exception& e) {
     result.status = JobStatus::kFailed;
     result.error = e.what();
@@ -323,6 +308,29 @@ void Supervisor::run_job(const JobPtr& job) {
 
   span_end(job->run_span, ObsPhase::kJobRun, 0);
   complete(job, std::move(result));
+}
+
+void Supervisor::stopped(JobResult& result, CancelReason reason,
+                         bool queued) {
+  switch (reason) {
+    case CancelReason::kDeadline:
+      result.status = JobStatus::kDeadline;
+      result.error = queued ? "deadline expired while queued"
+                            : "deadline expired mid-run";
+      span_instant(ObsPhase::kJobDeadline, 0);
+      break;
+    case CancelReason::kWatchdog:
+      result.status = JobStatus::kCancelled;
+      result.error = "watchdog cancelled a stuck job";
+      stats_.watchdog_kills.fetch_add(1, std::memory_order_relaxed);
+      svc_metrics().watchdog_kills.add(1);
+      span_instant(ObsPhase::kJobWatchdog, 0);
+      break;
+    default:
+      result.status = JobStatus::kCancelled;
+      result.error = "cancelled by shutdown drain";
+      break;
+  }
 }
 
 void Supervisor::on_engine_progress(const JobPtr& job,
@@ -410,69 +418,19 @@ void Supervisor::complete(const JobPtr& job, JobResult result) {
   job->done(result);
 }
 
-void Supervisor::watchdog_loop() {
-  const auto period = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::milli>(
-          std::max(1.0, opts_.watchdog_period_ms)));
-  std::unique_lock<std::mutex> lock(watchdog_mu_);
-  for (;;) {
-    watchdog_cv_.wait_for(lock, period, [this] { return watchdog_stop_; });
-    if (watchdog_stop_) return;
-    const auto now = Clock::now();
-    std::lock_guard<std::mutex> running_lock(running_mu_);
-    for (const JobPtr& job : running_) {
-      if (job->token.cancelled()) continue;
-      if (job->has_deadline && now >= job->deadline) {
-        job->token.cancel(CancelReason::kDeadline);
-        span_instant(ObsPhase::kJobDeadline, 0);
-      } else if (opts_.stuck_job_ms > 0.0 &&
-                 elapsed_ms(job->started, now) > opts_.stuck_job_ms) {
-        job->token.cancel(CancelReason::kWatchdog);
-        stats_.watchdog_kills.fetch_add(1, std::memory_order_relaxed);
-        svc_metrics().watchdog_kills.add(1);
-        span_instant(ObsPhase::kJobWatchdog, 0);
-      }
-    }
-  }
-}
-
 void Supervisor::drain() {
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    if (drained_) return;
-    drained_ = true;
-  }
-  draining_.store(true, std::memory_order_release);
-
-  // Grace period: let queued + running work finish on its own.
-  const auto budget_end =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             std::max(0.0, opts_.drain_budget_ms)));
-  while (Clock::now() < budget_end) {
-    if (queue_.size() == 0 && active_.load(std::memory_order_acquire) == 0)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-
-  // Budget exhausted (or already idle): cancel whatever is left. Workers
-  // drain the closed queue and complete leftovers as kCancelled without
-  // running them.
-  shutdown_.store(true, std::memory_order_release);
+  if (draining_.exchange(true, std::memory_order_acq_rel)) return;
+  queue_.close();
+  // Whatever is still queued or running when the budget runs out stops
+  // at its pickup or at its engine's next poll.
   {
     std::lock_guard<std::mutex> lock(running_mu_);
-    for (const JobPtr& job : running_) job->token.cancel(CancelReason::kShutdown);
+    drain_end_ = Clock::now() + from_ms(std::max(0.0, opts_.drain_budget_ms));
+    for (const JobPtr& job : running_)
+      job->token.expire_at(*drain_end_, CancelReason::kShutdown);
   }
-  queue_.close();
   for (auto& worker : workers_) worker.join();
   workers_.clear();
-
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
 }
 
 std::string Supervisor::stats_json() const {

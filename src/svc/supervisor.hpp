@@ -1,10 +1,10 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,17 +23,17 @@ namespace raidsim::svc {
 ///
 ///  - Admission control: a bounded queue; a full queue is a synchronous
 ///    typed kOverloaded rejection, never a blocked producer.
-///  - Deadlines: the watchdog cancels over-deadline running jobs through
-///    their CancelToken (polled by the engines at event-batch
-///    boundaries); queued jobs are rechecked at pickup.
+///  - One way to stop a job: every early stop is an expiry on the job's
+///    CancelToken, which the engines poll at event-batch boundaries and
+///    the worker checks once at pickup. The request deadline is set at
+///    admission, the stuck-job guard (`stuck_job_ms`) at pickup, and the
+///    drain budget on every job running or picked up after drain starts.
 ///  - One attempt per job: a run is a pure function of its request, so
 ///    a job that throws is reported kFailed, never re-run.
 ///  - Result cache: canonical-key LRU serving byte-identical metrics.
-///  - Watchdog: jobs running past `stuck_job_ms` are cancelled and
-///    reported -- a wedged simulation cannot pin a worker forever.
-///  - Drain: stop admitting, let in-flight work finish inside the drain
-///    budget, then cancel the rest. Every admitted job still completes
-///    with a typed terminal status.
+///  - Drain: close the queue, let queued and in-flight work finish
+///    inside the drain budget, and cancel the rest. Every admitted job
+///    still completes with a typed terminal status.
 ///
 /// The completion callback is invoked exactly once per submit() -- on
 /// the caller's thread for synchronous outcomes (invalid, overloaded,
@@ -45,12 +45,10 @@ class Supervisor {
     int workers = 2;
     std::size_t queue_capacity = 8;
     std::size_t cache_capacity = 128;
-    /// Watchdog scan period.
-    double watchdog_period_ms = 20.0;
     /// > 0: cancel jobs running longer than this (the stuck-job guard).
     double stuck_job_ms = 0.0;
     /// Drain: how long to let in-flight + queued work finish before
-    /// cancelling what is left.
+    /// their tokens expire.
     double drain_budget_ms = 5000.0;
     /// Record service-level spans (job-queue / job-run) and instants.
     bool tracing = false;
@@ -116,8 +114,6 @@ class Supervisor {
     std::uint64_t seq = 0;
     CancelToken token;        // stable address for the engines
     Clock::time_point admitted{};
-    Clock::time_point deadline{};  // epoch when none
-    bool has_deadline = false;
     Clock::time_point started{};
     /// Throttle state for progress frames, nanoseconds since the
     /// supervisor epoch; CAS-claimed so concurrent shard boundaries emit
@@ -129,8 +125,9 @@ class Supervisor {
   using JobPtr = std::shared_ptr<Job>;
 
   void worker_loop();
-  void watchdog_loop();
   void run_job(const JobPtr& job);
+  /// Status and error of a job its token stopped; `queued`: at pickup.
+  void stopped(JobResult& result, CancelReason reason, bool queued);
   void complete(const JobPtr& job, JobResult result);
   /// Engine snapshot -> throttled JobProgress frame.
   void on_engine_progress(const JobPtr& job, const ProgressSnapshot& snap);
@@ -149,26 +146,18 @@ class Supervisor {
 
   mutable std::mutex running_mu_;
   std::vector<JobPtr> running_;
+  /// Set by drain(); guarded by running_mu_ so that each job is either
+  /// in running_ when drain sets it or sees it at pickup.
+  std::optional<Clock::time_point> drain_end_;
 
   std::unique_ptr<Tracer> tracer_;
   std::mutex tracer_mu_;
   Clock::time_point epoch_;
 
   std::atomic<bool> draining_{false};
-  std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> job_seq_{0};
-  /// Jobs between queue pop and completion -- covers the window before a
-  /// job lands in running_, so drain's idle check cannot fire early.
-  std::atomic<int> active_{0};
-  std::mutex drain_mu_;
-  bool drained_ = false;
-
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
 
   std::vector<std::thread> workers_;
-  std::thread watchdog_;
 };
 
 }  // namespace raidsim::svc

@@ -61,7 +61,6 @@ TEST(FlightRecorder, DeadlineKilledJobDumpsArtifact) {
 
   Supervisor sup({.workers = 1,
                   .queue_capacity = 2,
-                  .watchdog_period_ms = 5.0,
                   .flight_dir = dir});
   JobRequest request = big_job("doomed");
   request.deadline_ms = 25.0;
@@ -88,7 +87,6 @@ TEST(FlightRecorder, ConcurrentIdenticalJobsGetDistinctArtifacts) {
 
   Supervisor sup({.workers = 2,
                   .queue_capacity = 4,
-                  .watchdog_period_ms = 5.0,
                   .flight_dir = dir});
   JobRequest first = big_job("dup-a");
   first.deadline_ms = 25.0;

@@ -46,13 +46,6 @@ TEST(BoundedQueue, CloseWakesBlockedConsumers) {
   EXPECT_EQ(woke.load(), 3);
 }
 
-TEST(BoundedQueue, TryPopIsNonBlocking) {
-  BoundedQueue<int> q(2);
-  EXPECT_FALSE(q.try_pop().has_value());
-  q.try_push(9);
-  EXPECT_EQ(q.try_pop().value(), 9);
-}
-
 TEST(BoundedQueue, ConcurrentProducersConsumersLoseNothing) {
   BoundedQueue<int> q(8);
   constexpr int kPerProducer = 2000;

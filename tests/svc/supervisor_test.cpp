@@ -95,8 +95,7 @@ TEST(Supervisor, CacheHitIsByteIdenticalToFreshRun) {
 }
 
 TEST(Supervisor, DeadlineCancelsMidRun) {
-  Supervisor sup({.workers = 1, .queue_capacity = 2,
-                  .watchdog_period_ms = 5.0});
+  Supervisor sup({.workers = 1, .queue_capacity = 2});
   JobRequest job = tiny_job(9, 1.0);  // full trace2: way over deadline
   job.deadline_ms = 30.0;
   job.no_cache = true;
@@ -130,8 +129,7 @@ TEST(Supervisor, QueuedJobPastDeadlineNeverRuns) {
 }
 
 TEST(Supervisor, WatchdogCancelsStuckJob) {
-  Supervisor sup({.workers = 1, .queue_capacity = 2,
-                  .watchdog_period_ms = 5.0, .stuck_job_ms = 25.0});
+  Supervisor sup({.workers = 1, .queue_capacity = 2, .stuck_job_ms = 25.0});
   JobRequest job = tiny_job(15, 1.0);  // runs far longer than 25 ms
   job.no_cache = true;
   const JobResult r = submit_and_wait(sup, std::move(job));

@@ -12,13 +12,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "svc/client.hpp"
 #include "svc/job_codec.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -72,17 +72,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric option's value, parsed whole into `out`.
+    auto number = [&]<class T>(T& out) {
+      out = raidsim::parse_number_arg<T>("raidsim_load", arg, value());
+    };
     if (arg == "--socket") socket_path = value();
-    else if (arg == "--clients") clients = std::atoi(value());
-    else if (arg == "--requests") requests = std::atoi(value());
-    else if (arg == "--scale") scale = std::atof(value());
+    else if (arg == "--clients") number(clients);
+    else if (arg == "--requests") number(requests);
+    else if (arg == "--scale") number(scale);
     else if (arg == "--trace") trace = value();
-    else if (arg == "--deadline-ms") deadline_ms = std::atof(value());
-    else if (arg == "--seed-base")
-      seed_base = static_cast<std::uint64_t>(std::atoll(value()));
+    else if (arg == "--deadline-ms") number(deadline_ms);
+    else if (arg == "--seed-base") number(seed_base);
     else if (arg == "--same-seed") same_seed = true;
     else if (arg == "--no-cache") no_cache = true;
-    else if (arg == "--timeout-ms") timeout_ms = std::atof(value());
+    else if (arg == "--timeout-ms") number(timeout_ms);
     else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

@@ -1,21 +1,22 @@
 // raidsim_serve: the what-if simulation daemon.
 //
 // Accepts newline-delimited JSON jobs over a local AF_UNIX socket and
-// runs them on a bounded worker pool with admission control, per-job
-// deadlines, a result cache, a stuck-job
-// watchdog, and graceful drain on SIGTERM/SIGINT (stop admitting,
-// finish or cancel in-flight work inside the drain budget, flush final
-// stats). See docs/service.md for the protocol.
+// runs them on a bounded worker pool with admission control, a result
+// cache, and graceful drain on SIGTERM/SIGINT (stop admitting, finish or
+// cancel in-flight work inside the drain budget, flush final stats).
+// Per-job deadlines, the stuck-job guard and the drain budget are all
+// expiry times on the job's cancellation token, which the engine polls
+// every event batch. See docs/service.md for the protocol.
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "obs/export.hpp"
 #include "svc/server.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -32,7 +33,6 @@ void usage() {
                "  --workers N        worker threads (default 2)\n"
                "  --queue N          admission queue capacity (default 8)\n"
                "  --cache N          result-cache entries (default 128)\n"
-               "  --watchdog-ms X    watchdog scan period (default 20)\n"
                "  --stuck-ms X       cancel jobs running longer than X (default off)\n"
                "  --drain-ms X       drain budget on shutdown (default 5000)\n"
                "  --trace-out PREFIX service-level Chrome trace on shutdown\n"
@@ -57,29 +57,26 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric option's value, parsed whole into `out`.
+    auto number = [&]<class T>(T& out) {
+      out = raidsim::parse_number_arg<T>("raidsim_serve", arg, value());
+    };
+    auto& sup = opts.supervisor;
     if (arg == "--socket") opts.socket_path = value();
-    else if (arg == "--workers") opts.supervisor.workers = std::atoi(value());
-    else if (arg == "--queue")
-      opts.supervisor.queue_capacity =
-          static_cast<std::size_t>(std::atoll(value()));
-    else if (arg == "--cache")
-      opts.supervisor.cache_capacity =
-          static_cast<std::size_t>(std::atoll(value()));
-    else if (arg == "--watchdog-ms")
-      opts.supervisor.watchdog_period_ms = std::atof(value());
-    else if (arg == "--stuck-ms") opts.supervisor.stuck_job_ms = std::atof(value());
-    else if (arg == "--drain-ms")
-      opts.supervisor.drain_budget_ms = std::atof(value());
+    else if (arg == "--workers") number(sup.workers);
+    else if (arg == "--queue") number(sup.queue_capacity);
+    else if (arg == "--cache") number(sup.cache_capacity);
+    else if (arg == "--stuck-ms") number(sup.stuck_job_ms);
+    else if (arg == "--drain-ms") number(sup.drain_budget_ms);
     else if (arg == "--trace-out") {
       trace_out = value();
-      opts.supervisor.tracing = true;
+      sup.tracing = true;
     } else if (arg == "--flight-dir") {
-      opts.supervisor.flight_dir = value();
+      sup.flight_dir = value();
     } else if (arg == "--flight-events") {
-      opts.supervisor.flight_events =
-          static_cast<std::size_t>(std::atoll(value()));
+      number(sup.flight_events);
     } else if (arg == "--progress-ms") {
-      opts.supervisor.progress_interval_ms = std::atof(value());
+      number(sup.progress_interval_ms);
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

@@ -32,6 +32,7 @@
 
 #include "svc/client.hpp"
 #include "svc/json.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -287,7 +288,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--socket") socket_path = value();
-    else if (arg == "--interval-ms") interval_ms = std::atof(value());
+    else if (arg == "--interval-ms")
+      interval_ms =
+          raidsim::parse_number_arg<double>("raidsim_top", arg, value());
     else if (arg == "--once") once = true;
     else if (arg == "--help" || arg == "-h") {
       usage();
