@@ -18,8 +18,9 @@ namespace raidsim {
 namespace {
 
 /// Live registry counters for the engine. Registered once; shard workers
-/// feed event deltas at batch boundaries (the counter itself is sharded,
-/// so concurrent adds stay lock-free), never on the per-event hot path.
+/// feed event deltas at batch boundaries (the counter is one relaxed
+/// atomic, so concurrent adds stay lock-free), never on the per-event hot
+/// path.
 struct EngineMetrics {
   Counter& runs = MetricsRegistry::instance().counter(
       "raidsim_engine_runs_total", "Completed simulation runs");

@@ -10,10 +10,11 @@
 
 namespace raidsim {
 
-/// Process-wide registry of named counters, gauges, and log-bucketed
-/// histograms -- the live-telemetry counterpart of the per-run Tracer.
-/// The service's `metrics` op scrapes it as Prometheus text; raidsim_top
-/// renders it.
+/// Registry of named counters, gauges, and log-bucketed histograms --
+/// the live-telemetry counterpart of the per-run Tracer. instance() is
+/// the process-wide one (engine and health series); each svc::Supervisor
+/// owns another for its `raidsim_svc_*` series. The service's `metrics`
+/// op scrapes both as Prometheus text; raidsim_top renders it.
 ///
 /// Discipline (same as tracing): telemetry is passive. A metric update
 /// never touches simulation state, so registry-on runs are bit-identical
@@ -109,7 +110,8 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry every subsystem instruments into.
+  /// The process-wide registry the engine and health monitor instrument
+  /// into.
   static MetricsRegistry& instance();
 
   /// Register (or look up) a metric. Names must match

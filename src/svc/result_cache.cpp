@@ -5,12 +5,8 @@ namespace raidsim::svc {
 bool ResultCache::lookup(const std::string& key, std::string* metrics_json) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return false;
-  }
+  if (it == index_.end()) return false;
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
   *metrics_json = it->second->metrics_json;
   return true;
 }
@@ -37,16 +33,6 @@ void ResultCache::insert(const std::string& key,
 std::size_t ResultCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
-}
-
-std::uint64_t ResultCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t ResultCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
 }
 
 std::uint64_t ResultCache::evictions() const {

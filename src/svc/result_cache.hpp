@@ -26,8 +26,7 @@ class ResultCache {
   void insert(const std::string& key, const std::string& metrics_json);
 
   std::size_t size() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
+  /// Entries dropped at capacity (the supervisor counts hits and misses).
   std::uint64_t evictions() const;
 
  private:
@@ -40,8 +39,6 @@ class ResultCache {
   std::size_t capacity_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
 };
 

@@ -19,17 +19,6 @@
 
 namespace raidsim::svc {
 
-namespace {
-
-Counter& progress_drop_counter() {
-  static Counter& drops = MetricsRegistry::instance().counter(
-      "raidsim_svc_progress_drops_total",
-      "Progress frames dropped because a subscriber's buffer was full");
-  return drops;
-}
-
-}  // namespace
-
 struct Server::Connection {
   int fd = -1;
   std::mutex write_mu;
@@ -88,12 +77,15 @@ struct Server::Subscriber {
     bool droppable = false;  // true for progress frames only
   };
 
+  Subscriber(std::shared_ptr<Connection> c, Counter& d)
+      : conn(std::move(c)), drops(d) {}
+
   std::shared_ptr<Connection> conn;
+  Counter& drops;  // the server's raidsim_svc_progress_drops_total
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Item> queue;
   std::size_t buffered_frames = 0;  // droppable items currently queued
-  std::uint64_t dropped = 0;
   bool closed = false;
   /// Drain thread exited; the entry can be reaped (join is immediate).
   std::atomic<bool> done{false};
@@ -110,8 +102,7 @@ struct Server::Subscriber {
                        [](const Item& item) { return item.droppable; });
       queue.erase(victim);  // buffered_frames > 0 => a frame exists
       --buffered_frames;
-      ++dropped;
-      progress_drop_counter().add(1);
+      drops.add(1);
     }
     if (droppable) ++buffered_frames;
     queue.push_back(Item{std::move(line), droppable});
@@ -145,7 +136,9 @@ Server::Server(Options options) : opts_(std::move(options)) {
     throw std::runtime_error("server: listen() failed");
 
   supervisor_ = std::make_unique<Supervisor>(opts_.supervisor);
-  progress_drop_counter();  // register eagerly so scrapes always show it
+  progress_drops_ = &supervisor_->registry().counter(
+      "raidsim_svc_progress_drops_total",
+      "Progress frames dropped because a subscriber's buffer was full");
 }
 
 Server::~Server() {
@@ -252,13 +245,13 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     if (op == "metrics") {
       conn->write_line("{\"id\":" + json_quote(id) +
                        ",\"status\":\"ok\",\"metrics_text\":" +
-                       json_quote(MetricsRegistry::instance().scrape()) +
+                       json_quote(MetricsRegistry::instance().scrape() +
+                                  supervisor_->registry().scrape()) +
                        "}\n");
       return;
     }
     if (op == "subscribe") {
-      auto sub = std::make_shared<Subscriber>();
-      sub->conn = conn;
+      auto sub = std::make_shared<Subscriber>(conn, *progress_drops_);
       sub->thread = std::thread([this, sub] { drain_subscriber(sub); });
       {
         std::lock_guard<std::mutex> lock(conn->sub_mu);

@@ -20,7 +20,9 @@ namespace raidsim::svc {
 ///   {"op":"ping"}                    -> {"status":"ok","op":"ping"}
 ///   {"op":"stats"}                   -> {"status":"ok","stats":{...}}
 ///   {"op":"metrics"}                 -> {"status":"ok","metrics_text":"..."}
-///                                       (Prometheus text exposition)
+///                                       (Prometheus text exposition: the
+///                                       process registry, then the
+///                                       supervisor's raidsim_svc_* one)
 ///   {"op":"subscribe"}               -> ack, then this connection also
 ///                                       receives every job's progress
 ///                                       frames ({"type":"progress",...})
@@ -94,6 +96,7 @@ class Server {
 
   Options opts_;
   std::unique_ptr<Supervisor> supervisor_;
+  Counter* progress_drops_ = nullptr;  // in the supervisor's registry
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   std::atomic<bool> stopping_{false};

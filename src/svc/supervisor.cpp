@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "core/job_key.hpp"
-#include "obs/metrics_registry.hpp"
 #include "runner/sweep_runner.hpp"
 
 namespace raidsim::svc {
@@ -30,55 +29,49 @@ bool file_exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-/// Live registry mirror of the service taxonomy. ServiceStats remains
-/// the source the `stats` op serves; these feed the Prometheus scrape
-/// (`metrics` op) and raidsim_top.
-struct SvcMetrics {
-  Counter& submitted = MetricsRegistry::instance().counter(
-      "raidsim_svc_jobs_submitted_total", "Jobs submitted to the supervisor");
-  Counter& ok = MetricsRegistry::instance().counter(
-      "raidsim_svc_jobs_ok_total", "Jobs completed with metrics");
-  Counter& cached = MetricsRegistry::instance().counter(
-      "raidsim_svc_jobs_cached_total", "Jobs served from the result cache");
-  Counter& overloaded = MetricsRegistry::instance().counter(
-      "raidsim_svc_jobs_overloaded_total", "Jobs shed by admission control");
-  Counter& draining = MetricsRegistry::instance().counter(
-      "raidsim_svc_jobs_draining_total", "Jobs rejected while draining");
-  Counter& invalid = MetricsRegistry::instance().counter(
-      "raidsim_svc_jobs_invalid_total", "Jobs rejected by validation");
-  Counter& failed = MetricsRegistry::instance().counter(
-      "raidsim_svc_jobs_failed_total", "Jobs that failed terminally");
-  Counter& cancelled = MetricsRegistry::instance().counter(
-      "raidsim_svc_jobs_cancelled_total",
-      "Jobs cancelled by drain or watchdog");
-  Counter& deadline = MetricsRegistry::instance().counter(
-      "raidsim_svc_jobs_deadline_total", "Jobs that missed their deadline");
-  Counter& watchdog_kills = MetricsRegistry::instance().counter(
-      "raidsim_svc_watchdog_kills_total", "Stuck jobs killed by the watchdog");
-  Counter& cache_hits = MetricsRegistry::instance().counter(
-      "raidsim_svc_cache_hits_total", "Result-cache lookup hits");
-  Counter& cache_misses = MetricsRegistry::instance().counter(
-      "raidsim_svc_cache_misses_total", "Result-cache lookup misses");
-  Counter& progress_frames = MetricsRegistry::instance().counter(
-      "raidsim_svc_progress_frames_total", "Progress frames emitted");
-  Counter& flight_dumps = MetricsRegistry::instance().counter(
-      "raidsim_svc_flight_dumps_total", "Flight-recorder artifacts dumped");
-  Gauge& queue_depth = MetricsRegistry::instance().gauge(
-      "raidsim_svc_queue_depth", "Jobs waiting in the admission queue");
-  Gauge& inflight = MetricsRegistry::instance().gauge(
-      "raidsim_svc_inflight", "Jobs currently running on workers");
-  HistogramMetric& queue_ms = MetricsRegistry::instance().histogram(
-      "raidsim_svc_job_queue_ms", "Wall ms from admission to worker pickup");
-  HistogramMetric& run_ms = MetricsRegistry::instance().histogram(
-      "raidsim_svc_job_run_ms", "Wall ms from worker pickup to terminal state");
-};
-
-SvcMetrics& svc_metrics() {
-  static SvcMetrics metrics;
-  return metrics;
+void raise_to(std::atomic<std::uint64_t>& peak, std::uint64_t value) {
+  std::uint64_t prev = peak.load(std::memory_order_relaxed);
+  while (prev < value &&
+         !peak.compare_exchange_weak(prev, value, std::memory_order_relaxed)) {
+  }
 }
 
 }  // namespace
+
+Supervisor::Counters::Counters(MetricsRegistry& r)
+    : submitted(r.counter("raidsim_svc_jobs_submitted_total",
+                          "Jobs submitted to the supervisor")),
+      ok(r.counter("raidsim_svc_jobs_ok_total", "Jobs completed with metrics")),
+      cached(r.counter("raidsim_svc_jobs_cached_total",
+                       "Jobs served from the result cache")),
+      overloaded(r.counter("raidsim_svc_jobs_overloaded_total",
+                           "Jobs shed by admission control")),
+      draining(r.counter("raidsim_svc_jobs_draining_total",
+                         "Jobs rejected while draining")),
+      invalid(r.counter("raidsim_svc_jobs_invalid_total",
+                        "Jobs rejected by validation")),
+      failed(r.counter("raidsim_svc_jobs_failed_total",
+                       "Jobs that failed terminally")),
+      cancelled(r.counter("raidsim_svc_jobs_cancelled_total",
+                          "Jobs cancelled by drain or watchdog")),
+      deadline(r.counter("raidsim_svc_jobs_deadline_total",
+                         "Jobs that missed their deadline")),
+      watchdog_kills(r.counter("raidsim_svc_watchdog_kills_total",
+                               "Stuck jobs killed by the watchdog")),
+      cache_misses(r.counter("raidsim_svc_cache_misses_total",
+                             "Result-cache lookup misses")),
+      progress_frames(r.counter("raidsim_svc_progress_frames_total",
+                                "Progress frames emitted")),
+      flight_dumps(r.counter("raidsim_svc_flight_dumps_total",
+                             "Flight-recorder artifacts dumped")),
+      queue_depth(r.gauge("raidsim_svc_queue_depth",
+                          "Jobs waiting in the admission queue")),
+      inflight(r.gauge("raidsim_svc_inflight",
+                       "Jobs currently running on workers")),
+      queue_ms(r.histogram("raidsim_svc_job_queue_ms",
+                           "Wall ms from admission to worker pickup")),
+      run_ms(r.histogram("raidsim_svc_job_run_ms",
+                         "Wall ms from worker pickup to terminal state")) {}
 
 Supervisor::Supervisor(Options options)
     : opts_(options),
@@ -122,8 +115,7 @@ std::size_t Supervisor::running() const {
 
 void Supervisor::submit(JobRequest request, Completion done,
                         Progress progress) {
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
-  svc_metrics().submitted.add(1);
+  counters_.submitted.add(1);
 
   auto reject = [&](JobStatus status, const std::string& error,
                     std::uint64_t fingerprint) {
@@ -143,8 +135,7 @@ void Supervisor::submit(JobRequest request, Completion done,
     if (request.trace != "trace1" && request.trace != "trace2")
       throw std::invalid_argument("unknown trace '" + request.trace + "'");
   } catch (const std::exception& e) {
-    stats_.rejected_invalid.fetch_add(1, std::memory_order_relaxed);
-    svc_metrics().invalid.add(1);
+    counters_.invalid.add(1);
     reject(JobStatus::kInvalid, e.what(), 0);
     return;
   }
@@ -154,8 +145,7 @@ void Supervisor::submit(JobRequest request, Completion done,
   const std::uint64_t fingerprint = fnv1a64(key);
 
   auto reject_draining = [&] {
-    stats_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-    svc_metrics().draining.add(1);
+    counters_.draining.add(1);
     reject(JobStatus::kDraining, "server is draining", fingerprint);
   };
   if (draining_.load(std::memory_order_acquire)) {
@@ -174,15 +164,12 @@ void Supervisor::submit(JobRequest request, Completion done,
       result.cached = true;
       result.metrics_json = std::move(cached_json);
       result.fingerprint = fingerprint;
-      stats_.completed_ok.fetch_add(1, std::memory_order_relaxed);
-      stats_.completed_cached.fetch_add(1, std::memory_order_relaxed);
-      svc_metrics().cache_hits.add(1);
-      svc_metrics().ok.add(1);
-      svc_metrics().cached.add(1);
+      counters_.ok.add(1);
+      counters_.cached.add(1);
       done(result);
       return;
     }
-    svc_metrics().cache_misses.add(1);
+    counters_.cache_misses.add(1);
   }
 
   auto job = std::make_shared<Job>();
@@ -198,7 +185,11 @@ void Supervisor::submit(JobRequest request, Completion done,
                          CancelReason::kDeadline);
   job->queue_span = span_begin(ObsPhase::kJobQueue, 0);
 
+  // Counted before the push (a worker may pop the job at once) and
+  // uncounted at pickup, so the gauge is exact whenever the queue rests.
+  counters_.queue_depth.add(1.0);
   if (!queue_.try_push(job)) {
+    counters_.queue_depth.add(-1.0);
     span_end(job->queue_span, ObsPhase::kJobQueue, 0);
     done = std::move(job->done);  // the job was never shared
     // Drain closes the queue before anything else, so a closed queue
@@ -207,16 +198,14 @@ void Supervisor::submit(JobRequest request, Completion done,
       reject_draining();
       return;
     }
-    stats_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-    svc_metrics().overloaded.add(1);
+    counters_.overloaded.add(1);
     reject(JobStatus::kOverloaded,
            "queue full (" + std::to_string(queue_.capacity()) +
                " jobs); retry later",
            fingerprint);
     return;
   }
-  stats_.note_queue_depth(queue_.size());
-  svc_metrics().queue_depth.set(static_cast<double>(queue_.size()));
+  raise_to(peak_queue_depth_, queue_.size());
 }
 
 void Supervisor::worker_loop() {
@@ -230,8 +219,8 @@ void Supervisor::run_job(const JobPtr& job) {
   JobResult result;
   result.fingerprint = job->fingerprint;
   result.queue_ms = elapsed_ms(job->admitted, job->started);
-  svc_metrics().queue_depth.set(static_cast<double>(queue_.size()));
-  svc_metrics().queue_ms.observe(result.queue_ms);
+  counters_.queue_depth.add(-1.0);
+  counters_.queue_ms.observe(result.queue_ms);
 
   // Jobs that died in the queue never burn a simulation.
   bool expired = false;
@@ -250,7 +239,7 @@ void Supervisor::run_job(const JobPtr& job) {
   if (opts_.stuck_job_ms > 0.0)
     job->token.expire_at(job->started + from_ms(opts_.stuck_job_ms),
                          CancelReason::kWatchdog);
-  svc_metrics().inflight.add(1.0);
+  counters_.inflight.add(1.0);
   job->run_span = span_begin(ObsPhase::kJobRun, 0);
 
   std::string flight;  // artifact prefix, empty when the recorder is off
@@ -294,7 +283,7 @@ void Supervisor::run_job(const JobPtr& job) {
     running_.erase(std::remove(running_.begin(), running_.end(), job),
                    running_.end());
   }
-  svc_metrics().inflight.add(-1.0);
+  counters_.inflight.add(-1.0);
 
   // Abnormal termination with the flight recorder on: the sweep dumped
   // the span ring before unwinding -- surface the artifact path.
@@ -303,7 +292,7 @@ void Supervisor::run_job(const JobPtr& job) {
       result.flight_out = flight + ".trace.json";
     else if (file_exists(flight + "_shard0.trace.json"))
       result.flight_out = flight + "_shard0.trace.json";
-    if (!result.flight_out.empty()) svc_metrics().flight_dumps.add(1);
+    if (!result.flight_out.empty()) counters_.flight_dumps.add(1);
   }
 
   span_end(job->run_span, ObsPhase::kJobRun, 0);
@@ -322,8 +311,7 @@ void Supervisor::stopped(JobResult& result, CancelReason reason,
     case CancelReason::kWatchdog:
       result.status = JobStatus::kCancelled;
       result.error = "watchdog cancelled a stuck job";
-      stats_.watchdog_kills.fetch_add(1, std::memory_order_relaxed);
-      svc_metrics().watchdog_kills.add(1);
+      counters_.watchdog_kills.add(1);
       span_instant(ObsPhase::kJobWatchdog, 0);
       break;
     default:
@@ -377,7 +365,7 @@ void Supervisor::on_engine_progress(const JobPtr& job,
       frame.eta_ms = 0.0;
     }
   }
-  svc_metrics().progress_frames.add(1);
+  counters_.progress_frames.add(1);
   job->progress(frame);
 }
 
@@ -394,23 +382,19 @@ std::string Supervisor::flight_prefix(const JobPtr& job) const {
 
 void Supervisor::complete(const JobPtr& job, JobResult result) {
   result.run_ms = elapsed_ms(job->started, Clock::now());
-  svc_metrics().run_ms.observe(result.run_ms);
+  counters_.run_ms.observe(result.run_ms);
   switch (result.status) {
     case JobStatus::kOk:
-      stats_.completed_ok.fetch_add(1, std::memory_order_relaxed);
-      svc_metrics().ok.add(1);
+      counters_.ok.add(1);
       break;
     case JobStatus::kFailed:
-      stats_.failed.fetch_add(1, std::memory_order_relaxed);
-      svc_metrics().failed.add(1);
+      counters_.failed.add(1);
       break;
     case JobStatus::kCancelled:
-      stats_.cancelled.fetch_add(1, std::memory_order_relaxed);
-      svc_metrics().cancelled.add(1);
+      counters_.cancelled.add(1);
       break;
     case JobStatus::kDeadline:
-      stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-      svc_metrics().deadline.add(1);
+      counters_.deadline.add(1);
       break;
     default:
       break;  // rejections are counted at submit()
@@ -434,8 +418,25 @@ void Supervisor::drain() {
 }
 
 std::string Supervisor::stats_json() const {
-  return stats_.to_json(queue_.size(), running(), cache_.size(), cache_.hits(),
-                        cache_.misses(), cache_.evictions());
+  const Counters& c = counters_;
+  std::ostringstream os;
+  os << "{\"submitted\":" << c.submitted.value()
+     << ",\"completed_ok\":" << c.ok.value()
+     << ",\"completed_cached\":" << c.cached.value()
+     << ",\"rejected_overload\":" << c.overloaded.value()
+     << ",\"rejected_draining\":" << c.draining.value()
+     << ",\"rejected_invalid\":" << c.invalid.value()
+     << ",\"failed\":" << c.failed.value()
+     << ",\"cancelled\":" << c.cancelled.value()
+     << ",\"deadline_expired\":" << c.deadline.value()
+     << ",\"watchdog_kills\":" << c.watchdog_kills.value()
+     << ",\"peak_queue_depth\":" << peak_queue_depth_.load()
+     << ",\"queue_depth\":" << queue_.size() << ",\"running\":" << running()
+     << ",\"cache_size\":" << cache_.size()
+     << ",\"cache_hits\":" << c.cached.value()
+     << ",\"cache_misses\":" << c.cache_misses.value()
+     << ",\"cache_evictions\":" << cache_.evictions() << "}";
+  return os.str();
 }
 
 }  // namespace raidsim::svc

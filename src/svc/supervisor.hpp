@@ -1,6 +1,8 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -9,13 +11,13 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics_registry.hpp"
 #include "obs/tracer.hpp"
 #include "sim/cancellation.hpp"
 #include "sim/progress.hpp"
 #include "svc/job.hpp"
 #include "svc/job_queue.hpp"
 #include "svc/result_cache.hpp"
-#include "svc/service_stats.hpp"
 
 namespace raidsim::svc {
 
@@ -31,6 +33,9 @@ namespace raidsim::svc {
 ///  - One attempt per job: a run is a pure function of its request, so
 ///    a job that throws is reported kFailed, never re-run.
 ///  - Result cache: canonical-key LRU serving byte-identical metrics.
+///  - One count per service event: every `raidsim_svc_*` series lives in
+///    the supervisor's own registry, and the `stats` and `metrics` ops
+///    both render it.
 ///  - Drain: close the queue, let queued and in-flight work finish
 ///    inside the drain budget, and cancel the rest. Every admitted job
 ///    still completes with a typed terminal status.
@@ -88,11 +93,52 @@ class Supervisor {
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
-  /// Queue depth + running count + cache counters as one JSON object.
+  /// The service's counts, each a series of registry(). Every admission
+  /// decision and terminal job state increments exactly one outcome
+  /// counter, so submitted == terminal() + rejected() whenever the
+  /// service is idle -- the overload drill asserts it.
+  struct Counters {
+    explicit Counters(MetricsRegistry& registry);
+
+    Counter& submitted;
+    Counter& ok;
+    Counter& cached;  // subset of ok: served from the result cache
+    Counter& overloaded;
+    Counter& draining;
+    Counter& invalid;
+    Counter& failed;
+    Counter& cancelled;
+    Counter& deadline;
+    /// Jobs that ended on the stuck-job guard (`stuck_job_ms`).
+    Counter& watchdog_kills;
+    Counter& cache_misses;
+    Counter& progress_frames;
+    Counter& flight_dumps;
+    Gauge& queue_depth;
+    Gauge& inflight;
+    HistogramMetric& queue_ms;
+    HistogramMetric& run_ms;
+
+    /// Terminal completions of admitted jobs (every admitted job reaches
+    /// exactly one of these).
+    std::uint64_t terminal() const {
+      return ok.value() + failed.value() + cancelled.value() +
+             deadline.value();
+    }
+    std::uint64_t rejected() const {
+      return overloaded.value() + draining.value() + invalid.value();
+    }
+  };
+
+  /// The `stats` op object, rendered from counters() plus the live
+  /// queue, worker and cache state.
   std::string stats_json() const;
 
-  const ServiceStats& stats() const { return stats_; }
-  ResultCache& cache() { return cache_; }
+  const Counters& counters() const { return counters_; }
+  /// Registry of every `raidsim_svc_*` series (the `metrics` op scrapes
+  /// it after the process registry). Its kill switch is its own: the
+  /// process registry's set_enabled() does not reach it.
+  MetricsRegistry& registry() { return registry_; }
   std::size_t queue_depth() const { return queue_.size(); }
   std::size_t running() const;
 
@@ -140,7 +186,9 @@ class Supervisor {
   void span_instant(ObsPhase phase, int track);
 
   Options opts_;
-  ServiceStats stats_;
+  MetricsRegistry registry_;
+  Counters counters_{registry_};
+  std::atomic<std::uint64_t> peak_queue_depth_{0};
   ResultCache cache_;
   BoundedQueue<JobPtr> queue_;
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,8 +17,6 @@ TEST(ResultCache, HitReturnsStoredBytes) {
   cache.insert("k", "{\"x\":1}");
   ASSERT_TRUE(cache.lookup("k", &out));
   EXPECT_EQ(out, "{\"x\":1}");
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(ResultCache, EvictsLeastRecentlyUsed) {
@@ -70,22 +69,26 @@ TEST(ResultCache, FullKeyIsIdentityNotItsHash) {
 
 TEST(ResultCache, ConcurrentMixedAccessIsSafe) {
   ResultCache cache(16);
+  std::atomic<int> wrong_values{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&cache, t] {
+    threads.emplace_back([&cache, &wrong_values, t] {
       for (int i = 0; i < 500; ++i) {
         // Appended, not "k" + to_string(): GCC 12 inlines the prepend
         // into a memcpy it falsely flags with -Wrestrict.
         std::string key = "k";
         key += std::to_string((t * 7 + i) % 32);
         std::string out;
-        if (!cache.lookup(key, &out)) cache.insert(key, key + "-value");
+        if (!cache.lookup(key, &out))
+          cache.insert(key, key + "-value");
+        else if (out != key + "-value")
+          wrong_values.fetch_add(1);
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_LE(cache.size(), 16u);
-  EXPECT_EQ(cache.hits() + cache.misses(), 2000u);
+  EXPECT_EQ(wrong_values.load(), 0);
 }
 
 }  // namespace

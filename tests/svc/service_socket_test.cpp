@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "svc/client.hpp"
 #include "svc/job_codec.hpp"
@@ -187,10 +192,112 @@ TEST_F(ServiceSocketTest, DrainOpShutsDownGracefully) {
   server_thread_ = std::thread([] {});  // keep TearDown joinable
   EXPECT_TRUE(server_->supervisor().draining());
   // Every submitted job is accounted for by a typed terminal/rejection.
-  const ServiceStats& s = server_->supervisor().stats();
-  EXPECT_EQ(s.submitted.load(),
-            s.terminal() + s.rejected_overload.load() +
-                s.rejected_draining.load() + s.rejected_invalid.load());
+  const Supervisor::Counters& c = server_->supervisor().counters();
+  EXPECT_EQ(c.submitted.value(), c.terminal() + c.rejected());
+}
+
+/// Prometheus text -> unlabelled sample values by name.
+std::map<std::string, double> scrape_samples(const std::string& text) {
+  std::map<std::string, double> samples;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#' ||
+        line.find('{') != std::string::npos)
+      continue;
+    const std::size_t space = line.rfind(' ');
+    samples[line.substr(0, space)] = std::stod(line.substr(space + 1));
+  }
+  return samples;
+}
+
+TEST(ServiceSocket, StatsAndScrapeAgree) {
+  // One worker and one queue slot, so a pipelined burst is shed.
+  const std::string socket_path =
+      "/tmp/raidsim_svc_test." + std::to_string(::getpid()) + ".agree.sock";
+  Server::Options opts;
+  opts.socket_path = socket_path;
+  opts.supervisor.workers = 1;
+  opts.supervisor.queue_capacity = 1;
+  opts.log_final_stats = false;
+  Server server(opts);
+  std::thread server_thread([&server] { server.run(); });
+
+  Client client(socket_path);
+  JobRequest job;
+  job.workload.scale = 0.02;
+  job.workload.seed = 6;
+  EXPECT_EQ(status_of(client.request(encode_job_request(job))), "ok");
+  const JsonValue hit = client.request(encode_job_request(job));
+  EXPECT_TRUE(hit.find("cached")->as_bool());
+  EXPECT_EQ(status_of(client.request(R"({"op":"run","config":{"n":0}})")),
+            "invalid");
+
+  // Burst: every run line arrives in one write and is admitted or shed
+  // before the worker finishes its first job.
+  constexpr int kBurst = 8;
+  std::string burst;
+  for (int i = 0; i < kBurst; ++i) {
+    JobRequest shed = job;
+    shed.workload.scale = 0.1;
+    shed.workload.seed = 40 + static_cast<std::uint64_t>(i);
+    shed.no_cache = true;
+    burst += encode_job_request(shed) + "\n";
+  }
+  int overloaded = 0;
+  JsonValue response = client.request(burst);
+  for (int i = 0; i < kBurst; ++i) {
+    if (i > 0) response = json_parse(client.request_raw(""));
+    const std::string status = status_of(response);
+    EXPECT_TRUE(status == "ok" || status == "overloaded") << status;
+    overloaded += status == "overloaded" ? 1 : 0;
+  }
+  EXPECT_GE(overloaded, 1);
+
+  const JsonValue stats_response = client.request(R"({"op":"stats"})");
+  const JsonValue* stats = stats_response.find("stats");
+  ASSERT_NE(stats, nullptr);
+  const std::string text =
+      client.request(R"({"op":"metrics"})").find("metrics_text")->as_string();
+  const std::map<std::string, double> samples = scrape_samples(text);
+
+  const std::pair<const char*, const char*> twins[] = {
+      {"submitted", "raidsim_svc_jobs_submitted_total"},
+      {"completed_ok", "raidsim_svc_jobs_ok_total"},
+      {"completed_cached", "raidsim_svc_jobs_cached_total"},
+      {"rejected_overload", "raidsim_svc_jobs_overloaded_total"},
+      {"rejected_draining", "raidsim_svc_jobs_draining_total"},
+      {"rejected_invalid", "raidsim_svc_jobs_invalid_total"},
+      {"failed", "raidsim_svc_jobs_failed_total"},
+      {"cancelled", "raidsim_svc_jobs_cancelled_total"},
+      {"deadline_expired", "raidsim_svc_jobs_deadline_total"},
+      {"watchdog_kills", "raidsim_svc_watchdog_kills_total"},
+      {"queue_depth", "raidsim_svc_queue_depth"},
+      {"running", "raidsim_svc_inflight"},
+      {"cache_hits", "raidsim_svc_jobs_cached_total"},
+      {"cache_misses", "raidsim_svc_cache_misses_total"},
+  };
+  for (const auto& [key, name] : twins) {
+    const JsonValue* value = stats->find(key);
+    ASSERT_NE(value, nullptr) << key;
+    ASSERT_EQ(samples.count(name), 1u) << name;
+    EXPECT_EQ(value->as_number(), samples.at(name)) << key << " vs " << name;
+  }
+  EXPECT_EQ(stats->find("submitted")->as_number(), 2.0 + kBurst);
+  EXPECT_EQ(stats->find("completed_cached")->as_number(), 1.0);
+  EXPECT_EQ(stats->find("rejected_overload")->as_number(), overloaded);
+
+  // One `# TYPE` per family, families in name order.
+  std::vector<std::string> families;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("# TYPE ", 0) == 0)
+      families.push_back(line.substr(7, line.find(' ', 7) - 7));
+  EXPECT_TRUE(std::is_sorted(families.begin(), families.end()));
+  EXPECT_EQ(std::adjacent_find(families.begin(), families.end()),
+            families.end());
+
+  server.stop();
+  server_thread.join();
 }
 
 }  // namespace

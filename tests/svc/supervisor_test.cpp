@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <thread>
 #include <vector>
 
 namespace raidsim::svc {
@@ -15,6 +16,16 @@ JobRequest tiny_job(std::uint64_t seed, double scale = 0.02) {
   job.trace = "trace2";
   job.workload.scale = scale;
   job.workload.seed = seed;
+  return job;
+}
+
+/// Full trace 1: several seconds uncancelled in a Release build (full
+/// trace 2 takes ~0.1 s), so a cancellation bound of a second or two
+/// fails if the token does not stop the run.
+JobRequest long_job(std::uint64_t seed) {
+  JobRequest job = tiny_job(seed, 1.0);
+  job.trace = "trace1";
+  job.no_cache = true;
   return job;
 }
 
@@ -42,7 +53,7 @@ TEST(Supervisor, InvalidConfigIsTypedAndSynchronous) {
   const JobResult r = submit_and_wait(sup, std::move(bad));
   EXPECT_EQ(r.status, JobStatus::kInvalid);
   EXPECT_FALSE(r.error.empty());
-  EXPECT_EQ(sup.stats().rejected_invalid.load(), 1u);
+  EXPECT_EQ(sup.counters().invalid.value(), 1u);
 }
 
 TEST(Supervisor, OverloadShedsWithTypedRejection) {
@@ -70,7 +81,7 @@ TEST(Supervisor, OverloadShedsWithTypedRejection) {
   EXPECT_EQ(ok + overloaded, kJobs);
   EXPECT_GE(overloaded, kJobs - 2 - 1);  // at most worker+queue+1 admitted
   EXPECT_GT(overloaded, 0);
-  EXPECT_EQ(sup.stats().rejected_overload.load(),
+  EXPECT_EQ(sup.counters().overloaded.value(),
             static_cast<std::uint64_t>(overloaded));
 }
 
@@ -85,7 +96,7 @@ TEST(Supervisor, CacheHitIsByteIdenticalToFreshRun) {
   ASSERT_EQ(hit.status, JobStatus::kOk);
   EXPECT_TRUE(hit.cached);
   EXPECT_EQ(hit.metrics_json, first.metrics_json);  // byte identity
-  EXPECT_EQ(sup.cache().hits(), 1u);
+  EXPECT_EQ(sup.counters().cached.value(), 1u);
 
   // A different seed is a different key: no false sharing.
   const JobResult other = submit_and_wait(sup, tiny_job(8));
@@ -96,9 +107,8 @@ TEST(Supervisor, CacheHitIsByteIdenticalToFreshRun) {
 
 TEST(Supervisor, DeadlineCancelsMidRun) {
   Supervisor sup({.workers = 1, .queue_capacity = 2});
-  JobRequest job = tiny_job(9, 1.0);  // full trace2: way over deadline
+  JobRequest job = long_job(9);
   job.deadline_ms = 30.0;
-  job.no_cache = true;
   const auto t0 = std::chrono::steady_clock::now();
   const JobResult r = submit_and_wait(sup, std::move(job));
   const double ms = std::chrono::duration<double, std::milli>(
@@ -106,7 +116,7 @@ TEST(Supervisor, DeadlineCancelsMidRun) {
                         .count();
   EXPECT_EQ(r.status, JobStatus::kDeadline);
   EXPECT_LT(ms, 2000.0);  // cancelled promptly, not at completion
-  EXPECT_EQ(sup.stats().deadline_expired.load(), 1u);
+  EXPECT_EQ(sup.counters().deadline.value(), 1u);
 }
 
 TEST(Supervisor, QueuedJobPastDeadlineNeverRuns) {
@@ -135,7 +145,7 @@ TEST(Supervisor, WatchdogCancelsStuckJob) {
   const JobResult r = submit_and_wait(sup, std::move(job));
   EXPECT_EQ(r.status, JobStatus::kCancelled);
   EXPECT_NE(r.error.find("watchdog"), std::string::npos);
-  EXPECT_EQ(sup.stats().watchdog_kills.load(), 1u);
+  EXPECT_EQ(sup.counters().watchdog_kills.value(), 1u);
 }
 
 TEST(Supervisor, DrainCompletesEverythingTyped) {
@@ -166,17 +176,14 @@ TEST(Supervisor, DrainCompletesEverythingTyped) {
   const JobResult late = submit_and_wait(sup, tiny_job(999));
   EXPECT_EQ(late.status, JobStatus::kDraining);
   // Taxonomy: submitted == rejections + terminals.
-  const ServiceStats& s = sup.stats();
-  EXPECT_EQ(s.submitted.load(),
-            s.terminal() + s.rejected_overload.load() +
-                s.rejected_draining.load() + s.rejected_invalid.load());
+  const Supervisor::Counters& c = sup.counters();
+  EXPECT_EQ(c.submitted.value(), c.terminal() + c.rejected());
 }
 
 TEST(Supervisor, DrainBudgetCancelsLongJobs) {
   Supervisor sup({.workers = 1, .queue_capacity = 2,
                   .drain_budget_ms = 20.0});
-  JobRequest job = tiny_job(16, 1.0);  // multi-second job
-  job.no_cache = true;
+  JobRequest job = long_job(16);
   std::promise<JobResult> promise;
   std::future<JobResult> future = promise.get_future();
   sup.submit(std::move(job),
@@ -189,6 +196,45 @@ TEST(Supervisor, DrainBudgetCancelsLongJobs) {
   const JobResult r = future.get();
   EXPECT_EQ(r.status, JobStatus::kCancelled);
   EXPECT_LT(ms, 5000.0);  // budget + one cancellation batch, not the full run
+}
+
+TEST(Supervisor, CountsAreExactUnderConcurrentSubmit) {
+  // Four threads race admission with a mix of invalid, fresh, repeated
+  // (cache-hit) and shed jobs: every submit lands in exactly one outcome
+  // counter, and the cache-hit subset matches what callers saw.
+  Supervisor sup({.workers = 2, .queue_capacity = 2});
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 12;
+  std::atomic<int> answered{0};
+  std::atomic<int> cached{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sup, &answered, &cached, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        JobRequest job = tiny_job(300 + (t * kPerThread + i) % 5, 0.01);
+        if (i % 4 == 0) job.trace = "no_such_trace";
+        sup.submit(std::move(job), [&answered, &cached](const JobResult& r) {
+          if (r.cached) cached.fetch_add(1);
+          answered.fetch_add(1);
+        });
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  sup.drain();  // every admitted job has completed once this returns
+
+  const Supervisor::Counters& c = sup.counters();
+  constexpr std::uint64_t kTotal = kThreads * kPerThread;
+  EXPECT_EQ(answered.load(), static_cast<int>(kTotal));
+  EXPECT_EQ(c.submitted.value(), kTotal);
+  EXPECT_EQ(c.submitted.value(), c.terminal() + c.rejected());
+  EXPECT_EQ(c.invalid.value(), kTotal / 4);
+  EXPECT_EQ(c.draining.value(), 0u);
+  EXPECT_EQ(c.cached.value(), static_cast<std::uint64_t>(cached.load()));
+  EXPECT_LE(c.cached.value(), c.ok.value());
+  EXPECT_EQ(c.queue_depth.value(), 0.0);
+  EXPECT_EQ(c.inflight.value(), 0.0);
+  EXPECT_EQ(c.run_ms.count(), c.terminal() - c.cached.value());
 }
 
 }  // namespace
