@@ -530,13 +530,7 @@ Metrics run_sticky_slow(Organization org, double factor, bool policies,
                         const BenchOptions& options) {
   SimulationConfig config = uncached(org);
   config.array_data_disks = 10;
-  if (policies) {
-    config.tail.enabled = true;
-    config.tail.read_deadline_ms = 120.0;
-    config.tail.hedge_ewma_factor = 3.0;
-    config.tail.redirect_on_slow = true;
-    config.tail.reconstruct_on_slow = true;
-  }
+  config.tail = policies;
   auto stream = make_workload(trace, options.workload_options(trace));
   Simulator sim(config, stream->geometry());
   std::vector<ArrayController*> arrays;

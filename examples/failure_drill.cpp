@@ -38,9 +38,6 @@ std::string to_string(HealthMonitor::EventKind kind) {
     case HealthMonitor::EventKind::kRebuildStarted: return "rebuild started";
     case HealthMonitor::EventKind::kRebuildCompleted:
       return "rebuild completed";
-    case HealthMonitor::EventKind::kDiskSlow: return "disk slow";
-    case HealthMonitor::EventKind::kQuarantined: return "quarantined";
-    case HealthMonitor::EventKind::kUnquarantined: return "unquarantined";
   }
   return "?";
 }

@@ -29,14 +29,10 @@
 //                             trace, timers stopping at run quiescence)
 //   --shard-threads=<n>       threads for --shards >= 1
 //                             (default 0 = min(shards, hw))
-//   --tail-deadline=<ms>      read deadline; on expiry escalate to an
-//                             alternate read (tail-tolerance policy)
-//   --hedge-delay=<ms>        fixed hedged-read delay (0 = off)
-//   --hedge-ewma=<f>          adaptive hedge delay: f x the primary
-//                             disk's EWMA latency (0 = off)
-//   --redirect-on-slow        mirror reads prefer the faster copy
-//   --reconstruct-on-slow     RAID5/ParStrip reads may reconstruct
-//                             around a straggler
+//   --tail                    fail-slow mitigation: hedged reads at 3x
+//                             the primary disk's EWMA latency, a 120 ms
+//                             read deadline, mirror redirect-on-slow and
+//                             parity reconstruct-around-the-straggler
 //   --csv                     machine-readable result line (with
 //                             retry/timeout/hedge/redirect counters)
 //   --csv-header              print the --csv column names and exit
@@ -148,7 +144,7 @@ int main(int argc, char** argv) {
       "config,requests,mean_ms,read_ms,write_ms,p95_ms,p99_ms,p999_ms,"
       "read_hit,write_hit,mean_util,transient_retries,retry_exhaustions,"
       "timeouts_fired,hedged_reads,hedge_wins,hedge_cancellations,"
-      "redirected_reads,quarantine_reroutes";
+      "redirected_reads";
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -200,21 +196,8 @@ int main(int argc, char** argv) {
       config.shards = number<int>(arg, v);
     } else if (const char* v = value("--shard-threads=")) {
       config.shard_threads = number<int>(arg, v);
-    } else if (const char* v = value("--tail-deadline=")) {
-      config.tail.enabled = true;
-      config.tail.read_deadline_ms = number<double>(arg, v);
-    } else if (const char* v = value("--hedge-delay=")) {
-      config.tail.enabled = true;
-      config.tail.hedge_delay_ms = number<double>(arg, v);
-    } else if (const char* v = value("--hedge-ewma=")) {
-      config.tail.enabled = true;
-      config.tail.hedge_ewma_factor = number<double>(arg, v);
-    } else if (arg == "--redirect-on-slow") {
-      config.tail.enabled = true;
-      config.tail.redirect_on_slow = true;
-    } else if (arg == "--reconstruct-on-slow") {
-      config.tail.enabled = true;
-      config.tail.reconstruct_on_slow = true;
+    } else if (arg == "--tail") {
+      config.tail = true;
     } else if (arg == "--csv") {
       csv = true;
     } else if (arg == "--csv-header") {
@@ -273,8 +256,7 @@ int main(int argc, char** argv) {
                 << m.controller.hedged_reads << ','
                 << m.controller.hedge_wins << ','
                 << m.controller.hedge_cancellations << ','
-                << m.controller.redirected_reads << ','
-                << m.controller.quarantine_reroutes << '\n';
+                << m.controller.redirected_reads << '\n';
       return 0;
     }
 

@@ -39,7 +39,6 @@ struct RunResult {
   std::uint64_t hedge_wins = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t redirects = 0;
-  std::uint64_t quarantine_reroutes = 0;
   std::uint64_t slow_ops = 0;
 };
 
@@ -49,13 +48,7 @@ RunResult run_once(Organization org, bool inject, bool policies,
   config.organization = org;
   config.array_data_disks = 10;
   config.cached = false;
-  if (policies) {
-    config.tail.enabled = true;
-    config.tail.read_deadline_ms = 120.0;
-    config.tail.hedge_ewma_factor = 3.0;
-    config.tail.redirect_on_slow = true;
-    config.tail.reconstruct_on_slow = true;
-  }
+  config.tail = policies;
 
   WorkloadOptions wo;
   wo.scale = scale;
@@ -84,7 +77,6 @@ RunResult run_once(Organization org, bool inject, bool policies,
   r.hedge_wins = m.controller.hedge_wins;
   r.timeouts = m.controller.timeouts_fired;
   r.redirects = m.controller.redirected_reads;
-  r.quarantine_reroutes = m.controller.quarantine_reroutes;
   r.slow_ops = m.disk_totals.slow_ops;
   return r;
 }
@@ -110,8 +102,7 @@ void drill(Organization org, double sticky_factor, double scale) {
   table.print(std::cout);
 
   check(a.slow_ops == 0, "injection off: no slowed disk ops");
-  check(a.hedges == 0 && a.timeouts == 0 && a.redirects == 0 &&
-            a.quarantine_reroutes == 0,
+  check(a.hedges == 0 && a.timeouts == 0 && a.redirects == 0,
         "injection off: zero hedges, timeouts, redirects");
   check(b.slow_ops > 0, "injection on: the sticky disk slowed real ops");
   check(b.read_p99 > a.read_p99,

@@ -64,11 +64,7 @@ ArrayController::ArrayController(EventQueue& eq, const Config& config)
       array_index_(config.array_index) {
   if (fault_.retry_budget < 0 || fault_.retry_backoff_ms < 0.0)
     throw std::invalid_argument("ArrayController: negative fault policy");
-  if (tail_.read_deadline_ms < 0.0 || tail_.hedge_delay_ms < 0.0 ||
-      tail_.hedge_ewma_factor < 0.0 || tail_.slow_ewma_factor < 0.0)
-    throw std::invalid_argument("ArrayController: negative tail policy");
   const int total = layout_->total_disks();
-  quarantined_.assign(static_cast<std::size_t>(total), 0);
   disks_.reserve(static_cast<std::size_t>(total));
   for (int d = 0; d < total; ++d) {
     disks_.push_back(std::make_unique<Disk>(eq_, disk_geometry_, &seek_model_,
@@ -91,18 +87,6 @@ void ArrayController::set_rebuild_watermark(std::int64_t blocks) {
   rebuild_watermark_ = blocks;
 }
 
-void ArrayController::set_quarantined(int disk, bool quarantined) {
-  if (disk < 0 || static_cast<std::size_t>(disk) >= quarantined_.size())
-    throw std::invalid_argument("ArrayController: no such disk");
-  quarantined_[static_cast<std::size_t>(disk)] = quarantined ? 1 : 0;
-}
-
-int ArrayController::quarantined_count() const {
-  int n = 0;
-  for (const char q : quarantined_) n += q != 0;
-  return n;
-}
-
 bool ArrayController::is_degraded(const PhysicalExtent& extent) const {
   return failed_disk_ >= 0 && extent.disk == failed_disk_ &&
          extent.start_block + extent.block_count > rebuild_watermark_;
@@ -113,15 +97,6 @@ int ArrayController::choose_mirror_read_disk(const PhysicalExtent& extent) {
   if (twin < 0) return extent.disk;
   if (extent.disk == failed_disk_) return twin;
   if (twin == failed_disk_) return extent.disk;
-  // Quarantine containment: never route a new demand read to a
-  // quarantined member while its twin is healthy.
-  if (is_quarantined(extent.disk) != is_quarantined(twin)) {
-    const int healthy = is_quarantined(extent.disk) ? twin : extent.disk;
-    ++stats_.quarantine_reroutes;
-    obs_instant(tracer_, ObsPhase::kRedirected, array_index_, healthy,
-                eq_.now());
-    return healthy;
-  }
   const int target =
       disk_geometry_.locate_block(extent.start_block).cylinder;
   const Disk& a = *disks_[static_cast<std::size_t>(extent.disk)];
@@ -136,14 +111,13 @@ int ArrayController::choose_mirror_read_disk(const PhysicalExtent& extent) {
   // Redirect-on-slow: override the seek choice when the preferred
   // member's smoothed per-op latency dwarfs its twin's (Thomasian's
   // mirrored-array read redirection under fail-slow).
-  if (tail_.enabled && tail_.redirect_on_slow) {
+  if (tail_) {
     const int other = chosen == extent.disk ? twin : extent.disk;
     const double mine =
         disks_[static_cast<std::size_t>(chosen)]->ewma_latency_ms();
     const double theirs =
         disks_[static_cast<std::size_t>(other)]->ewma_latency_ms();
-    if (mine > 0.0 && theirs > 0.0 &&
-        mine > tail_.slow_ewma_factor * theirs) {
+    if (mine > 0.0 && theirs > 0.0 && mine > kTailSlowFactor * theirs) {
       ++stats_.redirected_reads;
       obs_instant(tracer_, ObsPhase::kRedirected, array_index_, other,
                   eq_.now());
@@ -194,12 +168,11 @@ void ArrayController::read_groups(
 bool ArrayController::alternate_read_available(
     const PhysicalExtent& extent) const {
   const int twin = layout_->mirror_of(extent.disk);
-  if (twin >= 0)
-    return twin != failed_disk_ && !is_quarantined(twin);
-  // Parity organizations reconstruct around the slow disk only when the
-  // policy allows it and no member of the group is already failed (a
-  // reconstruction on top of a failure would double-degrade the group).
-  return tail_.reconstruct_on_slow && failed_disk_ < 0;
+  if (twin >= 0) return twin != failed_disk_;
+  // Parity organizations reconstruct around the slow disk only when no
+  // member of the group is already failed (a reconstruction on top of a
+  // failure would double-degrade the group).
+  return failed_disk_ < 0;
 }
 
 bool ArrayController::ewma_slow(int disk) const {
@@ -220,7 +193,7 @@ bool ArrayController::ewma_slow(int disk) const {
   std::nth_element(warm.begin(), warm.begin() + warm.size() / 2, warm.end());
   const double median = warm[warm.size() / 2];
   return median > 0.0 &&
-         suspect.ewma_latency_ms() > tail_.slow_ewma_factor * median;
+         suspect.ewma_latency_ms() > kTailSlowFactor * median;
 }
 
 bool ArrayController::issue_alternate_read(const PhysicalExtent& extent,
@@ -247,28 +220,7 @@ struct HedgeState {
 void ArrayController::tail_read(const PhysicalExtent& extent,
                                 DiskPriority priority,
                                 Completion done) {
-  if (!tail_.enabled || crashed_ || is_degraded(extent)) {
-    disk_read(extent, priority, std::move(done));
-    return;
-  }
-  // Quarantine-aware scheduling: a quarantined (but healthy) disk gets
-  // no new demand reads; the redundancy serves them instead. Mirror
-  // reads were already steered by choose_mirror_read_disk, so this path
-  // fires for parity organizations (and for a fully-quarantined pair,
-  // where the primary still has to serve).
-  if (is_quarantined(extent.disk) && extent.disk != failed_disk_) {
-    if (issue_alternate_read(extent, priority, done)) {
-      ++stats_.quarantine_reroutes;
-      obs_instant(tracer_, ObsPhase::kRedirected, array_index_, extent.disk,
-                  eq_.now());
-      return;
-    }
-  }
-
-  const bool hedge_configured =
-      tail_.hedge_delay_ms > 0.0 || tail_.hedge_ewma_factor > 0.0;
-  const bool deadline_configured = tail_.read_deadline_ms > 0.0;
-  if ((!hedge_configured && !deadline_configured) ||
+  if (!tail_ || crashed_ || is_degraded(extent) ||
       !alternate_read_available(extent)) {
     disk_read(extent, priority, std::move(done));
     return;
@@ -313,24 +265,19 @@ void ArrayController::tail_read(const PhysicalExtent& extent,
     }
   };
 
-  if (hedge_configured) {
-    const double ewma =
-        disks_[static_cast<std::size_t>(extent.disk)]->ewma_latency_ms();
-    const double delay =
-        std::max(tail_.hedge_delay_ms, tail_.hedge_ewma_factor * ewma);
-    eq_.schedule_in(delay, [issue_hedge, this] { issue_hedge(eq_.now()); });
-  }
-  if (deadline_configured) {
-    eq_.schedule_in(tail_.read_deadline_ms, [this, state, issue_hedge] {
-      if (state->finished) return;
-      ++stats_.timeouts_fired;
-      obs_instant(tracer_, ObsPhase::kTimeoutFired, array_index_, -1,
-                  eq_.now());
-      // Escalation: the retry that makes sense against a fail-slow disk
-      // is the redundant copy, issued NOW if the hedge timer has not.
-      issue_hedge(eq_.now());
-    });
-  }
+  const double ewma =
+      disks_[static_cast<std::size_t>(extent.disk)]->ewma_latency_ms();
+  eq_.schedule_in(kTailHedgeEwmaFactor * ewma,
+                  [issue_hedge, this] { issue_hedge(eq_.now()); });
+  eq_.schedule_in(kTailDeadlineMs, [this, state, issue_hedge] {
+    if (state->finished) return;
+    ++stats_.timeouts_fired;
+    obs_instant(tracer_, ObsPhase::kTimeoutFired, array_index_, -1,
+                eq_.now());
+    // Escalation: the retry that makes sense against a fail-slow disk
+    // is the redundant copy, issued NOW if the hedge timer has not.
+    issue_hedge(eq_.now());
+  });
 
   disk_read(extent, priority, [this, state](SimTime t) {
     if (state->finished) {

@@ -129,7 +129,6 @@ struct ControllerStats {
   std::uint64_t hedge_wins = 0;          // hedges that beat the primary
   std::uint64_t hedge_cancellations = 0; // losing legs (wasted disk work)
   std::uint64_t redirected_reads = 0;    // mirror reads steered off a slow disk
-  std::uint64_t quarantine_reroutes = 0; // reads routed around a quarantine
 
   double read_hit_ratio() const {
     return read_requests ? static_cast<double>(read_request_hits) /
@@ -157,37 +156,19 @@ class ArrayController {
     double retry_backoff_ms = 5.0;
   };
 
-  /// Tail-tolerance policy for demand reads under fail-slow disks. All
-  /// mechanisms are off by default; `enabled` gates the whole machinery
-  /// so policy-off runs issue exactly the same events as before.
-  struct TailPolicy {
-    bool enabled = false;
-    /// Deadline for a demand read; when it expires before the read
-    /// completes the controller counts a timeout and escalates by
-    /// forcing the hedge (redundant second copy) immediately. 0 = off.
-    double read_deadline_ms = 0.0;
-    /// Fixed floor of the hedge delay: a speculative second read of the
-    /// redundant copy is issued this long after the primary. 0 = no
-    /// hedging (deadline escalation can still fire one).
-    double hedge_delay_ms = 0.0;
-    /// > 0: adaptive hedge delay = max(hedge_delay_ms, factor * EWMA of
-    /// the primary disk's per-op latency) -- hedges adapt to how slow
-    /// the disk actually is instead of a static guess.
-    double hedge_ewma_factor = 0.0;
-    /// Mirror organizations: steer a read to the twin when the
-    /// seek-preferred member's latency EWMA exceeds `slow_ewma_factor`
-    /// times the twin's (redirect-on-slow).
-    bool redirect_on_slow = false;
-    /// Parity organizations: allow hedges/quarantine reroutes to
-    /// reconstruct-read around the slow disk via the degraded-read path.
-    bool reconstruct_on_slow = false;
-    /// Slowness ratio used by redirect-on-slow and by the parity
-    /// reconstruct gate (hedge only when the primary's EWMA exceeds
-    /// this multiple of the array median -- a reconstruct fans out to
-    /// every other member, so firing it for a healthy-but-queued
-    /// primary floods the array instead of trimming the tail).
-    double slow_ewma_factor = 3.0;
-  };
+  /// The fail-slow preset Config::tail switches on: the values
+  /// `paper_claims fail_slow` and `tail_drill` measure.
+  ///
+  /// A demand read still pending after kTailDeadlineMs counts a timeout
+  /// and issues its hedge at once.
+  static constexpr double kTailDeadlineMs = 120.0;
+  /// The hedge -- a second read of the redundant copy, first completion
+  /// wins -- goes out this multiple of the primary disk's latency EWMA
+  /// after the primary, so it adapts to how slow the disk actually is.
+  static constexpr double kTailHedgeEwmaFactor = 3.0;
+  /// A disk is slow when its EWMA exceeds this multiple of its mirror
+  /// twin's (redirect-on-slow) or of the array's warm median (ewma_slow).
+  static constexpr double kTailSlowFactor = 3.0;
 
   struct Config {
     LayoutConfig layout;
@@ -198,7 +179,11 @@ class ArrayController {
     double channel_mb_per_second = 10.0;
     int track_buffers_per_disk = 5;
     FaultPolicy fault;
-    TailPolicy tail;
+    /// Fail-slow mitigation for demand reads, the kTail* preset: hedged
+    /// reads, read deadlines, mirror redirect-on-slow and parity
+    /// reconstruct-around-the-straggler. Off, a run issues exactly the
+    /// events it would without the mechanism.
+    bool tail = false;
     /// Request-lifecycle tracer (null = tracing off) and the index of
     /// this array within the simulator, used as the trace process id.
     Tracer* tracer = nullptr;
@@ -285,19 +270,6 @@ class ArrayController {
   }
 
   const FaultPolicy& fault_policy() const { return fault_; }
-  const TailPolicy& tail_policy() const { return tail_; }
-
-  /// Quarantine support (slow-disk containment, driven by the
-  /// HealthMonitor's detector): a quarantined disk receives no new
-  /// demand reads -- mirror reads prefer the twin, parity reads are
-  /// reconstructed around it when the tail policy allows -- but keeps
-  /// serving writes and background I/O so it can be observed recovering.
-  void set_quarantined(int disk, bool quarantined);
-  bool is_quarantined(int disk) const {
-    return disk >= 0 && static_cast<std::size_t>(disk) < quarantined_.size() &&
-           quarantined_[static_cast<std::size_t>(disk)] != 0;
-  }
-  int quarantined_count() const;
 
   // ---------------------------------------------- crash & recovery API
 
@@ -355,24 +327,24 @@ class ArrayController {
  protected:
   /// Choose which member of a mirrored pair serves a read: the disk whose
   /// arm is nearest the target cylinder, breaking ties by queue length
-  /// (the paper's shortest-seek optimisation). Tail policies overlay
-  /// quarantine avoidance and redirect-on-slow (EWMA comparison) on top;
+  /// (the paper's shortest-seek optimisation). With the tail policy on,
+  /// redirect-on-slow (EWMA comparison) overrides that choice;
   /// non-const because redirects are counted and traced.
   int choose_mirror_read_disk(const PhysicalExtent& extent);
 
   /// Demand-read entry point with tail-tolerance: behaves exactly like
-  /// disk_read when the tail policy is disabled; otherwise overlays
-  /// quarantine rerouting, an optional deadline (timeout accounting +
-  /// hedge escalation), and optional hedged reads (speculative redundant
-  /// copy after an adaptive delay, first completion wins).
+  /// disk_read when the tail policy is off; otherwise overlays a hedged
+  /// read (speculative redundant copy after an adaptive delay, first
+  /// completion wins) and a deadline (timeout accounting + hedge
+  /// escalation).
   void tail_read(const PhysicalExtent& extent, DiskPriority priority,
                  Completion done);
 
   /// True when a redundant alternative exists for reading `extent`
-  /// without touching extent.disk: a healthy mirror twin, or (when the
-  /// tail policy allows reconstruct-on-slow) an intact parity group.
+  /// without touching extent.disk: a healthy mirror twin, or an intact
+  /// parity group.
   bool alternate_read_available(const PhysicalExtent& extent) const;
-  /// True when `disk`'s latency EWMA exceeds slow_ewma_factor times the
+  /// True when `disk`'s latency EWMA exceeds kTailSlowFactor times the
   /// median EWMA of the array's warm, non-failed disks.
   bool ewma_slow(int disk) const;
 
@@ -524,8 +496,7 @@ class ArrayController {
   SyncPolicy sync_;
   ControllerStats stats_;
   FaultPolicy fault_;
-  TailPolicy tail_;
-  std::vector<char> quarantined_;  // per-disk quarantine flags
+  bool tail_;
   Tracer* tracer_ = nullptr;
   int array_index_ = -1;
   std::function<void(int, SimTime)> disk_dead_handler_;

@@ -90,13 +90,6 @@ void SimulationConfig::validate() const {
   require_finite(obs.sample_interval_ms, "obs.sample_interval_ms");
   if (obs.sample_interval_ms > 0.0 && obs.sampler_capacity == 0)
     throw std::invalid_argument("SimulationConfig: sampler_capacity == 0");
-  require_finite(tail.read_deadline_ms, "tail.read_deadline_ms");
-  require_finite(tail.hedge_delay_ms, "tail.hedge_delay_ms");
-  require_finite(tail.hedge_ewma_factor, "tail.hedge_ewma_factor");
-  require_finite(tail.slow_ewma_factor, "tail.slow_ewma_factor");
-  if (tail.read_deadline_ms < 0.0 || tail.hedge_delay_ms < 0.0 ||
-      tail.hedge_ewma_factor < 0.0 || tail.slow_ewma_factor <= 0.0)
-    throw std::invalid_argument("SimulationConfig: bad tail policy");
 }
 
 std::string SimulationConfig::describe() const {
@@ -120,7 +113,7 @@ std::string SimulationConfig::describe() const {
   } else {
     os << " uncached";
   }
-  if (tail.enabled) os << " tail-policy";
+  if (tail) os << " tail-policy";
   return os.str();
 }
 

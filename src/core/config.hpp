@@ -90,11 +90,11 @@ struct SimulationConfig {
   };
   Obs obs;
 
-  /// Tail-tolerance policy applied to every array's demand reads
-  /// (docs/fault_model.md, "Fail-slow model"). Disabled by default: a
-  /// run with `tail.enabled == false` issues exactly the same events as
-  /// one built before the policy existed.
-  ArrayController::TailPolicy tail;
+  /// Fail-slow mitigation on every array's demand reads: the one preset
+  /// of ArrayController::Config::tail (docs/fault_model.md, "Fail-slow
+  /// model"). Off by default: an off run issues exactly the same events
+  /// as one built before the mechanism existed.
+  bool tail = false;
 
   /// Throws std::invalid_argument when inconsistent.
   void validate() const;

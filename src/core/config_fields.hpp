@@ -17,8 +17,8 @@ struct ConfigField {
     kMebibytes = 1u << 2,  // byte count carried on the wire in MiB
     kOmitZero = 1u << 3,   // the encoder leaves it out while it is 0
   };
-  /// Wire name, also the field's name in the key. "tail.x" is key "x" of
-  /// the wire's nested "tail" object; nested fields come last.
+  /// Wire name, also the field's name in the key. Every wire key is a
+  /// top-level key of the wire's "config" object.
   const char* name;
   unsigned flags = 0;
 
@@ -74,13 +74,7 @@ void for_each_config_field(Config& c, Visit&& visit) {
   // The sampler ticks the event queue, so its interval is in the key.
   visit(F{"sample_interval_ms", F::kOmitZero}, c.obs.sample_interval_ms);
   visit(F{"sampler_capacity", F::kOffWire}, c.obs.sampler_capacity);
-  visit(F{"tail.enabled"}, c.tail.enabled);
-  visit(F{"tail.read_deadline_ms"}, c.tail.read_deadline_ms);
-  visit(F{"tail.hedge_delay_ms"}, c.tail.hedge_delay_ms);
-  visit(F{"tail.hedge_ewma_factor"}, c.tail.hedge_ewma_factor);
-  visit(F{"tail.redirect_on_slow"}, c.tail.redirect_on_slow);
-  visit(F{"tail.reconstruct_on_slow"}, c.tail.reconstruct_on_slow);
-  visit(F{"tail.slow_ewma_factor"}, c.tail.slow_ewma_factor);
+  visit(F{"tail"}, c.tail);
 }
 
 /// Appends a field value as the protocol and the key spell it: booleans

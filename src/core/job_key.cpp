@@ -9,7 +9,7 @@ std::string job_canonical_key(const SimulationConfig& config,
                               const WorkloadOptions& workload) {
   std::string key;
   key.reserve(1024);
-  key += "raidsim-job-v2;";
+  key += "raidsim-job-v3;";
   const auto append_field = [&key](const char* name, const auto& value) {
     key.append(name) += '=';
     append_field_value(key, value);

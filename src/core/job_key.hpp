@@ -13,7 +13,7 @@ namespace raidsim {
 /// WorkloadOptions, as name=value pairs in a fixed order, doubles printed
 /// round-trip exact (%.17g). Two jobs produce byte-identical metrics if
 /// and only if their canonical keys are equal, so this string is the
-/// result-cache key of the what-if service. The "raidsim-job-v2" prefix
+/// result-cache key of the what-if service. The "raidsim-job-v3" prefix
 /// versions the format; keys and fingerprints are correlation ids within
 /// one process and are never stored across processes.
 std::string job_canonical_key(const SimulationConfig& config,

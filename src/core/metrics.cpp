@@ -61,7 +61,6 @@ void accumulate(ControllerStats& total, const ControllerStats& src) {
   total.hedge_wins += src.hedge_wins;
   total.hedge_cancellations += src.hedge_cancellations;
   total.redirected_reads += src.redirected_reads;
-  total.quarantine_reroutes += src.quarantine_reroutes;
 }
 
 void accumulate(NvCache::Stats& total, const NvCache::Stats& src) {
@@ -147,7 +146,6 @@ void Metrics::to_json(std::ostream& out) const {
   out << ",\"hedge_wins\":" << controller.hedge_wins;
   out << ",\"hedge_cancellations\":" << controller.hedge_cancellations;
   out << ",\"redirected_reads\":" << controller.redirected_reads;
-  out << ",\"quarantine_reroutes\":" << controller.quarantine_reroutes;
   out << "}";
   out << ",\"utilization\":{\"mean_disk\":" << mean_disk_utilization()
       << ",\"max_disk\":" << max_disk_utilization()

@@ -3,34 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/metrics_registry.hpp"
-
-namespace {
-
-/// Registry mirror of the quarantine lifecycle, so a live scrape shows
-/// fail-slow containment without waiting for the run's report.
-struct HealthMetrics {
-  raidsim::Counter& slow = raidsim::MetricsRegistry::instance().counter(
-      "raidsim_health_slow_detections_total",
-      "Disks newly flagged slow by the health monitor");
-  raidsim::Counter& quarantines =
-      raidsim::MetricsRegistry::instance().counter(
-          "raidsim_health_quarantines_total", "Disk quarantine transitions");
-  raidsim::Counter& unquarantines =
-      raidsim::MetricsRegistry::instance().counter(
-          "raidsim_health_unquarantines_total",
-          "Disk unquarantine transitions");
-  raidsim::Gauge& quarantined = raidsim::MetricsRegistry::instance().gauge(
-      "raidsim_health_quarantined_disks", "Disks currently quarantined");
-};
-
-HealthMetrics& health_metrics() {
-  static HealthMetrics metrics;
-  return metrics;
-}
-
-}  // namespace
-
 namespace raidsim {
 
 HealthMonitor::HealthMonitor(EventQueue& eq,
@@ -41,11 +13,6 @@ HealthMonitor::HealthMonitor(EventQueue& eq,
     throw std::invalid_argument("HealthMonitor: no arrays to monitor");
   if (options_.hot_spares < 0 || options_.spare_swap_ms < 0.0)
     throw std::invalid_argument("HealthMonitor: negative options");
-  if (options_.slow_disk.ewma_threshold <= 0.0 ||
-      options_.slow_disk.min_ewma_ms < 0.0 ||
-      options_.slow_disk.quarantine_after < 1 ||
-      options_.slow_disk.unquarantine_after < 1)
-    throw std::invalid_argument("HealthMonitor: bad slow-disk policy");
   arrays_.reserve(arrays.size());
   for (std::size_t a = 0; a < arrays.size(); ++a) {
     if (arrays[a] == nullptr)
@@ -62,103 +29,8 @@ HealthMonitor::HealthMonitor(EventQueue& eq,
   }
 }
 
-HealthMonitor::~HealthMonitor() {
-  stop_slow_checks();
-  // Every quarantine this run entered bumped the process-global gauge;
-  // give back the ones it never released so the live scrape does not
-  // drift upward across runs in a long-lived daemon.
-  const std::uint64_t still_quarantined = quarantines_ - unquarantines_;
-  if (still_quarantined > 0)
-    health_metrics().quarantined.add(
-        -static_cast<double>(still_quarantined));
-}
-
 void HealthMonitor::log(EventKind kind, int array, int disk) {
   events_.push_back(Event{eq_.now(), kind, array, disk});
-}
-
-void HealthMonitor::start_slow_checks() {
-  if (!options_.slow_disk.enabled() || slow_check_event_ != 0) return;
-  slow_check_event_ = eq_.schedule_in(options_.slow_disk.check_interval_ms,
-                                      [this] { slow_check_tick(); });
-}
-
-void HealthMonitor::stop_slow_checks() {
-  if (slow_check_event_ == 0) return;
-  eq_.cancel(slow_check_event_);
-  slow_check_event_ = 0;
-}
-
-void HealthMonitor::slow_check_tick() {
-  slow_check_event_ = 0;
-  const SlowDiskPolicy& policy = options_.slow_disk;
-  for (std::size_t a = 0; a < arrays_.size(); ++a) {
-    auto& s = arrays_[a];
-    if (s.lost) continue;
-    const auto& disks = s.controller->disks();
-    const std::size_t n = disks.size();
-    if (s.slow_streak.size() != n) {
-      s.slow_streak.assign(n, 0);
-      s.healthy_streak.assign(n, 0);
-    }
-    // The reference is the median EWMA over warm, non-failed members:
-    // the whole point of a windowed-relative detector is that "slow" is
-    // defined by the disk's siblings under the same workload, not by an
-    // absolute number that drifts with load.
-    std::vector<double> warm;
-    warm.reserve(n);
-    for (std::size_t d = 0; d < n; ++d) {
-      const Disk& disk = *disks[d];
-      const bool failed =
-          std::find(s.failed.begin(), s.failed.end(), static_cast<int>(d)) !=
-          s.failed.end();
-      if (failed || disk.op_latency().count() < policy.min_ops) continue;
-      warm.push_back(disk.ewma_latency_ms());
-    }
-    if (warm.size() < 2) continue;
-    std::nth_element(warm.begin(), warm.begin() + warm.size() / 2, warm.end());
-    const double median = warm[warm.size() / 2];
-    const double threshold =
-        std::max(policy.min_ewma_ms, policy.ewma_threshold * median);
-    if (threshold <= 0.0) continue;
-
-    for (std::size_t d = 0; d < n; ++d) {
-      const Disk& disk = *disks[d];
-      const int di = static_cast<int>(d);
-      const bool failed =
-          std::find(s.failed.begin(), s.failed.end(), di) != s.failed.end();
-      if (failed || disk.op_latency().count() < policy.min_ops) continue;
-      const bool slow = disk.ewma_latency_ms() > threshold;
-      if (slow) {
-        s.healthy_streak[d] = 0;
-        if (++s.slow_streak[d] == 1) {
-          ++slow_detections_;
-          health_metrics().slow.add(1);
-          log(EventKind::kDiskSlow, static_cast<int>(a), di);
-        }
-        if (!s.controller->is_quarantined(di) &&
-            s.slow_streak[d] >= policy.quarantine_after) {
-          s.controller->set_quarantined(di, true);
-          ++quarantines_;
-          health_metrics().quarantines.add(1);
-          health_metrics().quarantined.add(1.0);
-          log(EventKind::kQuarantined, static_cast<int>(a), di);
-        }
-      } else {
-        s.slow_streak[d] = 0;
-        if (s.controller->is_quarantined(di) &&
-            ++s.healthy_streak[d] >= policy.unquarantine_after) {
-          s.controller->set_quarantined(di, false);
-          ++unquarantines_;
-          health_metrics().unquarantines.add(1);
-          health_metrics().quarantined.add(-1.0);
-          log(EventKind::kUnquarantined, static_cast<int>(a), di);
-        }
-      }
-    }
-  }
-  slow_check_event_ = eq_.schedule_in(policy.check_interval_ms,
-                                      [this] { slow_check_tick(); });
 }
 
 bool HealthMonitor::rebuild_active(int array) const {

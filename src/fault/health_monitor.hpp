@@ -25,28 +25,6 @@ namespace raidsim {
 /// is orchestrated for it); the simulation continues gracefully.
 class HealthMonitor {
  public:
-  /// Fail-slow detection: a periodic check samples every healthy disk's
-  /// per-op latency EWMA and compares it against the array's median. A
-  /// disk slow for `quarantine_after` consecutive checks is quarantined
-  /// (the controller stops routing new demand reads to it); one healthy
-  /// for `unquarantine_after` consecutive checks is released.
-  struct SlowDiskPolicy {
-    /// Sampling period; <= 0 disables the detector entirely (no tick is
-    /// ever scheduled, keeping detector-off runs bit-identical).
-    double check_interval_ms = 0.0;
-    /// Slow when EWMA > ewma_threshold * (array median EWMA).
-    double ewma_threshold = 3.0;
-    /// Absolute floor: never flag a disk whose EWMA is below this, no
-    /// matter the ratio (guards against near-zero medians on idle arrays).
-    double min_ewma_ms = 0.0;
-    int quarantine_after = 3;
-    int unquarantine_after = 5;
-    /// Ignore disks that have served fewer ops than this (cold EWMA).
-    std::uint64_t min_ops = 16;
-
-    bool enabled() const { return check_interval_ms > 0.0; }
-  };
-
   struct Options {
     /// Hot spares in the shared pool across all monitored arrays. A
     /// failure with no spare available waits (degraded) until
@@ -56,7 +34,6 @@ class HealthMonitor {
     /// (spindle-up / slot-swap time).
     double spare_swap_ms = 0.0;
     RebuildProcess::Options rebuild;
-    SlowDiskPolicy slow_disk;
   };
 
   enum class EventKind {
@@ -66,9 +43,6 @@ class HealthMonitor {
     kSpareExhausted,
     kRebuildStarted,
     kRebuildCompleted,
-    kDiskSlow,
-    kQuarantined,
-    kUnquarantined,
   };
   struct Event {
     SimTime time = 0.0;
@@ -93,22 +67,6 @@ class HealthMonitor {
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
-  /// Stops the detector tick and releases this run's still-quarantined
-  /// disks from the process-wide quarantine gauge, so a long-lived
-  /// daemon's scrape reflects live state rather than accumulating every
-  /// finished run's leftovers.
-  ~HealthMonitor();
-
-  /// Start the periodic slow-disk detector (no-op unless
-  /// Options::slow_disk.check_interval_ms > 0). Idempotent.
-  void start_slow_checks();
-  /// Cancel the detector's self-rescheduling tick so the event queue can
-  /// drain. Quarantine state is left as-is.
-  void stop_slow_checks();
-  bool slow_checks_active() const { return slow_check_event_ != 0; }
-  std::uint64_t slow_detections() const { return slow_detections_; }
-  std::uint64_t quarantines() const { return quarantines_; }
-  std::uint64_t unquarantines() const { return unquarantines_; }
 
   /// Report a whole-disk failure. Idempotent while the failure is
   /// outstanding. Classifies data loss, marks the controller degraded,
@@ -141,16 +99,12 @@ class HealthMonitor {
     int rebuilding = -1;
     bool lost = false;
     bool spare_wait_logged = false;
-    // Slow-disk detector streaks, per disk (sized on first check).
-    std::vector<int> slow_streak;
-    std::vector<int> healthy_streak;
   };
 
   bool causes_data_loss(const ArrayState& state, int disk) const;
   void try_recover(int array);
   void start_rebuild(int array, int disk);
   void log(EventKind kind, int array, int disk);
-  void slow_check_tick();
 
   EventQueue& eq_;
   Options options_;
@@ -159,10 +113,6 @@ class HealthMonitor {
   std::vector<Event> events_;
   std::vector<DataLossEvent> losses_;
   int rebuilds_completed_ = 0;
-  EventId slow_check_event_ = 0;
-  std::uint64_t slow_detections_ = 0;
-  std::uint64_t quarantines_ = 0;
-  std::uint64_t unquarantines_ = 0;
 };
 
 }  // namespace raidsim

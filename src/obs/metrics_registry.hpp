@@ -47,7 +47,7 @@ class Counter {
   const std::atomic<bool>* enabled_;
 };
 
-/// Instantaneous value (queue depth, in-flight jobs, quarantined disks).
+/// Instantaneous value (queue depth, in-flight jobs).
 /// Single atomic double: set() is a store, add() a CAS loop.
 class Gauge {
  public:

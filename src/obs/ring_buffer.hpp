@@ -7,9 +7,10 @@
 
 namespace raidsim {
 
-/// Fixed-capacity overwrite-oldest ring. Backs the time-series sampler so
-/// an arbitrarily long run keeps the newest `capacity` samples in bounded
-/// memory. Index 0 is always the oldest retained element.
+/// Fixed-capacity overwrite-oldest ring. Backs the request tracer and the
+/// time-series sampler so an arbitrarily long run keeps the newest
+/// `capacity` elements in bounded memory. Index 0 is always the oldest
+/// retained element.
 template <typename T>
 class RingBuffer {
  public:
@@ -25,6 +26,10 @@ class RingBuffer {
     data_[head_] = std::move(value);
     head_ = (head_ + 1) % capacity_;
   }
+
+  /// Allocate room for the first `n` elements (at most capacity()) up
+  /// front, so early pushes do not regrow the storage.
+  void reserve(std::size_t n) { data_.reserve(n < capacity_ ? n : capacity_); }
 
   std::size_t size() const { return data_.size(); }
   std::size_t capacity() const { return capacity_; }

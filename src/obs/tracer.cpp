@@ -1,7 +1,5 @@
 #include "obs/tracer.hpp"
 
-#include <algorithm>
-
 namespace raidsim {
 
 const char* to_string(ObsPhase phase) {
@@ -36,50 +34,38 @@ const char* to_string(ObsPhase phase) {
   return "?";
 }
 
-Tracer::Tracer(Config config)
-    : capacity_(std::max<std::size_t>(1, config.max_events)) {
-  buffer_.reserve(std::min<std::size_t>(capacity_, 1u << 16));
-}
-
-void Tracer::push(const TraceEvent& event) {
-  ++recorded_;
-  if (buffer_.size() < capacity_) {
-    buffer_.push_back(event);
-    return;
-  }
-  wrapped_ = true;
-  buffer_[head_] = event;
-  head_ = (head_ + 1) % capacity_;
+Tracer::Tracer(Config config) : ring_(config.max_events) {
+  ring_.reserve(1u << 16);
 }
 
 std::uint64_t Tracer::begin(ObsPhase phase, int array, int track, SimTime ts) {
   const std::uint64_t id = next_id_++;
-  push(TraceEvent{ts, id, array, static_cast<std::int16_t>(track), phase,
-                  ObsType::kBegin});
+  ring_.push(TraceEvent{ts, id, array, static_cast<std::int16_t>(track),
+                        phase, ObsType::kBegin});
   return id;
 }
 
 void Tracer::begin_with(std::uint64_t id, ObsPhase phase, int array, int track,
                         SimTime ts) {
-  push(TraceEvent{ts, id, array, static_cast<std::int16_t>(track), phase,
-                  ObsType::kBegin});
+  ring_.push(TraceEvent{ts, id, array, static_cast<std::int16_t>(track),
+                        phase, ObsType::kBegin});
 }
 
 void Tracer::end(std::uint64_t id, ObsPhase phase, int array, int track,
                  SimTime ts) {
-  push(TraceEvent{ts, id, array, static_cast<std::int16_t>(track), phase,
-                  ObsType::kEnd});
+  ring_.push(TraceEvent{ts, id, array, static_cast<std::int16_t>(track),
+                        phase, ObsType::kEnd});
 }
 
 void Tracer::instant(ObsPhase phase, int array, int track, SimTime ts,
                      std::uint64_t id) {
-  push(TraceEvent{ts, id, array, static_cast<std::int16_t>(track), phase,
-                  ObsType::kInstant});
+  ring_.push(TraceEvent{ts, id, array, static_cast<std::int16_t>(track),
+                        phase, ObsType::kInstant});
 }
 
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
-  out.reserve(buffer_.size());
+  out.reserve(ring_.size());
   for_each([&out](const TraceEvent& e) { out.push_back(e); });
   return out;
 }

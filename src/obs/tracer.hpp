@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/ring_buffer.hpp"
 #include "obs/trace_event.hpp"
 
 namespace raidsim {
@@ -43,26 +44,19 @@ class Tracer {
   /// Visit retained events oldest-first without copying.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    const std::size_t n = buffer_.size();  // == capacity_ once wrapped
-    for (std::size_t i = 0; i < n; ++i) fn(buffer_[(head_ + i) % n]);
+    for (std::size_t i = 0; i < ring_.size(); ++i) fn(ring_[i]);
   }
 
-  std::uint64_t recorded() const { return recorded_; }
-  std::size_t retained() const { return buffer_.size(); }
+  std::uint64_t recorded() const { return ring_.pushed(); }
+  std::size_t retained() const { return ring_.size(); }
   /// Events overwritten by ring wraparound.
   std::uint64_t overwritten() const {
-    return recorded_ - static_cast<std::uint64_t>(buffer_.size());
+    return ring_.pushed() - static_cast<std::uint64_t>(ring_.size());
   }
-  bool wrapped() const { return wrapped_; }
+  bool wrapped() const { return ring_.wrapped(); }
 
  private:
-  void push(const TraceEvent& event);
-
-  std::size_t capacity_;
-  std::vector<TraceEvent> buffer_;
-  std::size_t head_ = 0;  // oldest retained event once wrapped
-  bool wrapped_ = false;
-  std::uint64_t recorded_ = 0;
+  RingBuffer<TraceEvent> ring_;
   std::uint64_t next_id_ = 1;
 };
 

@@ -5,9 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 #include <type_traits>
-#include <utility>
 
 #include "core/config_fields.hpp"
 
@@ -61,55 +59,30 @@ void decode_field(const std::string& key, const JsonValue& v, T& field) {
   }
 }
 
-/// Where a field sits on the wire: {"tail", "enabled"} for "tail.enabled"
-/// and {"", "n"} for the top-level "n".
-std::pair<std::string_view, std::string_view> wire_path(const ConfigField& f) {
-  const std::string_view name = f.name;
-  const std::size_t dot = name.find('.');
-  if (dot == name.npos) return {{}, name};
-  return {name.substr(0, dot), name.substr(dot + 1)};
-}
-
-/// Applies the wire object `json` to `config`. `group` is "" for the
-/// "config" object itself and the name of a nested object ("tail") else.
-void apply_config(SimulationConfig& config, const JsonValue& json,
-                  const std::string& group) {
-  const std::string what = group.empty() ? "config" : group;
-  if (!json.is_object()) bad("'" + what + "' must be an object");
+/// Applies the wire "config" object `json` to `config`.
+void apply_config(SimulationConfig& config, const JsonValue& json) {
+  if (!json.is_object()) bad("'config' must be an object");
   for (const auto& [key, value] : json.as_object()) {
-    bool found = false, nested = false;
+    bool found = false;
     for_each_config_field(config, [&](const ConfigField& f, auto& field) {
-      if (!f.on_wire()) return;
-      const auto [g, k] = wire_path(f);
-      if (g == group && k == key) {
+      if (f.on_wire() && key == f.name) {
         decode_field(key, value, field);
         found = true;
       }
-      nested |= group.empty() && !g.empty() && g == key;
     });
-    if (nested) apply_config(config, value, key);
-    else if (!found) bad("unknown " + what + " key '" + key + "'");
+    if (!found) bad("unknown config key '" + key + "'");
   }
 }
 
-/// The wire "config" object: the on-wire fields in list order, "x.y"
-/// fields as key "y" of a nested object "x".
+/// The wire "config" object: the on-wire fields in list order.
 std::string encode_config(const SimulationConfig& config) {
   std::string out = "{";
-  std::string_view group;  // nested object being written; "" = top level
   for_each_config_field(config, [&](const ConfigField& f, const auto& v) {
     using T = std::remove_cvref_t<decltype(v)>;
     if (!f.on_wire() || ((f.flags & ConfigField::kOmitZero) && v == T{}))
       return;
-    const auto [g, key] = wire_path(f);
-    if (g != group) {  // nested objects follow the top-level fields
-      out += group.empty() ? ",\"" : "},\"";
-      out.append(g) += "\":{";
-      group = g;
-    } else if (out.back() != '{') {
-      out += ',';
-    }
-    out.append("\"").append(key) += "\":";
+    if (out.back() != '{') out += ',';
+    out.append("\"").append(f.name) += "\":";
     if constexpr (std::is_enum_v<T>)
       out += '"' + wire_name(v) + '"';
     else if (f.flags & ConfigField::kMebibytes)
@@ -117,7 +90,7 @@ std::string encode_config(const SimulationConfig& config) {
     else
       append_field_value(out, v);
   });
-  return out + (group.empty() ? "}" : "}}");
+  return out + "}";
 }
 
 }  // namespace
@@ -152,7 +125,7 @@ JobRequest decode_job_request(const JsonValue& request) {
     } else if (key == "no_cache") {
       job.no_cache = bool_field(value, key);
     } else if (key == "config") {
-      apply_config(job.config, value, "");
+      apply_config(job.config, value);
     } else {
       bad("unknown request key '" + key + "'");
     }

@@ -274,7 +274,16 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     if (op != "run")
       throw std::invalid_argument("unknown op '" + op + "'");
 
-    JobRequest job = decode_job_request(request);
+    JobRequest job;
+    try {
+      job = decode_job_request(request);
+    } catch (const std::exception& e) {
+      // Counted like a submit() whose config does not validate.
+      supervisor_->reject_invalid(e.what(), [&](const JobResult& result) {
+        conn->write_line(encode_error_response(id, result.status, result.error));
+      });
+      return;
+    }
     if (job.id.empty()) job.id = id;
     const std::string job_id = job.id;
     supervisor_->submit(

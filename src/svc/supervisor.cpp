@@ -113,8 +113,30 @@ std::size_t Supervisor::running() const {
   return running_.size();
 }
 
+void Supervisor::reject_invalid(const std::string& error,
+                                const Completion& done) {
+  counters_.submitted.add(1);
+  counters_.invalid.add(1);
+  span_instant(ObsPhase::kJobRejected, static_cast<int>(JobStatus::kInvalid));
+  JobResult result;
+  result.status = JobStatus::kInvalid;
+  result.error = error;
+  done(result);
+}
+
 void Supervisor::submit(JobRequest request, Completion done,
                         Progress progress) {
+  // Validate before anything else: a bad config is a typed kInvalid and
+  // never reaches the queue (direct API callers bypass the codec's own
+  // validation, so revalidate here).
+  try {
+    request.config.validate();
+    if (request.trace != "trace1" && request.trace != "trace2")
+      throw std::invalid_argument("unknown trace '" + request.trace + "'");
+  } catch (const std::exception& e) {
+    reject_invalid(e.what(), done);
+    return;
+  }
   counters_.submitted.add(1);
 
   auto reject = [&](JobStatus status, const std::string& error,
@@ -126,19 +148,6 @@ void Supervisor::submit(JobRequest request, Completion done,
     span_instant(ObsPhase::kJobRejected, static_cast<int>(status));
     done(result);
   };
-
-  // Validate before anything else: a bad config is a typed kInvalid and
-  // never reaches the queue (direct API callers bypass the codec's own
-  // validation, so revalidate here).
-  try {
-    request.config.validate();
-    if (request.trace != "trace1" && request.trace != "trace2")
-      throw std::invalid_argument("unknown trace '" + request.trace + "'");
-  } catch (const std::exception& e) {
-    counters_.invalid.add(1);
-    reject(JobStatus::kInvalid, e.what(), 0);
-    return;
-  }
 
   const std::string key =
       job_canonical_key(request.config, request.trace, request.workload);

@@ -87,6 +87,12 @@ class Supervisor {
     submit(std::move(request), std::move(done), nullptr);
   }
 
+  /// Count and answer a request that fails validation: one submitted,
+  /// one invalid, and `done` fires with a kInvalid result carrying
+  /// `error`. submit() calls it for a config that does not validate; the
+  /// server calls it for a `run` line the codec rejects.
+  void reject_invalid(const std::string& error, const Completion& done);
+
   /// Stop admitting, finish or cancel everything, join the workers.
   /// Idempotent; also run by the destructor.
   void drain();

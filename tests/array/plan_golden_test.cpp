@@ -92,11 +92,11 @@ TEST(PlanGolden, UncachedRaid5SyncPolicies) {
     const char* hash;
   };
   const Case cases[] = {
-      {SyncPolicy::kSimultaneousIssue, "0x3e099c0205194bab"},
-      {SyncPolicy::kReadFirst, "0x402cd9aec345b806"},
-      {SyncPolicy::kReadFirstPriority, "0xa12049c171f15ca"},
-      {SyncPolicy::kDiskFirst, "0x2bbef9edbf1625ba"},
-      {SyncPolicy::kDiskFirstPriority, "0x6bfabd034d584d11"},
+      {SyncPolicy::kSimultaneousIssue, "0x4978cf1736139e5b"},
+      {SyncPolicy::kReadFirst, "0xca8dc1b07b4544e2"},
+      {SyncPolicy::kReadFirstPriority, "0x7b60bc459ee4befa"},
+      {SyncPolicy::kDiskFirst, "0xc502f79932562fc6"},
+      {SyncPolicy::kDiskFirstPriority, "0x4bfb847a8a733051"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(to_string(c.sync));
@@ -129,7 +129,7 @@ TEST(PlanGolden, CachedRaid4ParityCachingJournalAudited) {
   EXPECT_GT(m.controller.journal_intents, 0u);
   std::string extra;
   for (const auto& auditor : auditors) extra += audit_counters(*auditor);
-  EXPECT_EQ(fingerprint(m, extra), "0x74f4352d52d14558");
+  EXPECT_EQ(fingerprint(m, extra), "0xd5cb9f80eb8ffc98");
 }
 
 TEST(PlanGolden, CachedRaid5OldDataRetentionAudited) {
@@ -150,7 +150,7 @@ TEST(PlanGolden, CachedRaid5OldDataRetentionAudited) {
   EXPECT_GT(m.controller.destage_writes, 0u);
   std::string extra;
   for (const auto& auditor : auditors) extra += audit_counters(*auditor);
-  EXPECT_EQ(fingerprint(m, extra), "0xd317be622ef63449");
+  EXPECT_EQ(fingerprint(m, extra), "0xf2c5474d47dbcb9d");
 }
 
 TEST(PlanGolden, DegradedRaid5WithOnlineRebuild) {
@@ -169,16 +169,13 @@ TEST(PlanGolden, DegradedRaid5WithOnlineRebuild) {
   EXPECT_TRUE(rebuild.completed());
   EXPECT_GT(m.controller.degraded_reads, 0u);
   EXPECT_GT(m.controller.degraded_writes, 0u);
-  EXPECT_EQ(fingerprint(m), "0xc675984d2e518b81");
+  EXPECT_EQ(fingerprint(m), "0x3b020a0139b39131");
 }
 
 TEST(PlanGolden, FailSlowReconstructAndHedge) {
   SimulationConfig config;
   config.organization = Organization::kRaid5;
-  config.tail.enabled = true;
-  config.tail.read_deadline_ms = 120.0;
-  config.tail.hedge_ewma_factor = 3.0;
-  config.tail.reconstruct_on_slow = true;
+  config.tail = true;
   auto stream = trace("trace2", 0.05);
   Simulator sim(config, stream->geometry());
   std::vector<ArrayController*> arrays;
@@ -192,7 +189,7 @@ TEST(PlanGolden, FailSlowReconstructAndHedge) {
   injector.force_sticky(/*array=*/0, /*disk=*/1);
   const Metrics m = sim.run(*stream);
   EXPECT_GT(m.controller.hedged_reads, 0u);
-  EXPECT_EQ(fingerprint(m), "0x24f08b5e60d85740");
+  EXPECT_EQ(fingerprint(m), "0x398fd345b3e557bc");
 }
 
 TEST(PlanGolden, ScrubRepairsPlantedMediaErrors) {
@@ -222,7 +219,7 @@ TEST(PlanGolden, ScrubRepairsPlantedMediaErrors) {
   const Metrics m = sim.run(stream);
   EXPECT_EQ(scrub.stats().sweeps_completed, 1u);
   EXPECT_GT(m.controller.media_repairs, 0u);
-  EXPECT_EQ(fingerprint(m), "0xfb207fb64e3e272");
+  EXPECT_EQ(fingerprint(m), "0xbc31f93a6229351e");
 }
 
 TEST(PlanGolden, CrashThenJournalReplay) {
@@ -266,7 +263,7 @@ TEST(PlanGolden, CrashThenJournalReplay) {
   const Metrics m = sim.drain_and_finalize();
   EXPECT_TRUE(injector.last_recovery().used_journal);
   EXPECT_GT(m.controller.resync_stripes, 0u);
-  EXPECT_EQ(fingerprint(m, audit_counters(auditor)), "0xb6f3f0b98f77cece");
+  EXPECT_EQ(fingerprint(m, audit_counters(auditor)), "0x7ef3654d8efa4e66");
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ SimulationConfig plausible_config(std::mt19937_64& rng) {
   config.shards = uniform_int(rng, 0, 8);
   config.shard_threads = uniform_int(rng, 0, 8);
   config.obs.sample_interval_ms = 0.0;
-  config.tail.enabled = (rng() % 4) == 0;
+  config.tail = (rng() % 4) == 0;
   return config;
 }
 
@@ -77,7 +77,7 @@ void smash_knob(SimulationConfig& config, std::mt19937_64& rng) {
     case 10: config.shards = -1; break;
     case 11: config.shard_threads = 1 << 20; break;
     case 12: config.obs.sample_interval_ms = inf; break;
-    default: config.tail.slow_ewma_factor = 0.0; break;
+    default: config.disk_retry_budget = -1; break;
   }
 }
 
@@ -170,7 +170,7 @@ TEST(ConfigFuzz, NamedHostileKnobsAreRejectedByName) {
   }
   {
     SimulationConfig c;
-    c.tail.read_deadline_ms = std::numeric_limits<double>::infinity();
+    c.disk_retry_backoff_ms = std::numeric_limits<double>::infinity();
     EXPECT_THROW(c.validate(), std::invalid_argument);
   }
   {

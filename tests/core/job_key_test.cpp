@@ -21,10 +21,11 @@ TEST(JobKey, IdenticalInputsIdenticalKeys) {
             job_fingerprint(b, "trace2", wo));
 }
 
-TEST(JobKey, KeyFormatIsVersionTwo) {
+TEST(JobKey, KeyFormatIsVersionThree) {
   const std::string key =
       job_canonical_key(SimulationConfig{}, "trace2", WorkloadOptions{});
-  EXPECT_EQ(key.rfind("raidsim-job-v2;org=raid5;n=10;", 0), 0u) << key;
+  EXPECT_EQ(key.rfind("raidsim-job-v3;org=raid5;n=10;", 0), 0u) << key;
+  EXPECT_NE(key.find(";tail=false;trace=trace2;"), std::string::npos) << key;
 }
 
 TEST(JobKey, EveryResultDeterminingKnobChangesTheKey) {
@@ -48,7 +49,7 @@ TEST(JobKey, EveryResultDeterminingKnobChangesTheKey) {
   differs([](auto& c, auto&, auto&) { c.cached = true; }, "cached");
   differs([](auto& c, auto&, auto&) { c.cache_bytes += 4096; }, "cache_bytes");
   differs([](auto& c, auto&, auto&) { c.shards = 2; }, "shards");
-  differs([](auto& c, auto&, auto&) { c.tail.enabled = true; }, "tail");
+  differs([](auto& c, auto&, auto&) { c.tail = true; }, "tail");
   differs([](auto& c, auto&, auto&) { c.channel_mb_per_second = 20.0; },
           "channel");
   differs([](auto&, auto& w, auto&) { w.scale = 0.5; }, "scale");
@@ -105,14 +106,7 @@ const std::vector<FieldChange>& every_field_change() {
       {"shard_threads", [](C& c) { c.shard_threads = 2; }},
       {"sample_interval_ms", [](C& c) { c.obs.sample_interval_ms = 5.0; }},
       {"sampler_capacity", [](C& c) { c.obs.sampler_capacity = 16; }},
-      {"tail.enabled", [](C& c) { c.tail.enabled = true; }},
-      {"tail.read_deadline_ms", [](C& c) { c.tail.read_deadline_ms = 50.0; }},
-      {"tail.hedge_delay_ms", [](C& c) { c.tail.hedge_delay_ms = 3.0; }},
-      {"tail.hedge_ewma_factor", [](C& c) { c.tail.hedge_ewma_factor = 2.0; }},
-      {"tail.redirect_on_slow", [](C& c) { c.tail.redirect_on_slow = true; }},
-      {"tail.reconstruct_on_slow",
-       [](C& c) { c.tail.reconstruct_on_slow = true; }},
-      {"tail.slow_ewma_factor", [](C& c) { c.tail.slow_ewma_factor = 1.5; }},
+      {"tail", [](C& c) { c.tail = true; }},
   };
   return changes;
 }

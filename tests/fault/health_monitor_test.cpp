@@ -1,7 +1,6 @@
 // HealthMonitor: automatic spare allocation + rebuild, double-failure
-// data-loss detection (graceful, recorded, no crash), spare-pool
-// exhaustion and replenishment, and the fail-slow detector's
-// quarantine/unquarantine state machine.
+// data-loss detection (graceful, recorded, no crash), and spare-pool
+// exhaustion and replenishment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +8,6 @@
 
 #include "array/uncached_controller.hpp"
 #include "fault/health_monitor.hpp"
-#include "obs/metrics_registry.hpp"
 
 namespace raidsim {
 namespace {
@@ -213,107 +211,6 @@ TEST_F(HealthMonitorTest, SpareArrivingAfterLossIsNotConsumed) {
   EXPECT_EQ(monitor.spares_available(), 1);
   EXPECT_EQ(monitor.rebuilds_completed(), 0);
   EXPECT_FALSE(monitor.rebuild_active(0));
-}
-
-// ---- fail-slow detector: EWMA median check -> quarantine -> recovery ->
-// ---- release.
-
-TEST_F(HealthMonitorTest, SlowDiskIsDetectedQuarantinedAndReleased) {
-  EventQueue eq;
-  UncachedController c(eq, config(Organization::kRaid5));
-  auto opt = options(0);
-  opt.slow_disk.check_interval_ms = 50.0;
-  opt.slow_disk.ewma_threshold = 3.0;
-  opt.slow_disk.quarantine_after = 3;
-  opt.slow_disk.unquarantine_after = 3;
-  HealthMonitor monitor(eq, c, opt);
-
-  // Disk 2 turns fail-slow: every op pays 60 extra ms. (Moderate on
-  // purpose: the detector ignores disks with < min_ops completions, and
-  // a crippled disk serving one op per 200+ ms would not finish its
-  // warm-up inside the test horizon.)
-  c.disks()[2]->set_slowdown_hook(
-      [](const DiskRequest&, SimTime, double) { return 60.0; });
-
-  int completed = 0;
-  auto feed = [&](double start_ms, int count) {
-    for (int i = 0; i < count; ++i) {
-      const std::int64_t block = (static_cast<std::int64_t>(i) * 37) % 1440;
-      eq.schedule_at(start_ms + i * 5.0, [&c, &completed, block] {
-        c.submit(ArrayRequest{block, 1, false},
-                 [&completed](SimTime) { ++completed; });
-      });
-    }
-  };
-
-  feed(0.0, 400);
-  monitor.start_slow_checks();
-  EXPECT_TRUE(monitor.slow_checks_active());
-  // The detector tick reschedules itself forever; run to a horizon.
-  eq.run_until(2500.0);
-  EXPECT_GT(monitor.slow_detections(), 0u);
-  EXPECT_GE(monitor.quarantines(), 1u);
-  EXPECT_TRUE(c.is_quarantined(2));
-  EXPECT_TRUE(has_event(monitor, HealthMonitor::EventKind::kDiskSlow));
-  EXPECT_TRUE(has_event(monitor, HealthMonitor::EventKind::kQuarantined));
-
-  // The disk heals. With the tail policy off the quarantined disk still
-  // serves demand reads, so its EWMA recovers in place and the detector
-  // releases it.
-  c.disks()[2]->set_slowdown_hook(nullptr);
-  feed(2500.0, 400);
-  eq.run_until(6000.0);
-  EXPECT_GE(monitor.unquarantines(), 1u);
-  EXPECT_FALSE(c.is_quarantined(2));
-  EXPECT_TRUE(has_event(monitor, HealthMonitor::EventKind::kUnquarantined));
-
-  monitor.stop_slow_checks();
-  EXPECT_FALSE(monitor.slow_checks_active());
-  eq.run();  // queue drains now that the tick is gone
-  EXPECT_EQ(completed, 800);
-}
-
-TEST_F(HealthMonitorTest, TeardownReleasesQuarantineGauge) {
-  // The quarantine gauge is process-global; a run that ends with disks
-  // still quarantined must give its contribution back on teardown or a
-  // long-lived daemon's scrape drifts upward forever.
-  Gauge& gauge = MetricsRegistry::instance().gauge(
-      "raidsim_health_quarantined_disks", "Disks currently quarantined");
-  const double baseline = gauge.value();
-  {
-    EventQueue eq;
-    UncachedController c(eq, config(Organization::kRaid5));
-    auto opt = options(0);
-    opt.slow_disk.check_interval_ms = 50.0;
-    opt.slow_disk.ewma_threshold = 3.0;
-    opt.slow_disk.quarantine_after = 3;
-    HealthMonitor monitor(eq, c, opt);
-    c.disks()[2]->set_slowdown_hook(
-        [](const DiskRequest&, SimTime, double) { return 60.0; });
-    for (int i = 0; i < 400; ++i) {
-      const std::int64_t block = (static_cast<std::int64_t>(i) * 37) % 1440;
-      eq.schedule_at(i * 5.0, [&c, block] {
-        c.submit(ArrayRequest{block, 1, false}, [](SimTime) {});
-      });
-    }
-    monitor.start_slow_checks();
-    eq.run_until(2500.0);
-    ASSERT_TRUE(c.is_quarantined(2));
-    EXPECT_DOUBLE_EQ(gauge.value(), baseline + 1.0);
-    monitor.stop_slow_checks();
-  }  // monitor destroyed with disk 2 still quarantined
-  EXPECT_DOUBLE_EQ(gauge.value(), baseline);
-}
-
-TEST_F(HealthMonitorTest, DetectorOffByDefaultSchedulesNothing) {
-  EventQueue eq;
-  UncachedController c(eq, config(Organization::kRaid5));
-  HealthMonitor monitor(eq, c, options(1));  // check_interval_ms == 0
-  monitor.start_slow_checks();
-  EXPECT_FALSE(monitor.slow_checks_active());
-  eq.run();
-  EXPECT_EQ(eq.executed(), 0u);
-  EXPECT_EQ(monitor.slow_detections(), 0u);
 }
 
 TEST_F(HealthMonitorTest, Validation) {

@@ -24,8 +24,7 @@ TEST(JobCodec, DecodeFullRequest) {
     "config": {
       "org": "parstrip", "n": 20, "su": 4, "sync": "rfpr",
       "parity_placement": "end", "sched": "sstf",
-      "cached": true, "cache_mb": 32, "shards": 2,
-      "tail": {"enabled": true, "read_deadline_ms": 80}
+      "cached": true, "cache_mb": 32, "shards": 2, "tail": true
     }})"));
   EXPECT_EQ(job.id, "j1");
   EXPECT_EQ(job.trace, "trace1");
@@ -43,8 +42,7 @@ TEST(JobCodec, DecodeFullRequest) {
   EXPECT_TRUE(job.config.cached);
   EXPECT_EQ(job.config.cache_bytes, 32ll << 20);
   EXPECT_EQ(job.config.shards, 2);
-  EXPECT_TRUE(job.config.tail.enabled);
-  EXPECT_DOUBLE_EQ(job.config.tail.read_deadline_ms, 80.0);
+  EXPECT_TRUE(job.config.tail);
 }
 
 TEST(JobCodec, EncodeDecodeRoundTripPreservesIdentity) {
@@ -58,7 +56,7 @@ TEST(JobCodec, EncodeDecodeRoundTripPreservesIdentity) {
   job.config.sync = SyncPolicy::kSimultaneousIssue;
   job.config.cached = true;
   job.config.shards = 3;
-  job.config.tail.enabled = true;
+  job.config.tail = true;
 
   const JobRequest back =
       decode_job_request(json_parse(encode_job_request(job)));
@@ -100,13 +98,7 @@ JobRequest every_wire_field_set() {
   c.shards = 2;
   c.shard_threads = 3;
   c.obs.sample_interval_ms = 12.5;
-  c.tail.enabled = true;
-  c.tail.read_deadline_ms = 80.0;
-  c.tail.hedge_delay_ms = 4.5;
-  c.tail.hedge_ewma_factor = 2.5;
-  c.tail.redirect_on_slow = true;
-  c.tail.reconstruct_on_slow = true;
-  c.tail.slow_ewma_factor = 0.1;
+  c.tail = true;
   return job;
 }
 
@@ -120,9 +112,7 @@ TEST(JobCodec, EncodeDefaultRequestGolden) {
       R"("cache_mb":16,"destage_period_ms":300,"retain_old_data":true,)"
       R"("parity_caching":false,"periodic_destage":true,)"
       R"("intent_journal":false,"shards":0,"shard_threads":0,)"
-      R"("tail":{"enabled":false,"read_deadline_ms":0,"hedge_delay_ms":0,)"
-      R"("hedge_ewma_factor":0,"redirect_on_slow":false,)"
-      R"("reconstruct_on_slow":false,"slow_ewma_factor":3}}})");
+      R"("tail":false}})");
 }
 
 TEST(JobCodec, EncodeEveryWireFieldGolden) {
@@ -136,10 +126,7 @@ TEST(JobCodec, EncodeEveryWireFieldGolden) {
       R"("cache_mb":16.5,"destage_period_ms":150.25,)"
       R"("retain_old_data":false,"parity_caching":true,)"
       R"("periodic_destage":false,"intent_journal":true,"shards":2,)"
-      R"("shard_threads":3,"sample_interval_ms":12.5,)"
-      R"("tail":{"enabled":true,"read_deadline_ms":80,"hedge_delay_ms":4.5,)"
-      R"("hedge_ewma_factor":2.5,"redirect_on_slow":true,)"
-      R"("reconstruct_on_slow":true,"slow_ewma_factor":0.10000000000000001}}})");
+      R"("shard_threads":3,"sample_interval_ms":12.5,"tail":true}})");
 }
 
 TEST(JobCodec, DecodeOfEncodeReproducesEveryWireField) {
@@ -175,13 +162,7 @@ TEST(JobCodec, DecodeOfEncodeReproducesEveryWireField) {
   EXPECT_EQ(b.shards, a.shards);
   EXPECT_EQ(b.shard_threads, a.shard_threads);
   EXPECT_EQ(b.obs.sample_interval_ms, a.obs.sample_interval_ms);
-  EXPECT_EQ(b.tail.enabled, a.tail.enabled);
-  EXPECT_EQ(b.tail.read_deadline_ms, a.tail.read_deadline_ms);
-  EXPECT_EQ(b.tail.hedge_delay_ms, a.tail.hedge_delay_ms);
-  EXPECT_EQ(b.tail.hedge_ewma_factor, a.tail.hedge_ewma_factor);
-  EXPECT_EQ(b.tail.redirect_on_slow, a.tail.redirect_on_slow);
-  EXPECT_EQ(b.tail.reconstruct_on_slow, a.tail.reconstruct_on_slow);
-  EXPECT_EQ(b.tail.slow_ewma_factor, a.tail.slow_ewma_factor);
+  EXPECT_EQ(b.tail, a.tail);
   EXPECT_EQ(job_canonical_key(a, job.trace, job.workload),
             job_canonical_key(b, back.trace, back.workload));
 }
@@ -214,8 +195,9 @@ TEST(JobCodec, UnknownKeysRejectedByName) {
   EXPECT_THROW(
       decode_job_request(json_parse(R"({"op":"run","config":{"frob":1}})")),
       std::invalid_argument);
+  // The retired nested form of "tail": the key now takes a boolean.
   EXPECT_THROW(decode_job_request(json_parse(
-                   R"({"op":"run","config":{"tail":{"warp":1}}})")),
+                   R"({"op":"run","config":{"tail":{"enabled":true}}})")),
                std::invalid_argument);
 }
 

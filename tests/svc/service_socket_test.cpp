@@ -229,7 +229,12 @@ TEST(ServiceSocket, StatsAndScrapeAgree) {
   EXPECT_EQ(status_of(client.request(encode_job_request(job))), "ok");
   const JsonValue hit = client.request(encode_job_request(job));
   EXPECT_TRUE(hit.find("cached")->as_bool());
+  // Run lines the codec rejects -- a config that fails validation and
+  // the retired nested "tail" object -- count as submitted and invalid.
   EXPECT_EQ(status_of(client.request(R"({"op":"run","config":{"n":0}})")),
+            "invalid");
+  EXPECT_EQ(status_of(client.request(
+                R"({"op":"run","config":{"tail":{"enabled":true}}})")),
             "invalid");
 
   // Burst: every run line arrives in one write and is admitted or shed
@@ -282,8 +287,9 @@ TEST(ServiceSocket, StatsAndScrapeAgree) {
     ASSERT_EQ(samples.count(name), 1u) << name;
     EXPECT_EQ(value->as_number(), samples.at(name)) << key << " vs " << name;
   }
-  EXPECT_EQ(stats->find("submitted")->as_number(), 2.0 + kBurst);
+  EXPECT_EQ(stats->find("submitted")->as_number(), 4.0 + kBurst);
   EXPECT_EQ(stats->find("completed_cached")->as_number(), 1.0);
+  EXPECT_EQ(stats->find("rejected_invalid")->as_number(), 2.0);
   EXPECT_EQ(stats->find("rejected_overload")->as_number(), overloaded);
 
   // One `# TYPE` per family, families in name order.

@@ -2,7 +2,8 @@
 # parity placement through one shared lookup, and they and the service
 # tools parse numbers whole: an unknown or unsupported value or a
 # malformed number must exit non-zero with a message naming it, never run
-# a default in its place or die on an uncaught exception.
+# a default in its place or die on an uncaught exception. A retired flag
+# (raidsim_cli's fail-slow knobs, now the one --tail) is an unknown flag.
 #
 # Invoked as:
 #   cmake -DEXAMPLES_DIR=<dir> -DTOOLS_DIR=<dir> -DWORK_DIR=<dir>
@@ -52,6 +53,8 @@ expect_rejected("unknown parity placement 'ends'" raidsim_cli --parity-placement
 expect_rejected("unknown organization 'raid9'" raidsim_cli --org=raid9)
 expect_rejected("unknown sync policy 'rf/pr'" raidsim_cli --sync=rf/pr)
 expect_rejected("unknown disk scheduling 'lifo'" raidsim_cli --sched=lifo)
+expect_rejected("unknown flag: --hedge-delay=5" raidsim_cli --hedge-delay=5)
+expect_rejected("unknown flag: --redirect-on-slow" raidsim_cli --redirect-on-slow)
 expect_rejected("unknown organization 'raid9'" cache_tuning trace2 raid9)
 expect_rejected("unknown organization 'raid9'" failure_drill raid9)
 expect_rejected("no redundancy" failure_drill base)
