@@ -109,8 +109,29 @@ SimulationConfig BenchOptions::engine_config(SimulationConfig config) const {
   return config;
 }
 
+SimulationConfig PointTrace::apply(SimulationConfig config) const {
+  if (!prefix.empty()) {
+    config.obs.tracing = true;
+    if (sample_interval_ms > 0.0)
+      config.obs.sample_interval_ms = sample_interval_ms;
+  }
+  return config;
+}
+
+void PointTrace::attach(Simulator& sim) const {
+  if (!prefix.empty()) sim.set_artifact_prefix(prefix);
+}
+
 Sweep::Sweep(const BenchOptions& options)
     : options_(options), runner_(options.threads) {}
+
+PointTrace Sweep::next_trace() const {
+  // One artifact prefix per sweep point, so parallel workers never share
+  // a file.
+  if (options_.trace_out.empty()) return {};
+  return {options_.trace_out + "_" + std::to_string(runner_.queued()),
+          options_.sample_interval_ms};
+}
 
 std::size_t Sweep::add(const SimulationConfig& config,
                        const std::string& trace, double speed) {
@@ -124,20 +145,20 @@ std::size_t Sweep::add(const SimulationConfig& config,
       job_canonical_key(job.config, trace, job.workload), runner_.queued());
   if (!fresh) return it->second;
   job.label = config.describe() + " " + trace;
-  if (!options_.trace_out.empty()) {
-    // One artifact prefix per sweep point, so parallel workers never
-    // share a file.
-    job.trace_out =
-        options_.trace_out + "_" + std::to_string(runner_.queued());
-    job.sample_interval_ms = options_.sample_interval_ms;
-  }
+  PointTrace traced = next_trace();
+  job.trace_out = std::move(traced.prefix);
+  job.sample_interval_ms = traced.sample_interval_ms;
   return runner_.submit(std::move(job));
 }
 
-std::size_t Sweep::add(std::string label, std::function<Metrics()> run) {
+std::size_t Sweep::add(std::string label,
+                       std::function<Metrics(const PointTrace&)> run) {
   if (ran_)
     throw std::logic_error("Sweep: add() after results were consumed");
-  return runner_.submit(std::move(label), std::move(run));
+  return runner_.submit(std::move(label),
+                        [run = std::move(run), traced = next_trace()] {
+                          return run(traced);
+                        });
 }
 
 const Metrics& Sweep::result(std::size_t i) {

@@ -59,6 +59,20 @@ struct BenchOptions {
 /// `<program>: <message>` on stderr and exits 2.
 BenchOptions parse_or_exit(int argc, char** argv, BenchOptions defaults = {});
 
+/// Where a function point (Sweep::add(label, run)) writes its trace, as
+/// a traced config point's job does: `prefix` is `<--trace-out>_<i>`,
+/// empty when the sweep is not traced.
+struct PointTrace {
+  std::string prefix;
+  double sample_interval_ms = 0.0;
+
+  /// `config` with tracing (and telemetry sampling) turned on when the
+  /// point is traced; unchanged otherwise.
+  SimulationConfig apply(SimulationConfig config) const;
+  /// Points `sim`'s run artifacts at `prefix` when the point is traced.
+  void attach(Simulator& sim) const;
+};
+
 /// Deferred-execution sweep over simulation points. A bench queues every
 /// (config, trace) point up front, then reads results back by the index
 /// add() returned; the first result() call runs the whole batch across
@@ -74,13 +88,18 @@ class Sweep {
                   double speed = 1.0);
 
   /// Queue a point that is not one of the paper's workloads (`run` builds
-  /// its own trace); never shared with another point.
-  std::size_t add(std::string label, std::function<Metrics()> run);
+  /// its own trace and simulator, traced as its PointTrace says); never
+  /// shared with another point.
+  std::size_t add(std::string label,
+                  std::function<Metrics(const PointTrace&)> run);
 
   /// Result of the i-th add(). Runs the batch on first call.
   const Metrics& result(std::size_t i);
 
  private:
+  /// Trace destination of the point queued next.
+  PointTrace next_trace() const;
+
   BenchOptions options_;
   SweepRunner runner_;
   std::map<std::string, std::size_t> queued_;  // job key -> index

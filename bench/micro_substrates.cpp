@@ -212,8 +212,10 @@ BENCHMARK(BM_LruStackTouchAtDepth);
 // iteration builds its stack inside the timing; the op list is drawn up
 // front. BM_LruStackInsertHeavy grows the stack from empty, so every
 // index doubling and compaction is timed; BM_LruStackInsertHeavySized
-// first sizes it once as the generator does (the touches, and an index
-// for trace1 x0.25's 840,626 records), so neither happens.
+// first sizes it once as the generator does, for trace1 x0.25's
+// estimated distinct blocks, so its index never grows and its slot array
+// compacts in place. Both report the bytes the stack ends up holding
+// (stack_bytes) and its compactions.
 void lru_stack_insert_heavy(benchmark::State& state, bool sized) {
   struct Op {
     bool reuse;
@@ -236,21 +238,30 @@ void lru_stack_insert_heavy(benchmark::State& state, bool sized) {
     }
     return out;
   }();
+  TraceProfile profile = TraceProfile::trace1();
+  profile.requests = kRecords;
+  const std::uint64_t blocks = profile.distinct_block_bound();
   std::size_t distinct = 0;
+  std::size_t bytes = 0;
+  std::size_t compactions = 0;
   for (auto _ : state) {
     LruStack stack;
-    if (sized) stack.reserve(kTouches, kRecords);
+    if (sized) stack.reserve(blocks);
     for (const Op& op : ops) {
       std::optional<std::int64_t> block;
       if (op.reuse) block = stack.at_depth(op.depth);
       stack.touch(block ? *block : op.fresh);
     }
     distinct = stack.size();
+    bytes = stack.memory_bytes();
+    compactions = stack.compactions();
     benchmark::DoNotOptimize(distinct);
   }
   state.SetItemsProcessed(state.iterations() * kTouches);
   state.counters["distinct_per_touch"] =
       static_cast<double>(distinct) / kTouches;
+  state.counters["stack_bytes"] = static_cast<double>(bytes);
+  state.counters["compactions"] = static_cast<double>(compactions);
 }
 void BM_LruStackInsertHeavy(benchmark::State& state) {
   lru_stack_insert_heavy(state, false);

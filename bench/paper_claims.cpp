@@ -176,7 +176,7 @@ void print_table(Report& report, const std::string& x_name,
 struct Point {
   SimulationConfig config;
   double speed = 1.0;
-  std::function<Metrics()> run{};
+  std::function<Metrics(const PointTrace&)> run{};
 };
 
 /// Metrics of a table's cells, [series][x].
@@ -503,12 +503,13 @@ enum class DiskState { kHealthy, kDegraded, kRebuilding };
 /// array 0 in `state` (every array sees statistically similar load, so
 /// which one fails does not matter for the shape).
 Metrics run_failed_disk(Organization org, int n, DiskState state,
-                        const std::string& trace,
-                        const BenchOptions& options) {
+                        const std::string& trace, const BenchOptions& options,
+                        const PointTrace& traced) {
   SimulationConfig config = uncached(org);
   config.array_data_disks = n;
   auto stream = make_workload(trace, options.workload_options(trace));
-  Simulator sim(config, stream->geometry());
+  Simulator sim(traced.apply(config), stream->geometry());
+  traced.attach(sim);
   std::unique_ptr<RebuildProcess> rebuild;
   if (state != DiskState::kHealthy) sim.mutable_controller(0).fail_disk(0);
   if (state == DiskState::kRebuilding) {
@@ -526,13 +527,14 @@ Metrics run_failed_disk(Organization org, int n, DiskState state,
 /// sticky-slow by `factor` (1 = none), the tail-tolerance policies on or
 /// off: mirror redirect-on-slow, parity reconstruct-on-slow, both hedged.
 Metrics run_sticky_slow(Organization org, double factor, bool policies,
-                        const std::string& trace,
-                        const BenchOptions& options) {
+                        const std::string& trace, const BenchOptions& options,
+                        const PointTrace& traced) {
   SimulationConfig config = uncached(org);
   config.array_data_disks = 10;
   config.tail = policies;
   auto stream = make_workload(trace, options.workload_options(trace));
-  Simulator sim(config, stream->geometry());
+  Simulator sim(traced.apply(config), stream->geometry());
+  traced.attach(sim);
   std::vector<ArrayController*> arrays;
   for (int a = 0; a < sim.arrays(); ++a)
     arrays.push_back(&sim.mutable_controller(a));
@@ -1021,9 +1023,11 @@ const std::vector<Row>& rows() {
            Point p;
            p.config.organization =
                s == 0 ? Organization::kBase : Organization::kRaid5;
-           p.run = [config = p.config, profile] {
+           p.run = [config = p.config, profile](const PointTrace& traced) {
              SyntheticTrace trace(profile);
-             return run_simulation(config, trace);
+             Simulator sim(traced.apply(config), trace.geometry());
+             traced.attach(sim);
+             return sim.run(trace);
            };
            return p;
          };
@@ -1188,10 +1192,10 @@ const std::vector<Row>& rows() {
                 .series = series,
                 .point = [options, trace](std::size_t s, std::size_t x) {
                   Point p;
-                  p.run = [options, trace, s, x] {
+                  p.run = [options, trace, s, x](const PointTrace& traced) {
                     return run_failed_disk(orgs[s / 3], sizes[x],
                                            static_cast<DiskState>(s % 3),
-                                           trace, options);
+                                           trace, options, traced);
                   };
                   return p;
                 }});
@@ -1249,9 +1253,10 @@ const std::vector<Row>& rows() {
                   .point = [options, trace, org](std::size_t s,
                                                  std::size_t x) {
                     Point p;
-                    p.run = [options, trace, org, s, x] {
+                    p.run = [options, trace, org, s,
+                             x](const PointTrace& traced) {
                       return run_sticky_slow(org, severities[x], s == 1,
-                                             trace, options);
+                                             trace, options, traced);
                     };
                     return p;
                   },

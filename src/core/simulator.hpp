@@ -101,7 +101,7 @@ class StrandedRequestsError : public std::logic_error {
 /// traffic; a shard with an idle array buffers its other arrays' records
 /// until the array is decided. Outputs are bit-identical to replaying
 /// the whole trace at once. What a replay's memory cannot go below is
-/// the trace generator's own LRU-stack state, ~37 MB for full trace 1.
+/// the trace generator's own LRU-stack state, ~27 MB for full trace 1.
 ///
 /// Each array records its own responses, merged into the run totals in
 /// global array order; elapsed_ms is the max over shard clocks and

@@ -18,11 +18,11 @@ constexpr std::uint64_t kByteHighs = 0x8080808080808080ULL;
 // empty mark (0xffffffff).
 constexpr std::size_t kMaxSlots = (std::size_t{1} << 32) - kWordBits;
 
-/// Slots for `touches` touches: a whole number of 64-slot words, at
-/// least one and at most kMaxSlots.
-std::size_t slots_for(std::size_t touches) {
+/// `slots` rounded up to a whole number of 64-slot words, at least one
+/// and at most kMaxSlots.
+std::size_t slots_for(std::size_t slots) {
   const std::size_t words =
-      (std::min(touches, kMaxSlots) + kWordBits - 1) / kWordBits;
+      (std::min(slots, kMaxSlots) + kWordBits - 1) / kWordBits;
   return std::max<std::size_t>(words, 1) * kWordBits;
 }
 
@@ -31,11 +31,10 @@ bool within_load(std::size_t keys, std::size_t size) {
   return 8 * keys <= 7 * size;
 }
 
+/// Entries in the fewest 8-entry groups (at least two) that hold `keys`
+/// at no more than 7/8 load: 7 keys a group.
 std::size_t index_size_for(std::size_t keys) {
-  // Power of two holding `keys` at no more than 7/8 load.
-  std::size_t size = 16;
-  while (!within_load(keys, size)) size *= 2;
-  return size;
+  return 8 * std::max<std::size_t>((keys + 6) / 7, 2);
 }
 
 // Word bit twiddling in portable SWAR form: the default build targets
@@ -83,11 +82,19 @@ LruStack::LruStack(std::size_t initial_slots) {
   allocate(slots, index_size_for(slots));
 }
 
-void LruStack::reserve(std::size_t touches, std::size_t blocks) {
+void LruStack::reserve(std::size_t blocks) {
   if (next_slot_ != 0) return;
   // No more than kBlockLimit distinct blocks exist.
-  allocate(slots_for(touches),
-           index_size_for(std::min<std::size_t>(blocks, kBlockLimit)));
+  blocks = std::min<std::size_t>(blocks, kBlockLimit);
+  const std::size_t index_size = index_size_for(blocks);
+  allocate(slots_for(blocks + index_size / 4), index_size);
+}
+
+std::size_t LruStack::memory_bytes() const {
+  return block_at_slot_.size() * sizeof(std::uint32_t) +
+         live_bits_.size() * sizeof(std::uint64_t) +
+         (word_live_.size() + 1) * sizeof(std::int64_t) +
+         index_.size() * sizeof(std::uint32_t);
 }
 
 void LruStack::allocate(std::size_t slots, std::size_t index_size) {
@@ -98,24 +105,24 @@ void LruStack::allocate(std::size_t slots, std::size_t index_size) {
   word_live_ = FenwickTree(slots / kWordBits);
   block_at_slot_ = std::vector<std::uint32_t>(slots + slots / kWordBits);
   index_ = std::vector<std::uint32_t>(index_size, kEmptySlot);
-  index_mask_ = index_size - 1;
+  index_groups_ = index_size / 8;
 }
 
 const std::uint32_t* LruStack::find_entry(std::int64_t block) const {
   if (block < 0 || block >= kBlockLimit) return nullptr;
   const auto key = static_cast<std::uint32_t>(block);
-  std::size_t i = hash_block(key) & index_mask_;
+  std::size_t i = home_entry(key);
   while (index_[i] != kEmptySlot) {
     if (block_at_slot_[index_[i]] == key) return &index_[i];
-    i = (i + 1) & index_mask_;
+    i = next_entry(i);
   }
   return nullptr;
 }
 
 void LruStack::insert_slot(std::uint32_t block, std::uint32_t slot) {
   if (!within_load(count_ + 1, index_.size())) grow_table();
-  std::size_t i = hash_block(block) & index_mask_;
-  while (index_[i] != kEmptySlot) i = (i + 1) & index_mask_;
+  std::size_t i = home_entry(block);
+  while (index_[i] != kEmptySlot) i = next_entry(i);
   index_[i] = slot;
   ++count_;
 }
@@ -123,11 +130,11 @@ void LruStack::insert_slot(std::uint32_t block, std::uint32_t slot) {
 void LruStack::grow_table() {
   std::vector<std::uint32_t> old = std::move(index_);
   index_.assign(old.size() * 2, kEmptySlot);
-  index_mask_ = index_.size() - 1;
+  index_groups_ = index_.size() / 8;
   for (const std::uint32_t slot : old) {
     if (slot == kEmptySlot) continue;
-    std::size_t i = hash_block(block_at_slot_[slot]) & index_mask_;
-    while (index_[i] != kEmptySlot) i = (i + 1) & index_mask_;
+    std::size_t i = home_entry(block_at_slot_[slot]);
+    while (index_[i] != kEmptySlot) i = next_entry(i);
     index_[i] = slot;
   }
 }
@@ -196,9 +203,14 @@ std::optional<std::size_t> LruStack::depth_of(std::int64_t block) const {
 void LruStack::compact() {
   // Pack the live slots to the bottom in stack order: slot s moves to its
   // rank, which never exceeds s, so every array is rewritten in place.
+  // The slot array stays as it is while the packed stack leaves a
+  // quarter of its live slots free, and doubles otherwise.
   const std::size_t n = count_;
   std::size_t new_capacity = capacity_;
-  while (new_capacity < 2 * n + 16) new_capacity *= 2;
+  if (capacity_ - n < n / 4) {
+    while (new_capacity < 2 * n + 16) new_capacity *= 2;
+  }
+  ++compactions_;
   if (new_capacity > kMaxSlots)
     throw std::length_error("LruStack: slot count exceeds its 32-bit cap");
 

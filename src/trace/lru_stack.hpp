@@ -29,24 +29,30 @@ namespace raidsim {
 ///    block_at_slot_ already holds the block its slot names, so a probe
 ///    compares that block with the wanted one. A reuse touch finds it in
 ///    cache (at_depth has just read it); only a probe for a fresh block
-///    pays a second miss per live entry it passes, more of them at 7/8
-///    load than at 50%. The generator's traces end at 51-77% load, where
-///    the half-size table drains them about as fast. The hash mixes
-///    block / 8 (splitmix64 finalizer) and keeps the low three bits, so
-///    each aligned run of 8 consecutive blocks lands in one 32-byte
-///    stretch of the table: the generator touches sequential runs
-///    (multiblock requests, sequential fresh accesses), and a run then
-///    shares its cache lines. Entries are never erased (touch only
-///    inserts or moves), so the table needs no tombstones.
-///  * Sizing. reserve() sizes an empty stack once for the touches and
-///    distinct blocks it will see: the slot array to a multiple of 64
-///    slots, the index to a power of two at no more than 7/8 load. A
-///    stack sized from a good estimate never compacts or grows its index.
-///  * Compaction (fallback). When the cursor reaches the end of the slot
-///    array, the live slots are packed to the bottom in stack order: one
-///    sequential pass over the index maps each entry's slot to its rank
-///    (word prefix count + popcount), with no re-probe per block. The
-///    slot array doubles until it holds at least 2n + 16 slots, giving
+///    pays a second miss per live entry it passes. The table is a whole
+///    number of 8-entry groups, any number of them: a block's 8-block
+///    group (block / 8) is hashed to 32 bits (splitmix64 finalizer) and
+///    scaled to the group count by multiply-shift, and the block's
+///    position in its group picks the entry. Each aligned run of 8
+///    consecutive blocks thus lands in one 32-byte stretch of the table:
+///    the generator touches sequential runs (multiblock requests,
+///    sequential fresh accesses), and a run then shares its cache lines.
+///    Entries are never erased (touch only inserts or moves), so the
+///    table needs no tombstones.
+///  * Sizing. reserve() sizes an empty stack once for the distinct blocks
+///    it will hold: the index to the fewest groups that hold them at no
+///    more than 7/8 load, and the slot array to those blocks plus a
+///    quarter of the index as slack (a multiple of 64 slots). A stack
+///    sized for at least the blocks it gets never grows either array.
+///  * Compaction. When the cursor reaches the end of the slot array, the
+///    live slots are packed to the bottom in stack order: one sequential
+///    pass over the index maps each entry's slot to its rank (word prefix
+///    count + popcount), with no re-probe per block. The packed stack
+///    stays in the same array while that leaves a quarter of its live
+///    slots free; a stack holding no more than its reserved blocks
+///    always does, since its slack is at least 2/7 of them. Otherwise
+///    (fallback) the slot
+///    array doubles until it holds at least 2n + 16 slots, giving
 ///    amortised O(log n) per operation. Likewise the index doubles when
 ///    it would pass 7/8 load.
 ///
@@ -61,11 +67,11 @@ class LruStack {
   /// `initial_slots` is rounded up to a multiple of 64 (at least 64).
   explicit LruStack(std::size_t initial_slots = 64);
 
-  /// Size an empty stack for `touches` touches of at most `blocks`
-  /// distinct blocks, replacing its arrays, so that it neither compacts
-  /// before the touch after the last reserved one nor grows its index
-  /// before block `blocks + 1`. A no-op once the stack has been touched.
-  void reserve(std::size_t touches, std::size_t blocks);
+  /// Size an empty stack for at most `blocks` distinct blocks, replacing
+  /// its arrays, so that it grows its index only at block `blocks + 1`
+  /// and its slot array only while it holds more than `blocks` blocks.
+  /// A no-op once the stack has been touched.
+  void reserve(std::size_t blocks);
 
   /// Insert `block` at the top (most recently used), moving it if present.
   void touch(std::int64_t block);
@@ -82,18 +88,33 @@ class LruStack {
 
   std::size_t size() const { return count_; }
 
+  /// Compactions so far, in place or growing the slot array.
+  std::size_t compactions() const { return compactions_; }
+
+  /// Bytes held by the slot array, its bitmap and word tree, and the
+  /// index.
+  std::size_t memory_bytes() const;
+
  private:
   /// An index entry is the slot of its block; no live slot is all-ones.
   static constexpr std::uint32_t kEmptySlot = 0xffffffff;
 
-  static std::uint64_t hash_block(std::uint32_t block) {
-    // splitmix64 finalizer (full avalanche) of the 8-block group, with
-    // the block's position in its group kept as the low bits.
+  /// First entry of `block`'s probe run: the 32-bit hash (splitmix64
+  /// finalizer) of its 8-block group scaled to the table's group count,
+  /// then the block's position in its group.
+  std::size_t home_entry(std::uint32_t block) const {
     std::uint64_t x = block >> 3;
     x += 0x9e3779b97f4a7c15ULL;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return ((x ^ (x >> 31)) << 3) | (block & 7);
+    const std::uint64_t group =
+        (((x ^ (x >> 31)) >> 32) * index_groups_) >> 32;
+    return static_cast<std::size_t>(group) * 8 + (block & 7);
+  }
+
+  /// The entry after `i`, wrapping at the end of the table.
+  std::size_t next_entry(std::size_t i) const {
+    return ++i == index_.size() ? 0 : i;
   }
 
   /// Index entry (the slot) of `block`, or nullptr when absent.
@@ -109,7 +130,7 @@ class LruStack {
   void compact();
 
   /// Allocate empty arrays for `slots` slots (a multiple of 64) and an
-  /// index of `index_size` entries (a power of two).
+  /// index of `index_size` entries (a multiple of 8).
   void allocate(std::size_t slots, std::size_t index_size);
 
   std::size_t capacity_ = 0;    // slots; a multiple of 64, at least 64
@@ -122,9 +143,10 @@ class LruStack {
   // does not grow the slot array allocates nothing.
   std::vector<std::uint32_t> block_at_slot_;
 
-  std::vector<std::uint32_t> index_;  // slots; power-of-two size
-  std::size_t index_mask_ = 0;
+  std::vector<std::uint32_t> index_;  // slots; 8 entries per group
+  std::uint64_t index_groups_ = 0;
   std::size_t count_ = 0;
+  std::size_t compactions_ = 0;
 };
 
 }  // namespace raidsim

@@ -73,6 +73,12 @@ struct TraceProfile {
 
   std::uint64_t seed = 42;
 
+  /// Distinct blocks the generator's LRU stack is sized for: an upper
+  /// estimate of the blocks its records touch, from the reuse
+  /// probabilities and stack-depth distributions, with a margin of three
+  /// standard deviations. At most geometry.total_blocks().
+  std::uint64_t distinct_block_bound() const;
+
   /// Mean arrival rate implied by `requests` and `duration_s` (IO/s).
   double arrival_rate_per_s() const {
     return static_cast<double>(requests) / duration_s;

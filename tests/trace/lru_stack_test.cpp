@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -130,8 +129,9 @@ void expect_word_boundaries_agree(const LruStack& stack,
 /// How run_differential sizes its LruStack before the first touch.
 enum class Sizing {
   kGrow,        // LruStack(16), no reserve(): compacts and grows throughout
-  kExact,       // reserve(touches, distinct blocks) of the run itself
-  kUndersized,  // reserve() a quarter of both: falls back to growing
+  kExact,       // reserve() the run's own distinct blocks: compacts
+                // in place, never grows an array
+  kUndersized,  // reserve() a quarter of them: falls back to growing
 };
 
 /// The touch sequence run_differential replays for (seed, reuse_prob,
@@ -171,18 +171,22 @@ TouchPlan plan_touches(std::uint64_t seed, double reuse_prob,
 }
 
 /// Drives LruStack and NaiveStack with one TouchPlan. Full sweeps run
-/// every 128 ops and whenever the size reaches a power of two, where a
-/// growing index doubles; boundary probes run on every op.
+/// every 128 ops and after every touch that compacts the stack or grows
+/// one of its arrays; boundary probes run on every op. A kExact stack
+/// must keep the arrays it reserved. `compactions`, when given, receives
+/// the stack's compaction count.
 void run_differential(std::uint64_t seed, double reuse_prob,
                       std::int64_t universe, int ops,
-                      Sizing sizing = Sizing::kGrow) {
+                      Sizing sizing = Sizing::kGrow,
+                      std::size_t* compactions = nullptr) {
   const TouchPlan plan = plan_touches(seed, reuse_prob, universe, ops);
   LruStack stack(16);  // small initial capacity to force compactions
   if (sizing == Sizing::kExact) {
-    stack.reserve(plan.touches.size(), plan.distinct);
+    stack.reserve(plan.distinct);
   } else if (sizing == Sizing::kUndersized) {
-    stack.reserve(plan.touches.size() / 4, plan.distinct / 4);
+    stack.reserve(plan.distinct / 4);
   }
+  const std::size_t reserved_bytes = stack.memory_bytes();
   NaiveStack naive;
   for (int op = 0; op < ops; ++op) {
     const TouchPlan::Touch& touch = plan.touches[op];
@@ -190,19 +194,21 @@ void run_differential(std::uint64_t seed, double reuse_prob,
       ASSERT_EQ(stack.at_depth(*touch.reuse_depth), touch.block)
           << "op " << op;
     }
-    const std::size_t before = naive.size();
+    const std::size_t bytes = stack.memory_bytes();
+    const std::size_t compacted = stack.compactions();
     stack.touch(touch.block);
     naive.touch(touch.block);
     ASSERT_NO_FATAL_FAILURE(expect_word_boundaries_agree(stack, naive, op));
-    // The index doubles as it passes 7/8 load: at 7 * 2^k + 1 blocks.
-    const bool index_grew = naive.size() != before &&
-                            (naive.size() - 1) % 7 == 0 &&
-                            std::has_single_bit((naive.size() - 1) / 7);
-    if (op % 128 == 0 || index_grew) {
+    if (op % 128 == 0 || stack.memory_bytes() != bytes ||
+        stack.compactions() != compacted) {
       ASSERT_NO_FATAL_FAILURE(expect_full_agreement(stack, naive, op));
+    }
+    if (sizing == Sizing::kExact) {
+      ASSERT_EQ(stack.memory_bytes(), reserved_bytes) << "op " << op;
     }
   }
   ASSERT_NO_FATAL_FAILURE(expect_full_agreement(stack, naive, ops));
+  if (compactions) *compactions = stack.compactions();
 }
 
 TEST(LruStack, MatchesNaiveInsertionHeavy) {
@@ -219,18 +225,41 @@ TEST(LruStack, MatchesNaiveReuseHeavy) {
 }
 
 TEST(LruStack, MatchesNaiveWithExactReservation) {
-  // Sized for exactly the run, as the generator sizes its stack: no
-  // compaction and no index growth. 12032 touches (188 words) fill the
-  // slot array to its last slot.
-  run_differential(11, 0.4, std::int64_t{1} << 30, 12032, Sizing::kExact);
-  run_differential(12, 0.9, 500, 12032, Sizing::kExact);
-  run_differential(13, 0.0, std::int64_t{1} << 30, 4096, Sizing::kExact);
+  // Sized for exactly the run's distinct blocks, as the generator sizes
+  // its stack from its estimate. With no reuse every touch is a new
+  // block, so the 4096 touches fit the reserved slots without a
+  // compaction.
+  std::size_t compactions = 0;
+  run_differential(13, 0.0, std::int64_t{1} << 30, 4096, Sizing::kExact,
+                   &compactions);
+  EXPECT_EQ(compactions, 0u);
+}
+
+TEST(LruStack, MatchesNaiveThroughInPlaceCompactions) {
+  // Sized for exactly the run's distinct blocks, the slot array holds
+  // them plus a quarter-index of slack, far fewer slots than the run's
+  // touches: the stack compacts in place again and again, and a full
+  // sweep checks it after each compaction.
+  struct Case {
+    std::uint64_t seed;
+    double reuse_prob;
+    std::int64_t universe;
+    std::size_t min_compactions;
+  };
+  for (const Case& c : {Case{11, 0.4, std::int64_t{1} << 30, 1},
+                        Case{14, 0.7, std::int64_t{1} << 30, 3},
+                        Case{12, 0.9, 500, 20}}) {
+    std::size_t compactions = 0;
+    run_differential(c.seed, c.reuse_prob, c.universe, 12000,
+                     Sizing::kExact, &compactions);
+    EXPECT_GE(compactions, c.min_compactions) << "seed " << c.seed;
+  }
 }
 
 TEST(LruStack, MatchesNaiveWithUndersizedReservation) {
-  // A quarter of the touches and of the distinct blocks: the stack falls
-  // back to compacting and to growing its index, starting from a slot
-  // array that is not a power of two.
+  // A quarter of the distinct blocks: the stack falls back to growing
+  // its slot array and its index, starting from arrays that are not a
+  // power of two.
   run_differential(11, 0.4, std::int64_t{1} << 30, 12000,
                    Sizing::kUndersized);
   run_differential(12, 0.9, 500, 12000, Sizing::kUndersized);
@@ -239,8 +268,8 @@ TEST(LruStack, MatchesNaiveWithUndersizedReservation) {
 TEST(LruStack, ReserveAfterTouchIsNoOp) {
   LruStack stack;
   for (std::int64_t b = 0; b < 100; ++b) stack.touch(b);
-  stack.reserve(1 << 20, 1 << 20);
-  stack.reserve(0, 0);
+  stack.reserve(1 << 20);
+  stack.reserve(0);
   EXPECT_EQ(stack.size(), 100u);
   for (std::size_t d = 0; d < 100; ++d) {
     EXPECT_EQ(stack.at_depth(d), static_cast<std::int64_t>(99 - d));
@@ -257,7 +286,7 @@ TEST(LruStack, ReserveSmallerThanConstructed) {
   // A reservation replaces the constructor's arrays even when it is the
   // smaller, and the stack still grows past it.
   LruStack stack(1 << 16);
-  stack.reserve(10, 3);
+  stack.reserve(3);
   NaiveStack naive;
   for (std::int64_t i = 0; i < 3000; ++i) {
     const std::int64_t block = (i * 7919) % 401;
@@ -281,16 +310,18 @@ TEST(LruStack, ExtremeBlockNumbers) {
   EXPECT_FALSE(stack.depth_of(LruStack::kBlockLimit + 1).has_value());
 }
 
-/// LruStack's index hash of an 8-block group (block / 8), before it is
-/// shifted past the block's position in the group. Two groups whose
-/// hashes agree in their low k bits start their 8-entry runs at the same
-/// place in every index of up to 2^(k + 3) entries. The tests below use
-/// it only to pick colliding groups; they check against NaiveStack.
+/// LruStack's 32-bit index hash of an 8-block group (block / 8), which
+/// multiply-shift scales to the index's group count. In an index of
+/// 2^j groups the hash's top j bits pick the group, so two groups whose
+/// hashes agree in their top k bits start their 8-entry runs at the
+/// same place in every index of up to 2^k groups of a power-of-two
+/// count. The tests below use it only to pick colliding groups; they
+/// check against NaiveStack.
 std::uint64_t group_hash(std::uint64_t group) {
   std::uint64_t x = group + 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return (x ^ (x >> 31)) >> 32;
 }
 
 /// Touches `block` on both stacks.
@@ -314,9 +345,9 @@ void expect_group_lookups_agree(const LruStack& stack,
 }
 
 TEST(LruStack, MatchesNaiveThroughInterleavedGrowthAndCompaction) {
-  // From one 64-slot word and a 128-entry index, each round adds an
+  // From one 64-slot word and an 80-entry index, each round adds an
   // aligned group of 8 fresh blocks and re-touches 24 live blocks at
-  // random depths. The index doubles five times (past 112, 224, ..., 1792
+  // random depths. The index doubles five times (past 70, 140, ..., 1120
   // blocks), and between two doublings the slot array fills and compacts
   // at least once, so entries are remapped by compactions and rehashed
   // through their slots by doublings, turn about.
@@ -343,7 +374,9 @@ TEST(LruStack, MatchesNaiveThroughInterleavedGrowthAndCompaction) {
 
 TEST(LruStack, AbsentLookupsCrossLiveEntriesOfTheirGroup) {
   // Three groups whose runs start at the same index position in every
-  // index up to 8192 entries. Group a is stored whole, then six members
+  // index up to 8192 entries: the stack is reserved a 64-entry index (8
+  // groups), which doubles to 16, 32, ... groups. Group a is stored
+  // whole, then six members
   // of b, whose entries land past a's run. A probe for b's absent
   // members crosses a's entries and then b's own live ones, comparing
   // each through its slot, before it reaches an empty entry; a probe
@@ -351,10 +384,11 @@ TEST(LruStack, AbsentLookupsCrossLiveEntriesOfTheirGroup) {
   const std::uint64_t a = 1000;
   std::vector<std::int64_t> groups{static_cast<std::int64_t>(a)};
   for (std::uint64_t g = a + 1; groups.size() < 3; ++g) {
-    if (((group_hash(g) ^ group_hash(a)) & 1023) == 0)
+    if ((group_hash(g) >> 22) == (group_hash(a) >> 22))
       groups.push_back(static_cast<std::int64_t>(g));
   }
-  LruStack stack(16);
+  LruStack stack;
+  stack.reserve(56);  // 56 blocks at 7/8 of a 64-entry index
   NaiveStack naive;
   const auto check = [&](int op) {
     for (const std::int64_t g : groups)
